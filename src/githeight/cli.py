@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .bounds import (
 )
 from .conjugation import (
     MatrixQ,
+    instability_all_conj,
     instability_conj,
     is_minimal_arch,
     is_minimal_nonarch,
@@ -48,6 +48,7 @@ from .places import ARCHIMEDEAN, LogValue, Place, as_fraction
 from .torus import (
     TorusAction,
     destabilizing_1ps,
+    instability_all,
     instability_arch,
     instability_nonarch,
     is_semistable,
@@ -65,7 +66,6 @@ class Config:
     arch_tol: float = 1e-12
     compare_tol: float = 1e-9
     norm_choice: str = "frobenius"
-    parallel_places: bool = False
     seed: int = 0
     samples: int = 100
     fmt: str = "float"
@@ -222,67 +222,36 @@ def _cmd_destabilize(args, config: Config) -> int:
     return 0
 
 
-def _torus_instability(action, point, place, config: Config):
-    if place.is_archimedean:
-        return instability_arch(action, point, tol=config.arch_tol)
-    return instability_nonarch(action, point, place.prime)
-
-
 def _cmd_instability(args, config: Config) -> int:
     payload = _payload_if_needed(args, ("matrix", "weights", "action"))
     place_text = args.place or payload.get("place") or "oo"
-    is_matrix = getattr(args, "matrix", None) is not None or "matrix" in payload
+    place = None if place_text == "all" else _parse_place(place_text)
 
-    if place_text == "all":
-        return _cmd_instability_all(args, payload, is_matrix, config)
-
-    place = _parse_place(place_text)
-    if is_matrix:
-        value = instability_conj(
-            _parse_matrix(args, payload), place, norm=config.norm_choice,
-            tol=config.compare_tol,
-        )
-        _emit({"place": str(place), "value": _logvalue_json(value, config.fmt)})
-        return 0
-    action = _parse_action(args, payload)
-    report = _torus_instability(action, _parse_point(args, payload), place, config)
-    _emit({
-        "place": str(report.place),
-        "value": _logvalue_json(report.value, config.fmt),
-        "minimizer": _minimizer_json(report.minimizer, config.fmt),
-        "residually_semistable": report.residually_semistable,
-    })
-    return 0
-
-
-def _cmd_instability_all(args, payload, is_matrix: bool, config: Config) -> int:
-    from .places import support_primes
-
-    if is_matrix:
+    if getattr(args, "matrix", None) is not None or "matrix" in payload:
         phi = _parse_matrix(args, payload)
-        primes = support_primes([x for x in phi.entries if x != 0])
-        places = [Place.finite(p) for p in primes] + [ARCHIMEDEAN]
-
-        def one(place):
-            v = instability_conj(phi, place, norm=config.norm_choice,
-                                 tol=config.compare_tol)
-            return str(place), _logvalue_json(v, config.fmt)
+        if place is not None:
+            value = instability_conj(phi, place, norm=config.norm_choice, tol=config.compare_tol)
+            _emit({"place": str(place), "value": _logvalue_json(value, config.fmt)})
+            return 0
+        values = instability_all_conj(phi, norm=config.norm_choice, tol=config.compare_tol)
     else:
         action = _parse_action(args, payload)
         point = _parse_point(args, payload)
-        primes = support_primes(point.coords)
-        places = [Place.finite(p) for p in primes] + [ARCHIMEDEAN]
-
-        def one(place):
-            r = _torus_instability(action, point, place, config)
-            return str(place), _logvalue_json(r.value, config.fmt)
-
-    if config.parallel_places and len(places) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(places))) as pool:
-            rows = list(pool.map(one, places))
-    else:
-        rows = [one(pl) for pl in places]
-    _emit({"instability": dict(rows)})
+        if place is not None:
+            if place.is_archimedean:
+                report = instability_arch(action, point, tol=config.arch_tol)
+            else:
+                report = instability_nonarch(action, point, place.prime)
+            _emit({
+                "place": str(report.place),
+                "value": _logvalue_json(report.value, config.fmt),
+                "minimizer": _minimizer_json(report.minimizer, config.fmt),
+                "residually_semistable": report.residually_semistable,
+            })
+            return 0
+        reports = instability_all(action, point, tol=config.arch_tol)
+        values = {pl: r.value for pl, r in reports.items()}
+    _emit({"instability": {str(pl): _logvalue_json(v, config.fmt) for pl, v in values.items()}})
     return 0
 
 
@@ -564,33 +533,22 @@ def build_parser() -> argparse.ArgumentParser:
         "quotient heights, per-place instability measures, minimality "
         "tests, and explicit slope bounds.",
     )
-    parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance (default 1e-9; env GIT_HEIGHT_TOL)")
-    parser.add_argument("--arch-tol", type=float, default=1e-12,
-                        help="archimedean minimization tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--samples", type=int, default=100,
-                        help="orbit sample count")
-    parser.add_argument("--format", choices=("float", "exact"), default="float",
-                        help="finite parts as floats or exact rational strings")
-    parser.add_argument("--norm", choices=("frobenius", "sup"), default="frobenius",
-                        help="archimedean matrix norm")
-    parser.add_argument("--parallel", action="store_true",
-                        help="evaluate places concurrently where possible")
-
     # the same options are accepted after the subcommand; SUPPRESS keeps an
     # absent trailing flag from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--arch-tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("float", "exact"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--norm", choices=("frobenius", "sup"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--parallel", action="store_true",
-                        default=argparse.SUPPRESS)
+    for flag, kwargs in (
+        ("--tol", dict(type=float, default=None,
+                       help="comparison tolerance (default 1e-9; env GIT_HEIGHT_TOL)")),
+        ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
+        ("--seed", dict(type=int, default=0, help="RNG seed")),
+        ("--samples", dict(type=int, default=100, help="orbit sample count")),
+        ("--format", dict(choices=("float", "exact"), default="float",
+                          help="finite parts as floats or exact rational strings")),
+        ("--norm", dict(choices=("frobenius", "sup"), default="frobenius",
+                        help="archimedean matrix norm")),
+    ):
+        parser.add_argument(flag, **kwargs)
+        common.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -673,7 +631,6 @@ def _resolve_config(args) -> Config:
         arch_tol=args.arch_tol,
         compare_tol=tol,
         norm_choice=args.norm,
-        parallel_places=args.parallel,
         seed=args.seed,
         samples=args.samples,
         fmt=args.format,

@@ -34,9 +34,9 @@ from .errors import (
     NotSkewHermitianError,
     ZeroMatrixError,
 )
-from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots, max_root_log_abs, newton_polygon
+from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots, newton_polygon
 from .heights import naive_height_coords
-from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, as_fraction, support_primes, valuation
+from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, as_fraction, log_abs, support_primes, valuation
 
 NORM_CHOICES = ("frobenius", "sup")
 
@@ -114,20 +114,15 @@ class EigenData:
     """Characteristic polynomial plus its local root data.
 
     ``polygons`` holds one Newton polygon per prime dividing a coefficient
-    of the nonzero-root part; ``arch_roots`` covers all n roots (zeros
-    included), so its total equals the matrix size.
+    of the nonzero-root part (at other primes the nonzero roots are units);
+    ``arch_roots`` covers all n roots (zeros included), so its total equals
+    the matrix size.
     """
 
     charpoly: PolyQ
     zero_multiplicity: int
     polygons: tuple[tuple[int, NewtonPolygon], ...]
     arch_roots: ComplexMultiset
-
-    def polygon(self, p: int) -> NewtonPolygon:
-        for q, poly in self.polygons:
-            if q == p:
-                return poly
-        raise KeyError(f"no polygon stored for p={p}")
 
 
 @dataclass(frozen=True)
@@ -164,15 +159,24 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
 
 
 def eigen_data(phi: MatrixQ, tol: float = 1e-9) -> EigenData:
-    """All root data of the characteristic polynomial in one bundle."""
+    """All root data of the characteristic polynomial in one bundle: one
+    charpoly, one factoring of its coefficients and one root solve."""
     _require_nonzero(phi)
     cp = charpoly_of(phi)
     reduced, k = cp.shift_out_zero_roots()
-    polygons = []
-    if reduced.degree > 0:
-        for p in support_primes(reduced.coeffs):
-            polygons.append((p, newton_polygon(reduced, p)))
-    return EigenData(cp, k, tuple(polygons), complex_roots(cp, tol))
+    polygons = tuple((p, newton_polygon(reduced, p)) for p in support_primes(reduced.coeffs))
+    return EigenData(cp, k, polygons, complex_roots(cp, tol))
+
+
+def _eigen_height(data: EigenData) -> LogValue:
+    """Quotient height from the eigenvalues: steepest Newton-polygon slopes
+    at the primes, log sqrt(sum of squared root moduli) at oo."""
+    if data.zero_multiplicity == data.charpoly.degree:
+        raise NilpotentError("nilpotent matrix: no image in the quotient")
+    return LogValue(
+        {p: -polygon.min_root_valuation for p, polygon in data.polygons},
+        0.5 * math.log(data.arch_roots.sum_abs_squared()),
+    )
 
 
 def naive_matrix_height(phi: MatrixQ) -> LogValue:
@@ -200,18 +204,7 @@ def quotient_height_conj(phi: MatrixQ, tol: float = 1e-9) -> LogValue:
         >>> abs(h.to_float() - 0.5 * math.log(2)) < 1e-12
         True
     """
-    _require_nonzero(phi)
-    if not is_semistable_conj(phi):
-        raise NilpotentError("nilpotent matrix: no image in the quotient")
-    cp = charpoly_of(phi)
-    reduced, _ = cp.shift_out_zero_roots()
-    total = LogValue.zero()
-    if reduced.degree > 0:
-        for p in support_primes(reduced.coeffs):
-            total = total + max_root_log_abs(reduced, p)
-    roots = complex_roots(cp, tol)
-    total = total + LogValue.from_arch(0.5 * math.log(roots.sum_abs_squared()))
-    return total
+    return _eigen_height(eigen_data(phi, tol))
 
 
 def _min_entry_valuation(phi: MatrixQ, p: int) -> int:
@@ -244,19 +237,50 @@ def instability_conj(
     reduced, k = cp.shift_out_zero_roots()
     if k == phi.n:
         return LogValue.neg_infinity()
-    if not place.is_archimedean:
-        # k < n here, so the nonzero-root part has positive degree
-        eig_term = max_root_log_abs(reduced, place.prime)
-        norm_term = LogValue({place.prime: -Fraction(_min_entry_valuation(phi, place.prime))})
-        return eig_term - norm_term
-    roots = complex_roots(cp, tol)
+    if place.is_archimedean:
+        return _arch_term(phi, complex_roots(cp, tol), norm)
+    # k < n here, so the nonzero-root part has positive degree
+    return _nonarch_term(phi, place.prime, newton_polygon(reduced, place.prime).min_root_valuation)
+
+
+def _nonarch_term(phi: MatrixQ, p: int, root_valuation: RationalLike) -> LogValue:
+    """log (largest |eigenvalue|_p / largest |entry|_p), exact."""
+    return LogValue({p: _min_entry_valuation(phi, p) - root_valuation})
+
+
+def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
     if norm == "frobenius":
         eig = 0.5 * math.log(roots.sum_abs_squared())
-        mat = 0.5 * math.log(float(sum(x * x for x in phi.entries)))
+        mat = 0.5 * log_abs(sum(x * x for x in phi.entries), ARCHIMEDEAN).arch
     else:
         eig = math.log(roots.max_abs())
         mat = math.log(float(np.linalg.norm(phi.to_complex_array(), 2)))
     return LogValue.from_arch(eig - mat)
+
+
+def instability_all_conj(phi: MatrixQ, norm: str = "frobenius", tol: float = 1e-9) -> dict[Place, LogValue]:
+    """Instability measures at every place where they can be nonzero.
+
+    The places are the primes of the entries and of the nonzero-root part
+    of the characteristic polynomial, ascending, then oo.  Every term comes
+    from one :func:`eigen_data` record; nilpotent matrices give -infinity
+    everywhere.
+    """
+    if norm not in NORM_CHOICES:
+        raise InputError(f"norm must be one of {NORM_CHOICES}")
+    return _instability_terms(phi, eigen_data(phi, tol), norm)
+
+
+def _instability_terms(phi: MatrixQ, data: EigenData, norm: str) -> dict[Place, LogValue]:
+    root_valuations = {p: polygon.min_root_valuation for p, polygon in data.polygons}
+    primes = sorted(set(support_primes(phi.entries)) | set(root_valuations))
+    places = [Place.finite(p) for p in primes] + [ARCHIMEDEAN]
+    if data.zero_multiplicity == phi.n:
+        return {place: LogValue.neg_infinity() for place in places}
+    terms = {place: _nonarch_term(phi, place.prime, root_valuations.get(place.prime, 0))
+             for place in places[:-1]}
+    terms[ARCHIMEDEAN] = _arch_term(phi, data.arch_roots, norm)
+    return terms
 
 
 def is_minimal_arch(phi: MatrixQ, tol: float = 1e-12) -> MinimalityReport:
@@ -372,19 +396,12 @@ def fundamental_formula_residual_conj(phi: MatrixQ, tol: float = 1e-9) -> float:
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    _require_nonzero(phi)
-    if not is_semistable_conj(phi):
-        raise NilpotentError("the formula compares against an unstable class")
+    data = eigen_data(phi, tol)
+    height = _eigen_height(data)
     total = naive_matrix_height(phi)
-    reduced, _ = charpoly_of(phi).shift_out_zero_roots()
-    primes = set(support_primes(phi.entries))
-    if reduced.degree > 0:
-        primes.update(support_primes(reduced.coeffs))
-    for p in sorted(primes):
-        total = total + instability_conj(phi, Place.finite(p), tol=tol)
-    total = total + instability_conj(phi, ARCHIMEDEAN, "frobenius", tol=tol)
-    residual = total - quotient_height_conj(phi, tol=tol)
-    return residual.to_float()
+    for term in _instability_terms(phi, data, "frobenius").values():
+        total = total + term
+    return (total - height).to_float()
 
 
 def orbit_sampling_bound(phi: MatrixQ, samples: int = 200, seed: int = 0) -> LogValue:

@@ -259,9 +259,6 @@ class ComplexMultiset:
     def max_abs(self) -> float:
         return max(abs(z) for z, _ in self.entries)
 
-    def power_sum(self, k: int) -> complex:
-        return sum(m * z ** k for z, m in self.entries)
-
 
 def _horner(coeffs: list[complex], z: complex) -> complex:
     acc = 0j
@@ -355,8 +352,9 @@ def complex_roots(f: PolyQ, tol: float = 1e-9) -> ComplexMultiset:
     clustered at a 1e-6 relative radius to recover multiplicities.
 
     Examples:
-        >>> complex_roots(PolyQ.from_coeffs([1, -2, 1])).entries  # (T-1)^2
-        (((1+0j), 2),)
+        >>> roots = complex_roots(PolyQ.from_coeffs([1, -2, 1]))  # (T-1)^2
+        >>> [(round(z.real, 9), m) for z, m in roots.entries]
+        [(1.0, 2)]
     """
     g, k = f.shift_out_zero_roots()
     entries: list[tuple[complex, int]] = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AllZeroError,
@@ -29,11 +29,12 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .places import (
+    ARCHIMEDEAN,
     LogValue,
-    Place,
     RationalLike,
     as_fraction,
     exact_log_abs_arch,
+    log_abs,
     support_primes,
     valuation,
 )
@@ -96,8 +97,8 @@ def naive_height_coords(coords: Sequence[RationalLike]) -> LogValue:
         vmin = min(valuation(x, p) for x in xs if x != 0)
         if vmin != 0:
             finite[p] = Fraction(-vmin)
-    arch = 0.5 * math.log(float(sum(x * x for x in xs)))
-    return LogValue(finite, arch)
+    # log_abs splits numerator and denominator, so no float overflow
+    return LogValue(finite, 0.5 * log_abs(sum(x * x for x in xs), ARCHIMEDEAN).arch)
 
 
 def naive_height(x: ProjectivePointQ) -> LogValue:

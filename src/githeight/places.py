@@ -287,7 +287,7 @@ class LogValue:
                     clean[p] = clean.get(p, Fraction(0)) + q
             clean = {p: q for p, q in sorted(clean.items()) if q != 0}
         object.__setattr__(self, "finite", MappingProxyType(clean))
-        object.__setattr__(self, "arch", 0.0 if neg_inf else float(arch))
+        object.__setattr__(self, "arch", 0.0 if neg_inf else float(arch) + 0.0)  # no -0.0
         object.__setattr__(self, "neg_inf", bool(neg_inf))
 
     def __setattr__(self, name, value):
@@ -298,11 +298,6 @@ class LogValue:
     @classmethod
     def zero(cls) -> "LogValue":
         return cls()
-
-    @classmethod
-    def from_finite(cls, p: int, q: RationalLike) -> "LogValue":
-        """The single term q * log(p)."""
-        return cls({p: q})
 
     @classmethod
     def from_arch(cls, t: float) -> "LogValue":

@@ -101,13 +101,13 @@ class InstabilityReport:
 
 
 def _active_weights(action: TorusAction, x: ProjectivePointQ):
+    """(nonzero coordinates, their weights as Fractions)."""
     if len(x.coords) != action.ambient_dim:
         raise LengthMismatchError(
             f"point has {len(x.coords)} coordinates, action expects {action.ambient_dim}"
         )
-    idx = [i for i, c in enumerate(x.coords) if c != 0]
-    ms = [tuple(Fraction(w) for w in action.weights[i]) for i in idx]
-    return idx, ms
+    active = [(c, w) for c, w in zip(x.coords, action.weights) if c != 0]
+    return [c for c, _ in active], [tuple(Fraction(v) for v in w) for _, w in active]
 
 
 def _hull_gap(ms: list[tuple[Fraction, ...]]):
@@ -116,9 +116,13 @@ def _hull_gap(ms: list[tuple[Fraction, ...]]):
     The value is 0 exactly when 0 lies in the convex hull of the weights,
     negative otherwise (then argmin separates strictly).
     """
-    zeros = [Fraction(0)] * len(ms)
-    value, argmin = exactlp.minimize_max_affine(ms, zeros, box=Fraction(1))
-    return value, argmin
+    return exactlp.minimize_max_affine(ms, [Fraction(0)] * len(ms), box=Fraction(1))
+
+
+def _unstable_report(place: Place) -> InstabilityReport:
+    return InstabilityReport(
+        place, LogValue.neg_infinity(), None, None if place.is_archimedean else False
+    )
 
 
 def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
@@ -164,8 +168,8 @@ def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: in
     reduction are those of minimal valuation; test 0 in the hull of their
     weights.  Independent of the LP route through the instability measure.
     """
-    idx, ms = _active_weights(action, x)
-    vals = [valuation(x.coords[i], p) for i in idx]
+    xs, ms = _active_weights(action, x)
+    vals = [valuation(c, p) for c in xs]
     vmin = min(vals)
     surviving = [m for m, v in zip(ms, vals) if v == vmin]
     value, _ = _hull_gap(surviving)
@@ -185,19 +189,17 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep.value, rep.minimizer
         (LogValue(finite={2: -2/3}, arch=0.0), (Fraction(-1, 6),))
     """
+    return _nonarch_report(*_active_weights(action, x), p)
+
+
+def _nonarch_report(xs, ms, p: int) -> InstabilityReport:
     place = Place.finite(p)
-    idx, ms = _active_weights(action, x)
-    offsets = [Fraction(-valuation(x.coords[i], p)) for i in idx]
+    offsets = [Fraction(-valuation(c, p)) for c in xs]
     value, argmin = exactlp.minimize_max_affine(ms, offsets)
     if value is None:
-        return InstabilityReport(place, LogValue.neg_infinity(), None, False)
+        return _unstable_report(place)
     measure = value - max(offsets)
-    return InstabilityReport(
-        place,
-        LogValue({p: measure}),
-        tuple(argmin),
-        measure == 0,
-    )
+    return InstabilityReport(place, LogValue({p: measure}), tuple(argmin), measure == 0)
 
 
 def instability_arch(
@@ -211,26 +213,29 @@ def instability_arch(
     whose relative interior contains 0, and a damped Newton iteration on an
     orthonormal basis of that face's span drives the gradient below tol.
     """
-    idx, ms = _active_weights(action, x)
+    xs, ms = _active_weights(action, x)
     value, _ = _hull_gap(ms)
     if value != 0:
-        return InstabilityReport(ARCHIMEDEAN, LogValue.neg_infinity(), None, None)
-    xs2 = [x.coords[i] ** 2 for i in idx]
-    grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(action.rank)]
+        return _unstable_report(ARCHIMEDEAN)
+    return _arch_report(action.rank, xs, ms, tol)
+
+
+def _arch_report(rank: int, xs, ms, tol: float) -> InstabilityReport:
+    """Archimedean measure of a point already known to be semistable."""
+    xs2 = [c ** 2 for c in xs]
+    grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
     if all(g == 0 for g in grad0):
-        return InstabilityReport(
-            ARCHIMEDEAN, LogValue.zero(), (0.0,) * action.rank, None
-        )
-    face = _face_of_zero(ms, action.rank)
+        return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
+    face = _face_of_zero(ms, rank)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
     xs2_f = np.array([float(xs2[j]) for j in face])
     total_all = math.fsum(float(w) for w in xs2)
     if np.allclose(weights_f, 0.0):
         best = 0.5 * math.log(math.fsum(xs2_f)) - 0.5 * math.log(total_all)
         return InstabilityReport(
-            ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), (0.0,) * action.rank, None
+            ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), (0.0,) * rank, None
         )
-    xi = _newton_minimize(weights_f, xs2_f, action.rank, tol)
+    xi = _newton_minimize(weights_f, xs2_f, rank, tol)
     exponents = 2.0 * (weights_f @ xi)
     best = 0.5 * _logsumexp(np.log(xs2_f) + exponents) - 0.5 * math.log(total_all)
     return InstabilityReport(
@@ -239,6 +244,24 @@ def instability_arch(
         tuple(float(v) for v in xi),
         None,
     )
+
+
+def instability_all(action: TorusAction, x: ProjectivePointQ,
+                    tol: float = 1e-12) -> dict[Place, InstabilityReport]:
+    """Instability reports at every place where the measure can be nonzero.
+
+    The places are the support primes of the coordinates, ascending, then
+    oo.  One hull LP decides semistability for all of them: an unstable
+    point gets -infinity everywhere before any per-prime LP runs.
+    """
+    xs, ms = _active_weights(action, x)
+    value, _ = _hull_gap(ms)
+    places = [Place.finite(p) for p in support_primes(xs)] + [ARCHIMEDEAN]
+    if value != 0:
+        return {place: _unstable_report(place) for place in places}
+    reports = {place: _nonarch_report(xs, ms, place.prime) for place in places[:-1]}
+    reports[ARCHIMEDEAN] = _arch_report(action.rank, xs, ms, tol)
+    return reports
 
 
 def _face_of_zero(ms: list[tuple[Fraction, ...]], rank: int) -> list[int]:
@@ -324,12 +347,12 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
         >>> dict(h.finite)
         {2: Fraction(-2, 3)}
     """
-    if not is_semistable(action, x):
+    reports = instability_all(action, x, tol)
+    if reports[ARCHIMEDEAN].value.neg_inf:
         raise UnstableError("unstable point: no image in the quotient")
     total = naive_height(x)
-    for p in support_primes(x.coords):
-        total = total + instability_nonarch(action, x, p).value
-    total = total + instability_arch(action, x, tol).value
+    for report in reports.values():
+        total = total + report.value
     return total
 
 
@@ -349,17 +372,17 @@ def kempf_ness_profile(
     lam = [int(v) for v in one_ps]
     if len(lam) != action.rank:
         raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
-    idx, ms = _active_weights(action, x)
+    xs, ms = _active_weights(action, x)
     pairings = [sum(int(m[k]) * lam[k] for k in range(action.rank)) for m in ms]
     out = []
     if place.is_archimedean:
-        logs = [math.log(float(x.coords[i] ** 2)) for i in idx]
+        logs = [math.log(float(c ** 2)) for c in xs]
         for s in xi_grid:
             a = np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])
             out.append(0.5 * _logsumexp(a))
     else:
         logp = math.log(place.prime)
-        vals = [valuation(x.coords[i], place.prime) for i in idx]
+        vals = [valuation(c, place.prime) for c in xs]
         for s in xi_grid:
             out.append(max(c * s - v * logp for c, v in zip(pairings, vals)))
     return out

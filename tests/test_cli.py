@@ -54,7 +54,7 @@ def test_instability_exact_output(capsys):
 
 def test_instability_all_places(capsys):
     code, data = run_json(
-        capsys, "--parallel", "instability",
+        capsys, "instability",
         "--weights=-2,1,4", "--point", "2:2:1", "--place", "all",
     )
     assert code == 0
@@ -164,3 +164,39 @@ def test_regression_suite_passes(capsys):
     assert len(lines) == 23
     assert all(l.startswith("PASS") for l in lines)
     assert "23/23 checks passed" in out
+
+
+def test_instability_all_lists_charpoly_primes(capsys):
+    # the entries are units everywhere; the prime 2 divides only the charpoly T^2 - 2T
+    code, data = run_json(
+        capsys, "instability", "--matrix", "[[1,1],[1,1]]", "--place", "all",
+        "--format", "exact",
+    )
+    assert code == 0
+    table = data["instability"]
+    assert set(table) == {"2", "oo"}
+    assert table["2"]["finite"] == {"2": "-1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--matrix", "[[1,1],[1,1]]"),
+    ("--matrix", '[["3/4", 6], [10, "1/5"]]'),
+    ("--matrix", "[[0,1],[0,0]]"),
+    ("--weights=-2,1,4", "--point", "2:2:1"),
+    ("--weights=-3,3,-1", "--point", "12:5:7"),
+    ("--weights", "1,1", "--point", "6:1"),
+])
+def test_instability_all_matches_single_places(capsys, argv):
+    code, data = run_json(capsys, "--format", "exact", "instability", *argv, "--place", "all")
+    assert code == 0
+    for place, value in data["instability"].items():
+        code, single = run_json(capsys, "--format", "exact", "instability", *argv, "--place", place)
+        assert code == 0
+        assert single["value"] == value
+
+
+@pytest.mark.parametrize("argv", [("1e200:1",), ("--matrix", '[["1e200","0"],["0","1"]]')])
+def test_height_of_huge_coordinates(capsys, argv):
+    code, data = run_json(capsys, "height", *argv)
+    assert code == 0
+    assert abs(data["arch"] - 200 * math.log(10)) < 1e-9

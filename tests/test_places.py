@@ -163,3 +163,9 @@ def test_place_identity():
     assert not Place.finite(3).is_archimedean
     with pytest.raises(InputError):
         Place.finite(4)
+
+
+def test_no_negative_zero_arch():
+    v = LogValue({2: 1}).scaled(-1)
+    assert math.copysign(1.0, v.arch) == 1.0
+    assert repr(LogValue.from_arch(-0.0)) == "LogValue(finite={}, arch=0.0)"
