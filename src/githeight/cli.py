@@ -92,8 +92,18 @@ def _stdin_payload() -> dict:
     return payload
 
 
-def _parse_place(text: str) -> Place:
-    text = text.strip().lower()
+def _place_arg(args, payload: dict):
+    """--place if given, else the stdin payload's "place", else oo."""
+    return args.place if args.place is not None else payload.get("place", "oo")
+
+
+def _parse_place(value) -> Place:
+    """A place from 'oo', a prime as text, or a prime as a JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Place.finite(value)
+    if not isinstance(value, str):
+        raise InputError(f"place must be 'oo' or a prime, got {value!r}")
+    text = value.strip().lower()
     if text in ("oo", "inf", "infinity", "arch"):
         return ARCHIMEDEAN
     try:
@@ -224,7 +234,7 @@ def _cmd_destabilize(args, config: Config) -> int:
 
 def _cmd_instability(args, config: Config) -> int:
     payload = _payload_if_needed(args, ("matrix", "weights", "action"))
-    place_text = args.place or payload.get("place") or "oo"
+    place_text = _place_arg(args, payload)
     place = None if place_text == "all" else _parse_place(place_text)
 
     if getattr(args, "matrix", None) is not None or "matrix" in payload:
@@ -271,7 +281,7 @@ def _cmd_quotient_height(args, config: Config) -> int:
 def _cmd_minimal(args, config: Config) -> int:
     payload = _payload_if_needed(args, ("matrix",))
     phi = _parse_matrix(args, payload)
-    place = _parse_place(args.place or payload.get("place") or "oo")
+    place = _parse_place(_place_arg(args, payload))
     if place.is_archimedean:
         report = is_minimal_arch(phi)
     else:

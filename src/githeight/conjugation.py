@@ -175,7 +175,7 @@ def _eigen_height(data: EigenData) -> LogValue:
         raise NilpotentError("nilpotent matrix: no image in the quotient")
     return LogValue(
         {p: -polygon.min_root_valuation for p, polygon in data.polygons},
-        0.5 * math.log(data.arch_roots.sum_abs_squared()),
+        data.arch_roots.log_root_norm(),
     )
 
 
@@ -250,7 +250,7 @@ def _nonarch_term(phi: MatrixQ, p: int, root_valuation: RationalLike) -> LogValu
 
 def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
     if norm == "frobenius":
-        eig = 0.5 * math.log(roots.sum_abs_squared())
+        eig = roots.log_root_norm()
         mat = 0.5 * log_abs(sum(x * x for x in phi.entries), ARCHIMEDEAN).arch
     else:
         eig = math.log(roots.max_abs())
@@ -300,11 +300,13 @@ def is_minimal_arch(phi: MatrixQ, tol: float = 1e-12) -> MinimalityReport:
     ]
     sq = sum(x * x for row in comm for x in row)
     norm2 = sum(x * x for x in phi.entries)
-    defect = math.sqrt(float(sq)) / float(norm2)
     # entries are exact rationals, so the commutator test is exact; tol
     # would only matter for a float-entried variant
     del tol
     minimal = sq == 0
+    # sqrt(sq) / norm2 through logs, since either may lie beyond the double range
+    log_defect = 0.5 * log_abs(sq, ARCHIMEDEAN).arch - log_abs(norm2, ARCHIMEDEAN).arch
+    defect = 0.0 if minimal else math.exp(log_defect)
     return MinimalityReport(
         minimal,
         ARCHIMEDEAN,

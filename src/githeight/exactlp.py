@@ -1,132 +1,131 @@
-"""Exact rational linear programming by Fourier-Motzkin elimination.
+"""Exact rational linear programming: one two-phase simplex with Bland's rule.
 
-Inequalities are rows (coeffs, rhs) meaning coeffs . x <= rhs, everything a
-Fraction.  Scale stays at a handful of variables and tens of constraints,
-where elimination with deduplication is exact, simple and fast.  Minimizers
-are recovered by back-substitution; variables are assigned in index order
-and take the lowest feasible value, so ties resolve to the
-lexicographically smallest minimizer (free directions get 0).
+Every program lives on the zero-sum polytope of slopes m_i,
+P = {lam >= 0 : sum_i lam_i = 1, sum_i lam_i m_i = 0}, nonempty iff 0 lies in
+their hull (Hilbert-Mumford).  By LP duality min over xi of
+max_i (m_i . xi + c_i) = max over lam in P of sum_i lam_i c_i, the left side
+unbounded below exactly when P is empty.  ``_simplex`` solves the right side
+exactly by integer pivoting with Bland's smallest-index rule (Bland 1977),
+which cannot cycle.  The minimizer xi is the row multipliers of the optimal
+basis, so ties resolve to that basis, not to the lexicographically smallest
+minimizer.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-class InfeasibleSystem(Exception):
-    pass
+def _simplex(a, b, c):
+    """max c . x subject to a x = b, x >= 0, over the rationals.
 
-
-def _prune(rows: list[Row]) -> list[Row]:
-    # normalize scale, drop trivial rows, keep the tightest rhs per normal
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for coeffs, rhs in rows:
-        scale = next((abs(c) for c in coeffs if c != 0), None)
-        if scale is None:
-            if rhs < 0:
-                raise InfeasibleSystem("0 <= negative")
-            continue
-        coeffs = tuple(c / scale for c in coeffs)
-        rhs = rhs / scale
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    return [(c, r) for c, r in best.items()]
-
-
-def _eliminate(rows: list[Row], j: int) -> list[Row]:
-    uppers = [r for r in rows if r[0][j] > 0]
-    lowers = [r for r in rows if r[0][j] < 0]
-    out = [r for r in rows if r[0][j] == 0]
-    for lc, lr in lowers:
-        for uc, ur in uppers:
-            a, b = uc[j], -lc[j]
-            coeffs = tuple(b * u + a * l for u, l in zip(uc, lc))
-            out.append((coeffs, b * ur + a * lr))
-    return _prune(out)
-
-
-def feasible(rows: list[Row], nvars: int) -> bool:
-    """Is {x : coeffs . x <= rhs for all rows} nonempty?"""
-    try:
-        cur = _prune(list(rows))
-        for j in range(nvars - 1, -1, -1):
-            cur = _eliminate(cur, j)
-    except InfeasibleSystem:
-        return False
-    return True
-
-
-def minimize_last(rows: list[Row], nvars: int):
-    """Minimize the last variable; returns (value, assignment) or (None, None).
-
-    (None, None) means unbounded below.  Raises InfeasibleSystem if the
-    system is empty (callers here always build feasible systems).
+    Returns (x, y): an optimal vertex x and row multipliers y with
+    y . a_j >= c_j for every column j and y . b = c . x; or (None, y) when
+    the system is empty, y a Farkas vector: y . a_j >= 0 and y . b < 0.
+    An unbounded program raises ValueError.
     """
-    snapshots: list[tuple[int, list[Row]]] = []
-    cur = _prune(list(rows))
-    for j in range(nvars - 2, -1, -1):
-        snapshots.append((j, cur))
-        cur = _eliminate(cur, j)
-    t = nvars - 1
-    lo = None
-    for coeffs, rhs in cur:
-        if coeffs[t] < 0:
-            bound = rhs / coeffs[t]
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is None:
-        return None, None
-    assign: list[Fraction | None] = [None] * nvars
-    assign[t] = lo
-    for j, rows_b in reversed(snapshots):
-        lo_j = hi_j = None
-        for coeffs, rhs in rows_b:
-            c = coeffs[j]
-            if c == 0:
-                continue
-            rest = rhs - sum(
-                coeffs[k] * assign[k]
-                for k in range(nvars)
-                if k != j and coeffs[k] != 0
-            )
-            bound = rest / c
-            if c > 0:
-                if hi_j is None or bound < hi_j:
-                    hi_j = bound
-            else:
-                if lo_j is None or bound > lo_j:
-                    lo_j = bound
-        if lo_j is not None:
-            assign[j] = lo_j
-        elif hi_j is not None:
-            assign[j] = hi_j
-        else:
-            assign[j] = Fraction(0)
-    return lo, tuple(assign[:t])
+    m, n = len(a), len(c)
+    # row i scaled by s_i to integers with s_i b_i >= 0, artificial column n + i = e_i;
+    # entry / d is the tableau value, d > 0 the basis determinant: divisions are exact
+    s = [(-1 if bi < 0 else 1) * _lcm_denominators((*row, bi)) for row, bi in zip(a, b)]
+    t = [[*_scaled(row, si), *(int(k == i) for k in range(m)), int(si * bi)]
+         for i, (row, bi, si) in enumerate(zip(a, b, s))]
+    basis, d = list(range(n, n + m)), 1
+
+    def pivot(i, j):
+        nonlocal d
+        p, pivot_row = t[i][j], t[i]
+        sign = 1 if p > 0 else -1
+        t[:] = [[sign * (p * v - row[j] * w) // d for v, w in zip(row, pivot_row)] for row in t]
+        t[i], d, basis[i] = [sign * w for w in pivot_row], abs(p), j
+
+    def run(cost):
+        # objective row: reduced costs, then -value, all times scale * d
+        scale = _lcm_denominators(cost)
+        ic = _scaled(cost, scale)
+        t.append([d * cj - sum(ic[bi] * row[j] for bi, row in zip(basis, t))
+                  for j, cj in enumerate(ic + [0])])
+        while (j := next((j for j in range(n) if t[-1][j] > 0), None)) is not None:
+            rows = [i for i in range(m) if t[i][j] > 0]
+            if not rows:
+                raise ValueError("unbounded linear program")
+            pivot(min(rows, key=lambda i: (Fraction(t[i][-1], t[i][j]), basis[i])), j)
+        z = t.pop()
+        return [si * (cost[n + k] - Fraction(z[n + k], scale * d)) for k, si in enumerate(s)]
+
+    y = run([0] * n + [-1] * m)
+    if any(j >= n and t[i][-1] for i, j in enumerate(basis)):  # an artificial stays positive
+        return None, y
+    for i in range(m):  # drive degenerate artificials out where a real column can enter
+        if basis[i] >= n and (j := next((j for j in range(n) if t[i][j]), None)) is not None:
+            pivot(i, j)
+    y = run([*c, *[0] * m])
+    x = {j: Fraction(t[i][-1], d) for i, j in enumerate(basis)}
+    return [x.get(j, Fraction(0)) for j in range(n)], y
 
 
-def minimize_max_affine(
-    slopes: list[tuple[Fraction, ...]],
-    offsets: list[Fraction],
-    box: Fraction | None = None,
-):
+def _lcm_denominators(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(values, scale: int) -> list[int]:
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _on_polytope(slopes, rank: int, costs, box=None):
+    """max sum_i lam_i costs_i over lam in P, as ``_simplex`` returns it.
+
+    Row 0 is sum lam = 1 and row 1 + k is -sum lam_i m_ik = 0, so the row
+    multipliers are (value, xi).  A box |xi_k| <= box adds two slack
+    columns per coordinate, each at cost -box.
+    """
+    cols, costs = [(1, *(-v for v in m)) for m in slopes], list(costs)
+    for k in range(rank if box is not None else 0):
+        for sign in (1, -1):
+            cols.append(tuple(sign * (j == k) for j in range(-1, rank)))
+            costs.append(-Fraction(box))
+    a = [[col[k] for col in cols] for k in range(rank + 1)]
+    return _simplex(a, [1] + [0] * rank, costs)
+
+
+def minimize_max_affine(slopes: list[tuple[Fraction, ...]], offsets: list[Fraction],
+                        box: Fraction | None = None):
     """min over xi of max_i (slopes[i] . xi + offsets[i]), exactly.
 
     Returns (value, argmin) as Fractions, or (None, None) when unbounded
     below.  An optional box constraint |xi_j| <= box keeps the program
     bounded (used to extract separating directions).
     """
-    r = len(slopes[0])
-    rows: list[Row] = []
-    for m, c in zip(slopes, offsets):
-        rows.append((tuple(m) + (Fraction(-1),), Fraction(-c)))
-    if box is not None:
-        for j in range(r):
-            unit = [Fraction(0)] * (r + 1)
-            unit[j] = Fraction(1)
-            rows.append((tuple(unit), Fraction(box)))
-            unit[j] = Fraction(-1)
-            rows.append((tuple(unit), Fraction(box)))
-    return minimize_last(rows, r + 1)
+    x, y = _on_polytope(slopes, len(slopes[0]), offsets, box)
+    return (None, None) if x is None else (y[0], tuple(y[1:]))
+
+
+def feasible(rows: list[Row], nvars: int) -> bool:
+    """Is {x : coeffs . x <= rhs for all rows (coeffs, rhs)} nonempty?
+
+    Farkas: it is empty iff some convex combination of the rows has zero
+    coefficients and a negative right-hand side.
+    """
+    x, y = _on_polytope([c for c, _ in rows], nvars, [-r for _, r in rows])
+    return x is None or y[0] <= 0
+
+
+def face_of_zero(slopes: list[tuple[Fraction, ...]]) -> list[int]:
+    """Indices i with lam_i > 0 for some lam in P, ascending.
+
+    These are the slopes on the face of their hull whose relative interior
+    contains 0 (none when 0 is outside the hull).  Each solve maximizes the
+    mass outside the union of the supports found so far and adds its
+    support, until that mass is 0: at most |face| + 1 solves.
+    """
+    face: set[int] = set()
+    while True:
+        costs = [int(i not in face) for i in range(len(slopes))]
+        x, _ = _on_polytope(slopes, len(slopes[0]), costs)
+        support = {i for i, v in enumerate(x or ()) if v > 0}
+        if support <= face:
+            return sorted(face)
+        face |= support

@@ -253,8 +253,11 @@ class ComplexMultiset:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def sum_abs_squared(self) -> float:
-        return math.fsum(m * (z.real * z.real + z.imag * z.imag) for z, m in self.entries)
+    def log_root_norm(self) -> float:
+        """log sqrt(sum of squared root moduli), scaled so no square overflows."""
+        big = self.max_abs()
+        scaled = math.fsum(m * (abs(z) / big) ** 2 for z, m in self.entries)
+        return math.log(big) + 0.5 * math.log(scaled)
 
     def max_abs(self) -> float:
         return max(abs(z) for z, _ in self.entries)
@@ -268,8 +271,11 @@ def _horner(coeffs: list[complex], z: complex) -> complex:
 
 
 def _residual_scale(coeffs: list[complex], z: complex) -> float:
-    r = abs(z)
-    return math.fsum(abs(c) * r ** i for i, c in enumerate(coeffs)) or 1.0
+    """sum |c_i| |z|^i by Horner's rule, so no power of |z| overflows alone."""
+    scale = _horner([abs(c) for c in coeffs], abs(z)).real
+    if not math.isfinite(scale):
+        raise NoConvergenceError("root size exceeds double precision")
+    return scale or 1.0
 
 
 def _aberth(coeffs: list[complex], tol: float) -> list[complex]:

@@ -37,7 +37,7 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, support_primes, valuation
+from .places import ARCHIMEDEAN, LogValue, Place, log_abs, support_primes, valuation
 
 _NEWTON_MAX_ITERS = 200
 
@@ -181,7 +181,8 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
 
     In units of log p the orbit-infimum problem is
     min over xi in R^r of max_i (<m_i, xi> - v_p(x_i)), solved exactly by
-    rational elimination; subtracting max_i log|x_i|_p gives the measure.
+    a rational simplex with Bland's rule; subtracting max_i log|x_i|_p gives
+    the measure.
 
     Examples:
         >>> act = TorusAction(1, ((-2,), (1,), (4,)))
@@ -226,18 +227,12 @@ def _arch_report(rank: int, xs, ms, tol: float) -> InstabilityReport:
     grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
     if all(g == 0 for g in grad0):
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
-    face = _face_of_zero(ms, rank)
+    face = exactlp.face_of_zero(ms)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
-    xs2_f = np.array([float(xs2[j]) for j in face])
-    total_all = math.fsum(float(w) for w in xs2)
-    if np.allclose(weights_f, 0.0):
-        best = 0.5 * math.log(math.fsum(xs2_f)) - 0.5 * math.log(total_all)
-        return InstabilityReport(
-            ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), (0.0,) * rank, None
-        )
-    xi = _newton_minimize(weights_f, xs2_f, rank, tol)
-    exponents = 2.0 * (weights_f @ xi)
-    best = 0.5 * _logsumexp(np.log(xs2_f) + exponents) - 0.5 * math.log(total_all)
+    log_xs2 = np.array([log_abs(xs2[j], ARCHIMEDEAN).arch for j in face])
+    log_total = log_abs(sum(xs2), ARCHIMEDEAN).arch
+    xi = _newton_minimize(weights_f, log_xs2, tol)
+    best = 0.5 * _logsumexp(log_xs2 + 2.0 * (weights_f @ xi)) - 0.5 * log_total
     return InstabilityReport(
         ARCHIMEDEAN,
         LogValue.from_arch(min(best, 0.0)),
@@ -264,33 +259,18 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     return reports
 
 
-def _face_of_zero(ms: list[tuple[Fraction, ...]], rank: int) -> list[int]:
-    """Indices of weights on the face of conv(ms) whose relint contains 0.
-
-    m_j lies off that face iff some xi satisfies <m_i, xi> <= 0 for all i
-    with <m_j, xi> < 0; each test is an exact feasibility problem.
-    """
-    face = []
-    for j, mj in enumerate(ms):
-        rows = [(m, Fraction(0)) for m in ms]
-        rows.append((mj, Fraction(-1)))
-        if not exactlp.feasible(rows, rank):
-            face.append(j)
-    return face
-
-
 def _logsumexp(a) -> float:
     amax = float(np.max(a))
     return amax + math.log(float(np.sum(np.exp(a - amax))))
 
 
-def _newton_minimize(weights: np.ndarray, xs2: np.ndarray, rank: int, tol: float) -> np.ndarray:
-    """Minimize (1/2) log sum xs2_i exp(2 w_i . xi) over span of the rows."""
-    # orthonormal basis of the row span; flat directions are projected out
+def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float) -> np.ndarray:
+    """Minimize (1/2) log sum exp(log_xs2_i + 2 w_i . xi) over span of the rows."""
+    # orthonormal basis of the row span; flat directions are projected out,
+    # so all-zero weights leave xi = 0
     _, svals, vt = np.linalg.svd(weights, full_matrices=False)
     keep = svals > 1e-12 * svals[0]
     basis = vt[keep].T  # rank x d
-    log_xs2 = np.log(xs2)
 
     def objective(y):
         return 0.5 * _logsumexp(log_xs2 + 2.0 * (weights @ (basis @ y)))
@@ -376,7 +356,7 @@ def kempf_ness_profile(
     pairings = [sum(int(m[k]) * lam[k] for k in range(action.rank)) for m in ms]
     out = []
     if place.is_archimedean:
-        logs = [math.log(float(c ** 2)) for c in xs]
+        logs = [log_abs(c ** 2, ARCHIMEDEAN).arch for c in xs]
         for s in xi_grid:
             a = np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])
             out.append(0.5 * _logsumexp(a))

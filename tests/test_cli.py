@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from githeight import cli
 from githeight.errors import NoConvergenceError
@@ -200,3 +202,91 @@ def test_height_of_huge_coordinates(capsys, argv):
     code, data = run_json(capsys, "height", *argv)
     assert code == 0
     assert abs(data["arch"] - 200 * math.log(10)) < 1e-9
+
+
+def run_stdin(capsys, monkeypatch, payload, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    return run(capsys, *argv)
+
+
+UNIPOTENT = {"matrix": [[1, 1], [0, 1]]}
+W214_POINT = {"weights": [[-2], [1], [4]], "point": "2:2:1"}
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    ("instability", UNIPOTENT, ("--matrix", "[[1,1],[0,1]]")),
+    ("instability", W214_POINT, ("--weights=-2,1,4", "--point", "2:2:1")),
+    ("minimal", UNIPOTENT, ("--matrix", "[[1,1],[0,1]]")),
+])
+def test_stdin_place_as_json_integer(capsys, monkeypatch, command, payload, flags):
+    code, out = run_stdin(capsys, monkeypatch, {**payload, "place": 2}, command)
+    assert code == 0
+    assert (code, out) == run(capsys, command, *flags, "--place", "2")
+
+
+@pytest.mark.parametrize("place", [0, False, True, None, 2.0, [2], {"p": 2}])
+@pytest.mark.parametrize("command, payload", [
+    ("instability", UNIPOTENT), ("instability", W214_POINT), ("minimal", UNIPOTENT),
+])
+def test_stdin_place_of_other_json_types_exits_two(capsys, monkeypatch, command, payload, place):
+    code, out = run_stdin(capsys, monkeypatch, {**payload, "place": place}, command)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient-height", "--weights=-1,1", "--point", "1e200:1"),
+    ("instability", "--weights=-1,1", "--point", "1e200:1", "--place", "oo"),
+    ("instability", "--matrix", '[["1e200","1"],["0","1"]]', "--place", "oo"),
+    ("instability", "--matrix", '[["1e200","1"],["0","1"]]', "--place", "oo", "--norm", "sup"),
+])
+def test_archimedean_terms_of_huge_entries(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code in (0, 3)
+    if code == 0:
+        assert "Infinity" not in out and "NaN" not in out
+
+
+def test_minimal_of_huge_entries(capsys):
+    code, data = run_json(capsys, "minimal", "--matrix", '[["1e200","1"],["0","1"]]')
+    assert code == 0 and data["minimal"] is False
+
+
+_big = st.builds(lambda s, k: f"{s}1e{k}", st.sampled_from(["", "-"]), st.integers(0, 300))
+_place_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 10), st.integers(10**20, 10**30),
+    st.floats(allow_nan=False), st.sampled_from(["oo", "2", "3", "x", ""]),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.just("p"), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, stdin payload) of a command that must exit with 0, 1, 2 or 3."""
+    if draw(st.booleans()):  # a torus point
+        rank, k = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                                min_size=k, max_size=k))
+        payload = {"weights": weights, "point": ":".join(draw(st.lists(_big, min_size=k, max_size=k)))}
+        command = draw(st.sampled_from(["height", "instability", "quotient-height"]))
+        places = ["oo", "2", "all"]
+    else:  # a matrix: no quotient height or --place all, which factor the charpoly
+        n = draw(st.integers(1, 3))
+        rows = st.lists(st.lists(_big, min_size=n, max_size=n), min_size=n, max_size=n)
+        payload = {"matrix": draw(rows)}
+        command = draw(st.sampled_from(["height", "instability", "minimal"]))
+        places = ["oo", "2"]
+    if command in ("height", "quotient-height"):
+        return [command], payload
+    if draw(st.booleans()):
+        return [command], {**payload, "place": draw(st.one_of(_place_values, st.sampled_from(places)))}
+    return [command, "--place", draw(st.sampled_from(places))], payload
+
+
+@settings(deadline=None, max_examples=60, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_cli_calls())
+def test_cli_exit_codes_on_huge_and_odd_inputs(capsys, monkeypatch, call):
+    argv, payload = call
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

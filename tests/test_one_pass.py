@@ -38,6 +38,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(conjugation, "charpoly", counted("charpoly", conjugation.charpoly))
     monkeypatch.setattr(conjugation, "complex_roots", counted("roots", conjugation.complex_roots))
     monkeypatch.setattr(exactlp, "minimize_max_affine", counted("lp", exactlp.minimize_max_affine))
+    monkeypatch.setattr(exactlp, "feasible", counted("feasible", exactlp.feasible))
     return counts
 
 
@@ -54,3 +55,5 @@ def test_torus_quotient_height_runs_one_hull_lp(calls):
     assert calls["hull lp"] == 1
     # one more LP per support prime (2, 3, 5, 7), none of them boxed
     assert calls["lp"] == 5
+    # the face of zero comes from exactlp.face_of_zero, not one Farkas test per weight
+    assert calls["feasible"] == 0

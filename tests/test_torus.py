@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from githeight import exactlp
 from githeight.errors import InputError, LengthMismatchError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
-from githeight.places import ARCHIMEDEAN, Place
+from githeight.places import ARCHIMEDEAN, Place, support_primes, valuation
 from githeight.torus import (
     TorusAction,
     destabilizing_1ps,
@@ -58,7 +60,7 @@ def test_lp_unbounded_and_infeasible():
 
 
 def test_lp_box_constraint_and_tie_breaking():
-    # objective max(x, -x) on |x| <= 1: value 0, lexicographically smallest x = 0
+    # objective max(x, -x) on |x| <= 1: value 0 at the unique minimizer x = 0
     value, minimizer = exactlp.minimize_max_affine(
         [(Fraction(1),), (Fraction(-1),)], [Fraction(0), Fraction(0)], box=Fraction(1)
     )
@@ -67,7 +69,7 @@ def test_lp_box_constraint_and_tie_breaking():
 
 
 def test_lp_two_variables():
-    # max(x + y, -x, -y): minimum 0 on a face; lex-smallest minimizer
+    # max(x + y, -x, -y): minimum 0 on a face; any minimizer on it will do
     value, minimizer = exactlp.minimize_max_affine(
         [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(0)),
          (Fraction(0), Fraction(-1))],
@@ -76,6 +78,103 @@ def test_lp_two_variables():
     assert value == Fraction(0)
     assert len(minimizer) == 2
     assert max(minimizer[0] + minimizer[1], -minimizer[0], -minimizer[1]) == 0
+
+
+def _highs_min_max(slopes, offsets, box=None):
+    """min over xi of max_i (slopes[i] . xi + offsets[i]) by HiGHS: (status, value)."""
+    r = len(slopes[0])
+    res = linprog(
+        np.eye(r + 1)[r],
+        A_ub=[[float(v) for v in m] + [-1.0] for m in slopes],
+        b_ub=[-float(c) for c in offsets],
+        bounds=[(None, None) if box is None else (-float(box), float(box))] * r + [(None, None)],
+        method="highs",
+    )
+    return res.status, res.fun
+
+
+def _random_program(rng):
+    rank = rng.randint(1, 4)
+    k = rng.randint(1, 16)
+    slopes = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(rank)) for _ in range(k)]
+    offsets = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+    return rank, slopes, offsets
+
+
+@pytest.mark.parametrize("box", [None, Fraction(1)])
+def test_lp_matches_highs_on_random_programs(box):
+    rng = random.Random(97 if box is None else 98)
+    bounded = 0
+    for _ in range(150):
+        rank, slopes, offsets = _random_program(rng)
+        value, argmin = exactlp.minimize_max_affine(slopes, offsets, box=box)
+        status, highs_value = _highs_min_max(slopes, offsets, box)
+        if value is None:
+            assert box is None and status == 3  # unbounded below
+            continue
+        bounded += 1
+        assert status == 0 and abs(float(value) - highs_value) < 1e-9
+        assert max(sum(m_j * x_j for m_j, x_j in zip(m, argmin)) + c
+                   for m, c in zip(slopes, offsets)) == value
+        if box is not None:
+            assert all(abs(x_j) <= box for x_j in argmin)
+    assert bounded >= 30
+
+
+def test_feasible_matches_highs_on_random_systems():
+    rng = random.Random(99)
+    verdicts = set()
+    for _ in range(150):
+        rank, slopes, offsets = _random_program(rng)
+        rows = list(zip(slopes, offsets))
+        res = linprog(np.zeros(rank), A_ub=[[float(v) for v in m] for m in slopes],
+                      b_ub=[float(c) for c in offsets], bounds=[(None, None)] * rank,
+                      method="highs")
+        assert res.status in (0, 2)
+        assert exactlp.feasible(rows, rank) == (res.status == 0)
+        verdicts.add(res.status)
+    assert verdicts == {0, 2}
+
+
+def test_simplex_certificates_on_random_programs():
+    # max c.x on a x = b, x >= 0, sum x <= 10: an optimal vertex with dual
+    # multipliers of equal value, or a Farkas vector proving emptiness
+    rng = random.Random(103)
+    outcomes = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] + [0]
+             for _ in range(m)] + [[1] * (n + 1)]
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] + [10]
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [0]
+        x, y = exactlp._simplex(a, b, c)
+        outcomes.add(x is None)
+        duals = [sum(y_i * row[j] for y_i, row in zip(y, a)) for j in range(n + 1)]
+        y_b = sum(y_i * b_i for y_i, b_i in zip(y, b))
+        if x is None:
+            assert all(v >= 0 for v in duals) and y_b < 0
+            continue
+        assert all(v >= 0 for v in x)
+        assert all(sum(r * v for r, v in zip(row, x)) == b_i for row, b_i in zip(a, b))
+        assert all(v >= c_j for v, c_j in zip(duals, c))
+        assert y_b == sum(c_j * v for c_j, v in zip(c, x))
+    assert outcomes == {True, False}
+
+
+def test_face_of_zero_matches_one_farkas_test_per_weight(monkeypatch):
+    solves = []
+    on_polytope = exactlp._on_polytope
+    monkeypatch.setattr(exactlp, "_on_polytope", lambda *a, **k: solves.append(1) or on_polytope(*a, **k))
+    rng = random.Random(101)
+    for _ in range(60):
+        rank, slopes, _ = _random_program(rng)
+        del solves[:]
+        face = exactlp.face_of_zero(slopes)
+        assert len(solves) <= len(face) + 1
+        # m_j is off the face iff some xi has <m_i, xi> <= 0 for all i and <m_j, xi> < 0
+        expected = [j for j, mj in enumerate(slopes)
+                    if not exactlp.feasible([(m, Fraction(0)) for m in slopes] + [(mj, Fraction(-1))], rank)]
+        assert face == expected
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +276,8 @@ def test_instability_arch_examples():
     assert sym.value.is_exact_zero
     skew = instability_arch(act((-1,), (1,)), pt("2:1"))
     assert abs(skew.value.to_float() - 0.5 * math.log(4 / 5)) < 1e-9
+    flat = instability_arch(act((0,), (1,)), pt("1:1"))  # the face is the zero weight
+    assert abs(flat.value.to_float() + 0.5 * math.log(2)) < 1e-12 and flat.minimizer == (0.0,)
 
 
 def test_instability_is_nonpositive():
@@ -268,6 +369,20 @@ def test_quotient_height_invariant_under_rational_torus_action():
         assert abs(base.to_float() - other.to_float()) < 1e-9
 
 
+def test_rank_four_quotient_height_with_sixteen_weights():
+    rng = random.Random(16)
+    action = act(*[tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(16)])
+    x = ProjectivePointQ(tuple(Fraction(rng.choice([1, 2, 3, 6, 10, 15])) for _ in range(16)))
+    h = quotient_height(action, x)
+    assert set(h.finite) <= set(support_primes(x.coords))
+    for p in support_primes(x.coords):
+        offsets = [Fraction(-valuation(c, p)) for c in x.coords]
+        _, value = _highs_min_max([tuple(Fraction(w) for w in m) for m in action.weights], offsets)
+        assert abs(float(h.finite_coefficient(p)) - (value - float(max(offsets)))) < 1e-9
+    assert abs(h.to_float() - quotient_height(action, ProjectivePointQ(
+        tuple(c * Fraction(3) ** m[0] for c, m in zip(x.coords, action.weights)))).to_float()) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Kempf-Ness profiles
 # ---------------------------------------------------------------------------
@@ -277,6 +392,11 @@ def test_profile_symmetric_example():
     assert abs(vals[0] - 0.5 * math.log(math.exp(2) + math.exp(-2))) < 1e-12
     assert abs(vals[1] - 0.5 * math.log(2)) < 1e-12
     assert vals[0] == pytest.approx(vals[2])
+
+
+def test_profile_of_huge_coordinates():
+    vals = kempf_ness_profile(act((-1,), (1,)), pt("1e200:1"), (1,), [0.0])
+    assert abs(vals[0] - 200 * math.log(10)) < 1e-9
 
 
 def test_profile_constant_for_zero_direction():
