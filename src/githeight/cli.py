@@ -3,7 +3,9 @@
 Every operation is reachable as a subcommand with JSON output; inputs come
 from flags or, when the primary input flag is omitted, from a JSON object
 on stdin.  Exit codes: 0 success, 1 domain error (unstable or nilpotent
-input), 2 parse or validation error, 3 convergence failure.
+input), 2 parse or validation error, 3 convergence failure.  A reader that
+closes stdout early (``githeight paper-suite | head -1``) ends the command
+quietly with exit 0: the rest of the output is dropped.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class Config:
     fmt: str = "float"
 
     def __post_init__(self):
-        if self.arch_tol <= 0 or self.compare_tol <= 0:
-            raise InputError("tolerances must be positive")
+        # the comparisons are false for nan, so nan is rejected too
+        if not all(0 < t < math.inf for t in (self.arch_tol, self.compare_tol)):
+            raise InputError("tolerances must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flag, kwargs in (
         ("--tol", dict(type=float, default=None,
-                       help="comparison tolerance (default 1e-9; env GIT_HEIGHT_TOL)")),
+                       help="comparison tolerance, and the root-refinement tolerance of "
+                            "every matrix command (default 1e-9; env GIT_HEIGHT_TOL)")),
         ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
         ("--seed", dict(type=int, default=0, help="RNG seed")),
         ("--samples", dict(type=int, default=100, help="orbit sample count")),
@@ -652,7 +656,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the flush at interpreter exit writes the rest to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -35,8 +35,8 @@ from .errors import (
     ZeroMatrixError,
 )
 from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots, newton_polygon
-from .heights import naive_height_coords
-from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, as_fraction, log_abs, support_primes, valuation
+from .heights import _naive_height, naive_height_coords
+from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, as_fraction, log_abs, valuation, valuation_table
 
 NORM_CHOICES = ("frobenius", "sup")
 
@@ -160,11 +160,12 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
 
 def eigen_data(phi: MatrixQ, tol: float = 1e-9) -> EigenData:
     """All root data of the characteristic polynomial in one bundle: one
-    charpoly, one factoring of its coefficients and one root solve."""
+    charpoly, one valuation table of its coefficients and one root solve."""
     _require_nonzero(phi)
     cp = charpoly_of(phi)
     reduced, k = cp.shift_out_zero_roots()
-    polygons = tuple((p, newton_polygon(reduced, p)) for p in support_primes(reduced.coeffs))
+    polygons = tuple((p, NewtonPolygon.from_valuations(p, vals))
+                     for p, vals in valuation_table(reduced.coeffs).items())
     return EigenData(cp, k, polygons, complex_roots(cp, tol))
 
 
@@ -207,10 +208,6 @@ def quotient_height_conj(phi: MatrixQ, tol: float = 1e-9) -> LogValue:
     return _eigen_height(eigen_data(phi, tol))
 
 
-def _min_entry_valuation(phi: MatrixQ, p: int) -> int:
-    return min(valuation(x, p) for x in phi.entries if x != 0)
-
-
 def instability_conj(
     phi: MatrixQ,
     place: Place,
@@ -239,13 +236,10 @@ def instability_conj(
         return LogValue.neg_infinity()
     if place.is_archimedean:
         return _arch_term(phi, complex_roots(cp, tol), norm)
-    # k < n here, so the nonzero-root part has positive degree
-    return _nonarch_term(phi, place.prime, newton_polygon(reduced, place.prime).min_root_valuation)
-
-
-def _nonarch_term(phi: MatrixQ, p: int, root_valuation: RationalLike) -> LogValue:
-    """log (largest |eigenvalue|_p / largest |entry|_p), exact."""
-    return LogValue({p: _min_entry_valuation(phi, p) - root_valuation})
+    p = place.prime
+    # exact log (largest |eigenvalue|_p / largest |entry|_p); k < n, so reduced has positive degree
+    root_valuation = newton_polygon(reduced, p).min_root_valuation
+    return LogValue({p: min(valuation(x, p) for x in phi.entries) - root_valuation})
 
 
 def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
@@ -268,22 +262,24 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius", tol: float = 1e-
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
-    return _instability_terms(phi, eigen_data(phi, tol), norm)
+    return _instability_terms(phi, eigen_data(phi, tol), valuation_table(phi.entries), norm)
 
 
-def _instability_terms(phi: MatrixQ, data: EigenData, norm: str) -> dict[Place, LogValue]:
+def _instability_terms(phi: MatrixQ, data: EigenData, table, norm: str) -> dict[Place, LogValue]:
+    """Terms from the eigen data and the valuation table of the entries."""
     root_valuations = {p: polygon.min_root_valuation for p, polygon in data.polygons}
-    primes = sorted(set(support_primes(phi.entries)) | set(root_valuations))
+    primes = sorted(set(table) | set(root_valuations))
     places = [Place.finite(p) for p in primes] + [ARCHIMEDEAN]
     if data.zero_multiplicity == phi.n:
         return {place: LogValue.neg_infinity() for place in places}
-    terms = {place: _nonarch_term(phi, place.prime, root_valuations.get(place.prime, 0))
-             for place in places[:-1]}
+    # as in instability_conj; a valuation missing from either table is 0
+    terms = {Place.finite(p): LogValue({p: min(table.get(p, [0])) - root_valuations.get(p, 0)})
+             for p in primes}
     terms[ARCHIMEDEAN] = _arch_term(phi, data.arch_roots, norm)
     return terms
 
 
-def is_minimal_arch(phi: MatrixQ, tol: float = 1e-12) -> MinimalityReport:
+def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
     """Minimal in its archimedean orbit iff normal; exact commutator test.
 
     Examples:
@@ -300,9 +296,6 @@ def is_minimal_arch(phi: MatrixQ, tol: float = 1e-12) -> MinimalityReport:
     ]
     sq = sum(x * x for row in comm for x in row)
     norm2 = sum(x * x for x in phi.entries)
-    # entries are exact rationals, so the commutator test is exact; tol
-    # would only matter for a float-entried variant
-    del tol
     minimal = sq == 0
     # sqrt(sq) / norm2 through logs, since either may lie beyond the double range
     log_defect = 0.5 * log_abs(sq, ARCHIMEDEAN).arch - log_abs(norm2, ARCHIMEDEAN).arch
@@ -329,18 +322,10 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
     """
     _require_nonzero(phi)
     place = Place.finite(p)
-    vmin = _min_entry_valuation(phi, p)
+    vmin = min(valuation(x, p) for x in phi.entries)
     scaled = phi.scaled(Fraction(p) ** (-vmin))
-    lift = []
-    for row in scaled.rows:
-        lift_row = []
-        for x in row:
-            if valuation(x, p) > 0:
-                lift_row.append(0)
-            else:
-                lift_row.append(x.numerator * pow(x.denominator, -1, p) % p)
-        lift.append(lift_row)
-    cp = charpoly(lift)
+    # every scaled entry is p-integral, so its denominator is a unit mod p
+    cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled.rows])
     mod_coeffs = [int(c) % p for c in cp.coeffs]
     minimal = any(c != 0 for c in mod_coeffs[:-1])
     witness = "charpoly of reduction mod {}: [{}]".format(
@@ -400,8 +385,9 @@ def fundamental_formula_residual_conj(phi: MatrixQ, tol: float = 1e-9) -> float:
     """
     data = eigen_data(phi, tol)
     height = _eigen_height(data)
-    total = naive_matrix_height(phi)
-    for term in _instability_terms(phi, data, "frobenius").values():
+    table = valuation_table(phi.entries)
+    total = _naive_height(phi.entries, table)
+    for term in _instability_terms(phi, data, table, "frobenius").values():
         total = total + term
     return (total - height).to_float()
 

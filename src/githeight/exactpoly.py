@@ -177,6 +177,28 @@ class NewtonPolygon:
             raise AllRootsZeroError("polygon has no nonzero roots")
         return -self.segments[-1][0]
 
+    @classmethod
+    def from_valuations(cls, p: int, valuations: Sequence[int | float],
+                        zero_root_multiplicity: int = 0) -> "NewtonPolygon":
+        """Lower convex hull of {(i, v_i) : v_i finite}, where v_i = v_p(a_i)
+        are the valuations of the coefficients after removing T^k."""
+        hull: list[tuple[int, Fraction]] = []
+        for pt in ((i, Fraction(v)) for i, v in enumerate(valuations) if v != math.inf):
+            # keep only strict slope increases; collinear middle points drop out
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(pt)
+        segments = tuple(
+            ((hull[i + 1][1] - hull[i][1]) / Fraction(hull[i + 1][0] - hull[i][0]),
+             hull[i + 1][0] - hull[i][0])
+            for i in range(len(hull) - 1)
+        )
+        return cls(p, tuple(hull), segments, zero_root_multiplicity)
+
 
 def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:
     """Lower convex hull of {(i, v_p(a_i)) : a_i != 0} after removing T^k.
@@ -187,45 +209,7 @@ def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:
         [Fraction(1, 2), Fraction(1, 2)]
     """
     g, k = f.shift_out_zero_roots()
-    pts = [
-        (i, Fraction(valuation(c, p)))
-        for i, c in enumerate(g.coeffs)
-        if c != 0
-    ]
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
-        # keep only strict slope increases; collinear middle points drop out
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    segments = tuple(
-        ((hull[i + 1][1] - hull[i][1]) / Fraction(hull[i + 1][0] - hull[i][0]),
-         hull[i + 1][0] - hull[i][0])
-        for i in range(len(hull) - 1)
-    )
-    return NewtonPolygon(p, tuple(hull), segments, k)
-
-
-def max_root_log_abs(f: PolyQ, p: int):
-    """log max_i |root_i|_p as an exact LogValue at the prime p.
-
-    The largest p-adic root size is p^(-m) where m is the smallest root
-    valuation, i.e. the negative of the steepest hull slope.
-
-    Examples:
-        >>> max_root_log_abs(PolyQ.from_coeffs([6, -5, 1]), 2)
-        LogValue(finite={}, arch=0.0)
-    """
-    from .places import LogValue
-
-    polygon = newton_polygon(f, p)
-    if not polygon.segments:
-        raise AllRootsZeroError("no nonzero roots: largest |root|_p undefined")
-    return LogValue({p: -polygon.min_root_valuation})
+    return NewtonPolygon.from_valuations(p, [valuation(c, p) for c in g.coeffs], k)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .places import (
     as_fraction,
     exact_log_abs_arch,
     log_abs,
-    support_primes,
-    valuation,
+    valuation_table,
 )
 
 
@@ -90,13 +89,12 @@ class ProjectivePointQ:
 def naive_height_coords(coords: Sequence[RationalLike]) -> LogValue:
     """Height of a coordinate vector; shared by points and matrices."""
     xs = [as_fraction(c) for c in coords]
-    if all(x == 0 for x in xs):
-        raise AllZeroError("height of the zero vector is undefined")
-    finite: dict[int, Fraction] = {}
-    for p in support_primes(xs):
-        vmin = min(valuation(x, p) for x in xs if x != 0)
-        if vmin != 0:
-            finite[p] = Fraction(-vmin)
+    return _naive_height(xs, valuation_table(xs))
+
+
+def _naive_height(xs: Sequence[Fraction], table: dict[int, list]) -> LogValue:
+    """Height of the coordinates xs with their valuation table (zeros may be left out)."""
+    finite = {p: -min(vals) for p, vals in table.items()}
     # log_abs splits numerator and denominator, so no float overflow
     return LogValue(finite, 0.5 * log_abs(sum(x * x for x in xs), ARCHIMEDEAN).arch)
 

@@ -194,6 +194,32 @@ def valuation(x: RationalLike, p: int) -> int | float:
     return v
 
 
+def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
+    """{p: [v_p(x) for x in xs]} over the support primes p, ascending.
+
+    Each nonzero numerator and denominator is factored once, and every
+    place of the family is read off these factorizations; a zero entry has
+    valuation +infinity at every prime.
+
+    Examples:
+        >>> valuation_table([Fraction(9, 10), 0, 4])
+        {2: [-1, inf, 2], 3: [2, inf, 0], 5: [-1, inf, 0]}
+    """
+    qs = [as_fraction(x) for x in xs]
+    if all(q == 0 for q in qs):
+        raise AllZeroError("support is undefined for an all-zero family")
+    exponents = []
+    for q in qs:
+        e = {}
+        if q:
+            # a Fraction is in lowest terms, so no prime divides both parts
+            e = factorize(abs(q.numerator))
+            e.update((p, -k) for p, k in factorize(q.denominator).items())
+        exponents.append(e)
+    primes = sorted(set().union(*exponents))
+    return {p: [e.get(p, 0) if q else math.inf for q, e in zip(qs, exponents)] for p in primes}
+
+
 # ---------------------------------------------------------------------------
 # places
 # ---------------------------------------------------------------------------
@@ -440,12 +466,7 @@ def exact_log_abs_arch(x: RationalLike) -> LogValue:
     q = as_fraction(x)
     if q == 0:
         raise ZeroInputError("log |0| is -infinity; no exact finite form")
-    finite: dict[int, Fraction] = {}
-    for p, e in factorize(abs(q.numerator)).items():
-        finite[p] = finite.get(p, Fraction(0)) + e
-    for p, e in factorize(q.denominator).items():
-        finite[p] = finite.get(p, Fraction(0)) - e
-    return LogValue(finite)
+    return LogValue({p: v for p, (v,) in valuation_table([q]).items()})
 
 
 def support_primes(xs: Iterable[RationalLike]) -> list[int]:
@@ -457,18 +478,7 @@ def support_primes(xs: Iterable[RationalLike]) -> list[int]:
         >>> support_primes([Fraction(9, 10), 0])
         [2, 3, 5]
     """
-    seen: set[int] = set()
-    any_nonzero = False
-    for x in xs:
-        q = as_fraction(x)
-        if q == 0:
-            continue
-        any_nonzero = True
-        seen.update(factorize(abs(q.numerator)))
-        seen.update(factorize(q.denominator))
-    if not any_nonzero:
-        raise AllZeroError("support is undefined for an all-zero family")
-    return sorted(seen)
+    return list(valuation_table(xs))
 
 
 def product_formula_residual(x: RationalLike) -> LogValue:

@@ -36,8 +36,8 @@ from .errors import (
     NoConvergenceError,
     UnstableError,
 )
-from .heights import ProjectivePointQ, naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, log_abs, support_primes, valuation
+from .heights import ProjectivePointQ, _naive_height
+from .places import ARCHIMEDEAN, LogValue, Place, log_abs, valuation, valuation_table
 
 _NEWTON_MAX_ITERS = 200
 
@@ -190,12 +190,14 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep.value, rep.minimizer
         (LogValue(finite={2: -2/3}, arch=0.0), (Fraction(-1, 6),))
     """
-    return _nonarch_report(*_active_weights(action, x), p)
+    xs, ms = _active_weights(action, x)
+    return _nonarch_report(ms, [valuation(c, p) for c in xs], p)
 
 
-def _nonarch_report(xs, ms, p: int) -> InstabilityReport:
+def _nonarch_report(ms, vals, p: int) -> InstabilityReport:
+    """Measure at p from the valuations of the active coordinates."""
     place = Place.finite(p)
-    offsets = [Fraction(-valuation(c, p)) for c in xs]
+    offsets = [Fraction(-v) for v in vals]
     value, argmin = exactlp.minimize_max_affine(ms, offsets)
     if value is None:
         return _unstable_report(place)
@@ -208,26 +210,27 @@ def instability_arch(
 ) -> InstabilityReport:
     """Instability measure at the archimedean place (euclidean norm).
 
-    Minimizes (1/2) log sum x_i^2 exp(2 <m_i, xi>) over xi.  An exact
-    rational gradient test at xi = 0 catches balanced points with measure
-    exactly 0; otherwise the inf is attained on the face of the weight hull
-    whose relative interior contains 0, and a damped Newton iteration on an
-    orthonormal basis of that face's span drives the gradient below tol.
+    Minimizes (1/2) log sum x_i^2 exp(2 <m_i, xi>) over xi.  The inf is
+    attained on the face of the weight hull whose relative interior
+    contains 0; the point is unstable iff that face is empty.  If
+    sum x_i^2 m_i = 0 exactly, lam_i ~ x_i^2 is a relative-interior point of
+    the weights' zero-sum polytope, so every weight is on the face, no LP
+    runs and the measure is exactly 0.  Otherwise :func:`exactlp.face_of_zero`
+    gives the face, and a damped Newton iteration on an orthonormal basis of
+    its span drives the gradient below tol.
     """
-    xs, ms = _active_weights(action, x)
-    value, _ = _hull_gap(ms)
-    if value != 0:
-        return _unstable_report(ARCHIMEDEAN)
-    return _arch_report(action.rank, xs, ms, tol)
+    return _arch_report(action.rank, *_active_weights(action, x), tol)
 
 
 def _arch_report(rank: int, xs, ms, tol: float) -> InstabilityReport:
-    """Archimedean measure of a point already known to be semistable."""
+    """The archimedean report; -infinity when the face of zero is empty."""
     xs2 = [c ** 2 for c in xs]
     grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
     if all(g == 0 for g in grad0):
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
     face = exactlp.face_of_zero(ms)
+    if not face:
+        return _unstable_report(ARCHIMEDEAN)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
     log_xs2 = np.array([log_abs(xs2[j], ARCHIMEDEAN).arch for j in face])
     log_total = log_abs(sum(xs2), ARCHIMEDEAN).arch
@@ -246,16 +249,21 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     """Instability reports at every place where the measure can be nonzero.
 
     The places are the support primes of the coordinates, ascending, then
-    oo.  One hull LP decides semistability for all of them: an unstable
-    point gets -infinity everywhere before any per-prime LP runs.
+    oo, all read off one valuation table.  The archimedean face of zero
+    decides semistability for all of them: an unstable point gets -infinity
+    everywhere before any per-prime LP runs.
     """
     xs, ms = _active_weights(action, x)
-    value, _ = _hull_gap(ms)
-    places = [Place.finite(p) for p in support_primes(xs)] + [ARCHIMEDEAN]
-    if value != 0:
-        return {place: _unstable_report(place) for place in places}
-    reports = {place: _nonarch_report(xs, ms, place.prime) for place in places[:-1]}
-    reports[ARCHIMEDEAN] = _arch_report(action.rank, xs, ms, tol)
+    return _reports(action.rank, xs, ms, valuation_table(xs), tol)
+
+
+def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
+    arch = _arch_report(rank, xs, ms, tol)
+    if arch.value.neg_inf:
+        reports = {Place.finite(p): _unstable_report(Place.finite(p)) for p in table}
+    else:
+        reports = {Place.finite(p): _nonarch_report(ms, vals, p) for p, vals in table.items()}
+    reports[ARCHIMEDEAN] = arch
     return reports
 
 
@@ -327,10 +335,12 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
         >>> dict(h.finite)
         {2: Fraction(-2, 3)}
     """
-    reports = instability_all(action, x, tol)
+    xs, ms = _active_weights(action, x)
+    table = valuation_table(xs)
+    reports = _reports(action.rank, xs, ms, table, tol)
     if reports[ARCHIMEDEAN].value.neg_inf:
         raise UnstableError("unstable point: no image in the quotient")
-    total = naive_height(x)
+    total = _naive_height(xs, table)
     for report in reports.values():
         total = total + report.value
     return total

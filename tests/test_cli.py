@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,6 +112,10 @@ def test_parse_errors_exit_two(capsys):
     assert code == 2
     code, _ = run(capsys, "--tol", "-1", "height", "1:1")
     assert code == 2
+    for flag in ("--tol", "--arch-tol"):
+        for value in ("nan", "inf"):
+            code, _ = run(capsys, flag, value, "quotient-height", "--weights=-1,1", "--point", "1:2")
+            assert code == 2
 
 
 def test_convergence_failure_exits_three(capsys, monkeypatch):
@@ -143,9 +151,10 @@ def test_bounds_commands(capsys):
 
 
 def test_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("GIT_HEIGHT_TOL", "-2")
-    code, _ = run(capsys, "height", "1:1")
-    assert code == 2  # invalid tolerance from the environment is rejected
+    for value in ("-2", "nan", "inf"):
+        monkeypatch.setenv("GIT_HEIGHT_TOL", value)
+        code, _ = run(capsys, "height", "1:1")
+        assert code == 2  # invalid tolerance from the environment is rejected
     monkeypatch.setenv("GIT_HEIGHT_TOL", "0.01")
     code, _ = run(capsys, "height", "1:1")
     assert code == 0
@@ -290,3 +299,22 @@ def test_cli_exit_codes_on_huge_and_odd_inputs(capsys, monkeypatch, call):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     assert cli.main(argv) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("paper-suite",),
+    ("instability", "--matrix", "[[1,1],[0,1]]", "--place", "2"),
+])
+def test_closed_stdout_exits_quietly(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "githeight.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

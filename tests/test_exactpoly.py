@@ -13,7 +13,6 @@ from githeight.exactpoly import (
     PolyQ,
     charpoly,
     complex_roots,
-    max_root_log_abs,
     newton_polygon,
 )
 from githeight.places import valuation
@@ -96,14 +95,15 @@ def test_newton_polygon_zero_roots_and_slope_sum():
             assert vals == sorted(vals, reverse=True)  # slopes strictly increase
 
 
-def test_max_root_log_abs_examples():
-    assert max_root_log_abs(poly(6, -5, 1), 2).is_exact_zero
-    v = max_root_log_abs(poly(-2, 0, 1), 2)
-    assert dict(v.finite) == {2: Fraction(-1, 2)}
-    v2 = max_root_log_abs(poly(-4, 1), 2)
-    assert dict(v2.finite) == {2: Fraction(-2)}
+def test_min_root_valuation_examples():
+    def log_max_root(f, p):  # in units of log p
+        return -newton_polygon(f, p).min_root_valuation
+
+    assert log_max_root(poly(6, -5, 1), 2) == 0
+    assert log_max_root(poly(-2, 0, 1), 2) == Fraction(-1, 2)
+    assert log_max_root(poly(-4, 1), 2) == Fraction(-2)
     with pytest.raises(AllRootsZeroError):
-        max_root_log_abs(poly(0, 0, 1), 5)
+        log_max_root(poly(0, 0, 1), 5)
 
 
 def test_complex_roots_examples():

@@ -1,6 +1,7 @@
 """Every whole-input height computes its local data once per input."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from githeight import (
     conjugation,
     exactlp,
     fundamental_formula_residual_conj,
+    instability_arch,
+    places,
     quotient_height,
     quotient_height_conj,
 )
@@ -27,18 +30,27 @@ DENSE8 = MatrixQ.from_lists(
 def calls(monkeypatch):
     counts = Counter()
 
-    def counted(name, fn):
+    def count(name, module, attr):
+        """Count calls of module.attr, at every binding the package holds."""
+        fn = getattr(module, attr)
+
         def wrapper(*args, **kwargs):
             counts[name] += 1
             if name == "lp" and kwargs.get("box") is not None:
                 counts["hull lp"] += 1
             return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(conjugation, "charpoly", counted("charpoly", conjugation.charpoly))
-    monkeypatch.setattr(conjugation, "complex_roots", counted("roots", conjugation.complex_roots))
-    monkeypatch.setattr(exactlp, "minimize_max_affine", counted("lp", exactlp.minimize_max_affine))
-    monkeypatch.setattr(exactlp, "feasible", counted("feasible", exactlp.feasible))
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("githeight") and getattr(mod, attr, None) is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+    count("charpoly", conjugation, "charpoly")
+    count("roots", conjugation, "complex_roots")
+    count("lp", exactlp, "minimize_max_affine")
+    count("feasible", exactlp, "feasible")
+    count("simplex", exactlp, "_simplex")
+    count("factorize", places, "factorize")
+    count("valuation", places, "valuation")
     return counts
 
 
@@ -47,13 +59,32 @@ def test_conjugation_heights_solve_once(calls, height):
     height(DENSE8)
     assert calls["charpoly"] == 1
     assert calls["roots"] == 1
+    # the entries' and the reduced charpoly's valuations come from one table each
+    assert calls["valuation"] == 0
 
 
-def test_torus_quotient_height_runs_one_hull_lp(calls):
+def test_conjugation_residual_factors_each_number_once(calls):
+    fundamental_formula_residual_conj(DENSE8)
+    # 64 entries and at most 9 charpoly coefficients, numerator and denominator each
+    assert calls["factorize"] <= 2 * (64 + 9)
+
+
+def test_torus_quotient_height_runs_no_hull_lp(calls):
     action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
     quotient_height(action, ProjectivePointQ.parse("12:5:7:10:3"))
-    assert calls["hull lp"] == 1
-    # one more LP per support prime (2, 3, 5, 7), none of them boxed
-    assert calls["lp"] == 5
+    # semistability is read off the face of zero, not a boxed hull LP
+    assert calls["hull lp"] == 0
+    # one LP per support prime (2, 3, 5, 7)
+    assert calls["lp"] == 4
     # the face of zero comes from exactlp.face_of_zero, not one Farkas test per weight
     assert calls["feasible"] == 0
+    # one valuation table serves the places, the offsets and the naive height
+    assert calls["factorize"] <= 2 * 5
+    assert calls["valuation"] == 0
+
+
+def test_balanced_point_runs_no_lp(calls):
+    # sum x_i^2 m_i = 0: every weight is on the face of zero and the measure is exactly 0
+    report = instability_arch(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("3:3"))
+    assert report.value.is_exact_zero
+    assert calls["simplex"] == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from githeight.places import (
     product_formula_residual,
     support_primes,
     valuation,
+    valuation_table,
     values_close,
 )
 
@@ -89,6 +91,35 @@ def test_support_primes_examples():
     assert support_primes([0, Fraction(-4, 9)]) == [2, 3]
     with pytest.raises(AllZeroError):
         support_primes([0, 0])
+
+
+def test_valuation_table_matches_valuation():
+    rng = random.Random(11)
+    primes = [2, 3, 5, 7, 11, 13, 1000003, 998244353]
+
+    def smooth():
+        n = 1
+        for p in rng.sample(primes, rng.randint(0, 3)):
+            n *= p ** (1 if p > 1000 else rng.randint(1, 3))
+        return n
+
+    for _ in range(200):
+        xs = [0 if rng.random() < 0.25 else Fraction(rng.choice((-1, 1)) * smooth(), smooth())
+              for _ in range(rng.randint(1, 6))]
+        if all(x == 0 for x in xs):
+            with pytest.raises(AllZeroError):
+                valuation_table(xs)
+            continue
+        table = valuation_table(xs)
+        assert list(table) == [p for p in primes if any(valuation(x, p) not in (0, math.inf) for x in xs)]
+        assert list(table) == support_primes(xs)
+        for p in primes:
+            # off the support every nonzero entry is a p-adic unit
+            assert table.get(p, [math.inf if x == 0 else 0 for x in xs]) == [valuation(x, p) for x in xs]
+    with pytest.raises(AllZeroError):
+        valuation_table([0, Fraction(0)])
+    with pytest.raises(AllZeroError):
+        valuation_table([])
 
 
 def test_logvalue_arithmetic():
