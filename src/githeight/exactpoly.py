@@ -9,8 +9,10 @@ Three views of the same root multiset feed the height computations:
 * floating complex roots (:class:`ComplexMultiset`), computed from
   companion-matrix eigenvalues and polished by Aberth-Ehrlich iteration.
 
-Characteristic polynomials are computed exactly by the Faddeev-LeVerrier
-recurrence; the divisions it performs are exact over Q.
+Characteristic polynomials are exact and run on Python ints: the entry
+denominators are cleared first, then Berkowitz's division-free recurrence
+runs over Z.  Newton polygons take their hull on integer points too and
+build a Fraction only for each vertex and slope.
 """
 
 from __future__ import annotations
@@ -115,32 +117,40 @@ class PolyQ:
 def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
     """Exact characteristic polynomial det(T*I - A), ascending coefficients.
 
-    Faddeev-LeVerrier recurrence over Fractions: M <- A(M + c I) with
-    c_k = -tr(A M)/k, all divisions exact.
+    The denominators are cleared first: with d the lcm of the entry
+    denominators, B = d*A is an integer matrix and chi_A(T) = d^-n chi_B(d T).
+    chi_B comes from Berkowitz's division-free recurrence over Z: for the
+    leading k x k block with last row (r, b_kk), last column (s, b_kk) and
+    leading (k-1) x (k-1) block M, the coefficients of chi_k are the lower
+    triangular Toeplitz matrix with first column
+    [1, -b_kk, -r s, -r M s, ..., -r M^(k-2) s] applied to those of chi_(k-1).
 
     Examples:
         >>> charpoly([[2, 0], [0, 3]]).coeffs
         (Fraction(6, 1), Fraction(-5, 1), Fraction(1, 1))
+        >>> charpoly([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]).coeffs
+        (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 1))
     """
     a = [[as_fraction(x) for x in row] for row in rows]
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
         raise NonSquareError("characteristic polynomial needs a square matrix")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [
-            [sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        m = [
-            [am[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return PolyQ(tuple(coeffs))
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    # descending coefficients of chi of the leading k x k block, chi_1 = T - b_11
+    chi = [1, -b[0][0]]
+    for k in range(1, n):
+        m = [row[:k] for row in b[:k]]
+        r = b[k][:k]
+        v = [row[k] for row in b[:k]]  # M^j s, from j = 0
+        col = [1, -b[k][k], -sum(x * y for x, y in zip(r, v))]
+        for _ in range(k - 1):
+            v = [sum(x * y for x, y in zip(row, v)) for row in m]
+            col.append(-sum(x * y for x, y in zip(r, v)))
+        chi = [sum(col[i - j] * chi[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+               for i in range(k + 2)]
+    # chi_A(T) = d^-n chi_B(d T), so the coefficient of T^(n-i) is chi[i] / d^i
+    return PolyQ(tuple(Fraction(c, d ** i) for i, c in enumerate(chi))[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +192,24 @@ class NewtonPolygon:
                         zero_root_multiplicity: int = 0) -> "NewtonPolygon":
         """Lower convex hull of {(i, v_i) : v_i finite}, where v_i = v_p(a_i)
         are the valuations of the coefficients after removing T^k."""
-        hull: list[tuple[int, Fraction]] = []
-        for pt in ((i, Fraction(v)) for i, v in enumerate(valuations) if v != math.inf):
+        hull: list[tuple[int, int]] = []  # exact integer points; Fractions only on output
+        for x, y in enumerate(valuations):
+            if y == math.inf:
+                continue
             # keep only strict slope increases; collinear middle points drop out
             while len(hull) >= 2:
                 (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                if (x2 - x1) * (y - y1) <= (y2 - y1) * (x - x1):
                     hull.pop()
                 else:
                     break
-            hull.append(pt)
+            hull.append((x, y))
         segments = tuple(
-            ((hull[i + 1][1] - hull[i][1]) / Fraction(hull[i + 1][0] - hull[i][0]),
-             hull[i + 1][0] - hull[i][0])
-            for i in range(len(hull) - 1)
+            (Fraction(y2 - y1, x2 - x1), x2 - x1)
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:])
         )
-        return cls(p, tuple(hull), segments, zero_root_multiplicity)
+        vertices = tuple((x, Fraction(y)) for x, y in hull)
+        return cls(p, vertices, segments, zero_root_multiplicity)
 
 
 def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:

@@ -311,10 +311,22 @@ class LogValue:
                 q = as_fraction(q)
                 if q != 0:
                     clean[p] = clean.get(p, Fraction(0)) + q
-            clean = {p: q for p, q in sorted(clean.items()) if q != 0}
-        object.__setattr__(self, "finite", MappingProxyType(clean))
-        object.__setattr__(self, "arch", 0.0 if neg_inf else float(arch) + 0.0)  # no -0.0
+        self._fill(clean, 0.0 if neg_inf else arch, neg_inf)
+
+    def _fill(self, finite: dict[int, Fraction], arch: float, neg_inf: bool) -> None:
+        object.__setattr__(
+            self, "finite", MappingProxyType({p: q for p, q in sorted(finite.items()) if q != 0})
+        )
+        object.__setattr__(self, "arch", float(arch) + 0.0)  # no -0.0
         object.__setattr__(self, "neg_inf", bool(neg_inf))
+
+    @classmethod
+    def _of_primes(cls, finite: dict[int, Fraction], arch: float) -> "LogValue":
+        """A finite value from Fractions keyed by primes that an existing
+        LogValue already validated, so no key is tested for primality again."""
+        value = object.__new__(cls)
+        value._fill(finite, arch, False)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("LogValue is immutable")
@@ -343,12 +355,12 @@ class LogValue:
         merged = dict(self.finite)
         for p, q in other.finite.items():
             merged[p] = merged.get(p, Fraction(0)) + q
-        return LogValue(merged, self.arch + other.arch)
+        return LogValue._of_primes(merged, self.arch + other.arch)
 
     def __neg__(self) -> "LogValue":
         if self.neg_inf:
             raise InputError("cannot negate -infinity")
-        return LogValue({p: -q for p, q in self.finite.items()}, -self.arch)
+        return LogValue._of_primes({p: -q for p, q in self.finite.items()}, -self.arch)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         if not isinstance(other, LogValue):
@@ -364,7 +376,7 @@ class LogValue:
             if c == 0:
                 return LogValue.zero()
             raise InputError("cannot scale -infinity by a negative factor")
-        return LogValue({p: q * c for p, q in self.finite.items()}, self.arch * float(c))
+        return LogValue._of_primes({p: q * c for p, q in self.finite.items()}, self.arch * float(c))
 
     # -- queries -------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from .errors import (
 from .heights import ProjectivePointQ, _naive_height
 from .places import ARCHIMEDEAN, LogValue, Place, log_abs, valuation, valuation_table
 
+_EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
 
 
@@ -217,7 +218,8 @@ def instability_arch(
     the weights' zero-sum polytope, so every weight is on the face, no LP
     runs and the measure is exactly 0.  Otherwise :func:`exactlp.face_of_zero`
     gives the face, and a damped Newton iteration on an orthonormal basis of
-    its span drives the gradient below tol.
+    its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
+    least squares, drives the gradient below tol.
     """
     return _arch_report(action.rank, *_active_weights(action, x), tol)
 
@@ -283,7 +285,11 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float) -> np
     def objective(y):
         return 0.5 * _logsumexp(log_xs2 + 2.0 * (weights @ (basis @ y)))
 
-    y = np.zeros(basis.shape[1])
+    # least-squares start: balance the exponents log_xs2_i + 2 w_i . xi up to
+    # a common constant, so the Hessian does not underflow when they are far apart
+    wb = 2.0 * (weights @ basis)
+    fit = np.linalg.lstsq(np.hstack([wb, -np.ones((len(log_xs2), 1))]), -log_xs2, rcond=None)[0]
+    y = fit[:-1]
     fy = objective(y)
     for _ in range(_NEWTON_MAX_ITERS):
         a = log_xs2 + 2.0 * (weights @ (basis @ y))
@@ -302,10 +308,14 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float) -> np
         if not np.all(np.isfinite(step)) or float(step @ grad) >= 0.0:
             step = -grad
         alpha, armijo = 1.0, float(step @ grad)
+        # next to the minimum a decrease below the rounding error of f cannot
+        # show, so a short step that predicts no more is taken whole
+        flat = (-armijo <= 8 * _EPS * (1.0 + abs(fy))
+                and float(np.linalg.norm(step)) <= 1e-6 * (1.0 + float(np.linalg.norm(y))))
         while alpha > 1e-18:
             cand = y + alpha * step
             fc = objective(cand)
-            if fc <= fy + 1e-4 * alpha * armijo:
+            if flat or fc <= fy + 1e-4 * alpha * armijo:
                 y, fy = cand, fc
                 break
             alpha *= 0.5

@@ -255,6 +255,19 @@ def test_archimedean_terms_of_huge_entries(capsys, argv):
         assert "Infinity" not in out and "NaN" not in out
 
 
+def test_torus_terms_of_huge_coordinate(capsys):
+    # log x_i^2 are 921 apart, so the face Hessian at xi = 0 underflows to 0.0;
+    # the least-squares start of the minimizer balances them at once
+    code, data = run_json(capsys, "quotient-height", "--weights=-1,1", "--point", "1e200:1")
+    assert code == 0
+    assert abs(data["finite"] + 100 * math.log(10)) < 1e-9
+    assert abs(data["total"] - 0.5 * math.log(2)) < 1e-9
+    code, data = run_json(capsys, "instability", "--weights=-1,1", "--point", "1e200:1",
+                          "--place", "oo")
+    assert code == 0
+    assert abs(data["value"]["total"] - (0.5 * math.log(2) - 100 * math.log(10))) < 1e-9
+
+
 def test_minimal_of_huge_entries(capsys):
     code, data = run_json(capsys, "minimal", "--matrix", '[["1e200","1"],["0","1"]]')
     assert code == 0 and data["minimal"] is False

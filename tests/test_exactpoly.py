@@ -10,6 +10,7 @@ from githeight.errors import (
     ZeroPolynomialError,
 )
 from githeight.exactpoly import (
+    NewtonPolygon,
     PolyQ,
     charpoly,
     complex_roots,
@@ -63,6 +64,60 @@ def test_charpoly_matches_expansion_on_random_matrices():
             assert f.evaluate(t) == sign * det
 
 
+def _faddeev_leverrier(rows):
+    """Reference charpoly over Fractions: M <- A(M + c I), c_k = -tr(A M)/k."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return tuple(coeffs)
+
+
+def _reference_matrices():
+    rng = random.Random(23)
+    for n in range(1, 13):
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield [[Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12)))
+                for _ in range(n)] for _ in range(n)]
+        yield [[rng.choice((-1, 1)) * 10**200 + rng.randint(-5, 5) for _ in range(n)]
+               for _ in range(n)]
+        yield [[Fraction(rng.choice((-1, 1)) * 10**200 + rng.randint(-5, 5), rng.randint(1, 12))
+                for _ in range(n)] for _ in range(n)]
+        # strictly upper triangular, then conjugated by a unimodular shear: nilpotent
+        nil = [[rng.randint(-5, 5) if j > i else 0 for j in range(n)] for i in range(n)]
+        if n > 1:
+            i, j, c = rng.randrange(n), rng.randrange(n - 1), rng.randint(1, 3)
+            j += j >= i
+            for row in nil:  # nil * (I + c E_ij)
+                row[j] += c * row[i]
+            nil[i] = [x - c * y for x, y in zip(nil[i], nil[j])]  # (I - c E_ij) * ...
+        yield nil
+        zero_row = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(n)]
+        zero_row[rng.randrange(n)] = [0] * n
+        yield zero_row
+        zero_col = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        k = rng.randrange(n)
+        for row in zero_col:
+            row[k] = 0
+        yield zero_col
+
+
+def test_charpoly_equals_faddeev_leverrier():
+    count = nilpotent = 0
+    for m in _reference_matrices():
+        f = charpoly(m)
+        assert f.coeffs == _faddeev_leverrier(m)
+        count += 1
+        nilpotent += f.coeffs[:-1] == (0,) * (len(m))
+    assert count == 84 and nilpotent >= 12
+
+
 def test_newton_polygon_examples():
     np1 = newton_polygon(poly(6, -5, 1), 2)
     assert sorted(np1.root_valuations()) == [Fraction(0), Fraction(1)]
@@ -93,6 +148,50 @@ def test_newton_polygon_zero_roots_and_slope_sum():
             assert total == valuation(g.leading, p) - valuation(g.coeffs[0], p)
             vals = pol.root_valuations()
             assert vals == sorted(vals, reverse=True)  # slopes strictly increase
+
+
+def _fraction_hull(valuations):
+    """Reference lower hull over Fractions: (vertices, segments)."""
+    hull = []
+    for pt in ((i, Fraction(v)) for i, v in enumerate(valuations) if v != math.inf):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    segments = tuple(((b[1] - a[1]) / Fraction(b[0] - a[0]), b[0] - a[0])
+                     for a, b in zip(hull, hull[1:]))
+    return tuple(hull), segments
+
+
+def test_from_valuations_equals_fraction_hull():
+    rng = random.Random(29)
+    cases = [[0, 0, 0, 0], [3, 2, 1, 0], [0, 1, 2, 3, 4], [2, math.inf, 0, math.inf, 2],
+             [5], [math.inf, 1, math.inf], [0, 1, 2, 1, 0], [6, 4, 2, 0, 0, 0]]
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        if rng.random() < 0.3:  # points on a line, some lifted off it
+            slope, base = rng.randint(-3, 3), rng.randint(-5, 5)
+            vals = [base + slope * i + (rng.randint(1, 3) if rng.random() < 0.3 else 0)
+                    for i in range(n)]
+        else:
+            vals = [rng.randint(-6, 12) for _ in range(n)]
+        for i in range(n - 1):  # keep a finite last coefficient, as a polynomial does
+            if rng.random() < 0.2:
+                vals[i] = math.inf
+        cases.append(vals)
+    for vals in cases:
+        pol = NewtonPolygon.from_valuations(7, vals, 1)
+        vertices, segments = _fraction_hull(vals)
+        assert pol.vertices == vertices and pol.segments == segments
+        assert all(type(y) is Fraction for _, y in pol.vertices)
+        expected = []
+        for slope, length in segments:
+            expected.extend([-slope] * length)
+        assert pol.root_valuations() == expected
+        assert pol.zero_root_multiplicity == 1
 
 
 def test_min_root_valuation_examples():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from githeight import places
 from githeight.errors import AllZeroError, InputError, ZeroInputError
 from githeight.places import (
     ARCHIMEDEAN,
@@ -133,6 +134,31 @@ def test_logvalue_arithmetic():
     assert a.finite_coefficient(2) == Fraction(1, 2)
     assert a.finite_coefficient(7) == Fraction(0)
     assert abs(a.to_float() - (0.5 * math.log(2) + 0.25)) < 1e-15
+
+
+def test_logvalue_arithmetic_tests_no_prime_again(monkeypatch):
+    with pytest.raises(InputError):
+        LogValue({4: 1})
+    a = LogValue({2: Fraction(1, 2), 1000000007: 3}, arch=0.25)
+    b = LogValue({2: Fraction(-1, 2), 998244353: 1}, arch=0.5)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(places, "is_prime", counted)
+    s = a + b
+    d = (a - b).scaled(Fraction(-3, 2))
+    assert calls == []
+    assert dict(s.finite) == {998244353: 1, 1000000007: 3} and s.arch == 0.75
+    assert list(d.finite) == [2, 998244353, 1000000007]
+    assert dict(d.finite) == {2: Fraction(-3, 2), 998244353: Fraction(3, 2),
+                              1000000007: Fraction(-9, 2)}
+    # a public construction still tests every key
+    with pytest.raises(InputError):
+        LogValue({2: 1, 9: 1})
+    assert calls == [2, 9]
 
 
 def test_logvalue_neg_infinity():

@@ -280,6 +280,28 @@ def test_instability_arch_examples():
     assert abs(flat.value.to_float() + 0.5 * math.log(2)) < 1e-12 and flat.minimizer == (0.0,)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_instability_arch_at_tight_tolerances(tol):
+    # Next to the minimum the predicted decrease falls below the rounding
+    # error of the objective, so no Armijo step shows a decrease; Newton
+    # must still reach tol.  With weights (2), (-2), (2) the measure is
+    # 1/2 log(2 sqrt(A B)) - 1/2 log(sum x_i^2), A = 4^2 + 11^2, B = 6^2.
+    r = instability_arch(act((2,), (-2,), (2,)), pt("4:6:-11"), tol=tol)
+    want = 0.5 * math.log(2 * math.sqrt(137 * 36)) - 0.5 * math.log(173)
+    assert abs(r.value.to_float() - want) < 1e-12
+    # coordinates of 20 to 22 digits: the gradient vanishes at the minimizer
+    weights = (1, -1, -2, -1)
+    x = ProjectivePointQ((Fraction(71999996111999959176), Fraction(4611686018427387902),
+                          Fraction(-73786976174579122216),
+                          Fraction(-89131682787042205588235747346, 999999937)))
+    r = instability_arch(act(*[(w,) for w in weights]), x, tol=tol)
+    (t,) = r.minimizer
+    a = [2 * math.log(abs(c.numerator)) - 2 * math.log(c.denominator) + 2 * w * t
+         for c, w in zip(x.coords, weights)]
+    p = [math.exp(v - max(a)) for v in a]
+    assert abs(sum(w * q for w, q in zip(weights, p)) / sum(p)) <= tol
+
+
 def test_instability_is_nonpositive():
     rng = random.Random(41)
     for _ in range(60):
