@@ -130,7 +130,7 @@ def _parse_action(args, payload: dict) -> TorusAction:
             weights = json.loads(weights)
         else:
             weights = [[int(w)] for w in weights.split(",") if w.strip()]
-    rows = [list(map(int, w if isinstance(w, (list, tuple)) else [w])) for w in weights]
+    rows = [list(w) if isinstance(w, (list, tuple)) else [w] for w in weights]
     if not rows:
         raise InputError("empty weight list")
     return TorusAction(rank=len(rows[0]), weights=tuple(tuple(r) for r in rows))

@@ -8,7 +8,8 @@ unbounded below exactly when P is empty.  ``_simplex`` solves the right side
 exactly by integer pivoting with Bland's smallest-index rule (Bland 1977),
 which cannot cycle.  The minimizer xi is the row multipliers of the optimal
 basis, so ties resolve to that basis, not to the lexicographically smallest
-minimizer.
+minimizer.  When P is empty the phase-1 Farkas vector separates the slopes
+from 0 instead, which is the destabilizing direction.
 """
 
 from __future__ import annotations
@@ -75,32 +76,35 @@ def _scaled(values, scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _on_polytope(slopes, rank: int, costs, box=None):
+def _on_polytope(slopes, rank: int, costs):
     """max sum_i lam_i costs_i over lam in P, as ``_simplex`` returns it.
 
     Row 0 is sum lam = 1 and row 1 + k is -sum lam_i m_ik = 0, so the row
-    multipliers are (value, xi).  A box |xi_k| <= box adds two slack
-    columns per coordinate, each at cost -box.
+    multipliers are (value, xi).
     """
-    cols, costs = [(1, *(-v for v in m)) for m in slopes], list(costs)
-    for k in range(rank if box is not None else 0):
-        for sign in (1, -1):
-            cols.append(tuple(sign * (j == k) for j in range(-1, rank)))
-            costs.append(-Fraction(box))
-    a = [[col[k] for col in cols] for k in range(rank + 1)]
+    a = [[1] * len(slopes), *([-m[k] for m in slopes] for k in range(rank))]
     return _simplex(a, [1] + [0] * rank, costs)
 
 
-def minimize_max_affine(slopes: list[tuple[Fraction, ...]], offsets: list[Fraction],
-                        box: Fraction | None = None):
+def minimize_max_affine(slopes: list[tuple[Fraction, ...]], offsets: list[Fraction]):
     """min over xi of max_i (slopes[i] . xi + offsets[i]), exactly.
 
     Returns (value, argmin) as Fractions, or (None, None) when unbounded
-    below.  An optional box constraint |xi_j| <= box keeps the program
-    bounded (used to extract separating directions).
+    below.
     """
-    x, y = _on_polytope(slopes, len(slopes[0]), offsets, box)
+    x, y = _on_polytope(slopes, len(slopes[0]), offsets)
     return (None, None) if x is None else (y[0], tuple(y[1:]))
+
+
+def separating_direction(slopes: list[tuple[Fraction, ...]]):
+    """A direction xi with m_i . xi > 0 for every slope, or None when 0 is in their hull.
+
+    The costs are zero, so phase 1 of ``_simplex`` decides.  When P is
+    empty its Farkas vector y has y_0 < 0 and y_0 - m_i . y[1:] >= 0, so
+    xi = -y[1:] gives m_i . xi >= -y_0 > 0 (Hilbert-Mumford).
+    """
+    x, y = _on_polytope(slopes, len(slopes[0]), [0] * len(slopes))
+    return None if x is not None else tuple(-v for v in y[1:])
 
 
 def feasible(rows: list[Row], nvars: int) -> bool:

@@ -58,7 +58,7 @@ class TorusAction:
     def __post_init__(self):
         if self.rank < 1:
             raise InputError("torus rank must be at least 1")
-        weights = tuple(tuple(int(w) for w in row) for row in self.weights)
+        weights = tuple(tuple(row) for row in self.weights)
         if not weights:
             raise InputError("a torus action needs at least one weight")
         for row in weights:
@@ -66,6 +66,9 @@ class TorusAction:
                 raise LengthMismatchError(
                     f"weight {row} does not have {self.rank} entries"
                 )
+            # a float or bool is refused, not truncated: int(0.5) == 0 would change the action
+            if not all(isinstance(w, int) and not isinstance(w, bool) for w in row):
+                raise InputError(f"weight {row} has an entry that is not an integer")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -111,15 +114,6 @@ def _active_weights(action: TorusAction, x: ProjectivePointQ):
     return [c for c, _ in active], [tuple(Fraction(v) for v in w) for _, w in active]
 
 
-def _hull_gap(ms: list[tuple[Fraction, ...]]):
-    """(value, argmin) of min over the unit box of max_i <m_i, xi>.
-
-    The value is 0 exactly when 0 lies in the convex hull of the weights,
-    negative otherwise (then argmin separates strictly).
-    """
-    return exactlp.minimize_max_affine(ms, [Fraction(0)] * len(ms), box=Fraction(1))
-
-
 def _unstable_report(place: Place) -> InstabilityReport:
     return InstabilityReport(
         place, LogValue.neg_infinity(), None, None if place.is_archimedean else False
@@ -136,29 +130,28 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         >>> is_semistable(act, ProjectivePointQ.parse("0:0:1"))
         False
     """
-    _, ms = _active_weights(action, x)
-    value, _ = _hull_gap(ms)
-    return value == 0
+    return exactlp.separating_direction(_active_weights(action, x)[1]) is None
 
 
 def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
     """A primitive integer one-parameter subgroup certifying instability.
 
     Returns None for semistable points; otherwise a primitive lambda in Z^r
-    with <m_i, lambda> > 0 for every weight m_i active at x.
+    with <m_i, lambda> > 0 for every weight m_i active at x.  It is *a*
+    destabilizing 1-PS, the Farkas vector of the empty zero-sum polytope
+    scaled to integers, not a canonical (say, Kempf's optimal) one.
+
+    Examples:
+        >>> act = TorusAction(2, ((1, 0), (0, 1), (-1, -1)))
+        >>> destabilizing_1ps(act, ProjectivePointQ.parse("1:1:0"))
+        (1, 1)
     """
-    _, ms = _active_weights(action, x)
-    value, argmin = _hull_gap(ms)
-    if value == 0:
+    xi = exactlp.separating_direction(_active_weights(action, x)[1])
+    if xi is None:
         return None
-    direction = [-c for c in argmin]
-    denom_lcm = 1
-    for c in direction:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in direction]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    scale = math.lcm(*(c.denominator for c in xi))
+    ints = [int(c * scale) for c in xi]
+    g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
 
@@ -172,9 +165,7 @@ def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: in
     xs, ms = _active_weights(action, x)
     vals = [valuation(c, p) for c in xs]
     vmin = min(vals)
-    surviving = [m for m, v in zip(ms, vals) if v == vmin]
-    value, _ = _hull_gap(surviving)
-    return value == 0
+    return exactlp.separating_direction([m for m, v in zip(ms, vals) if v == vmin]) is None
 
 
 def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> InstabilityReport:

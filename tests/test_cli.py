@@ -81,6 +81,13 @@ def test_semistable_and_destabilize(capsys):
     assert code == 0 and data["semistable"] is True
 
 
+@pytest.mark.parametrize("command", ["semistable", "destabilize"])
+@pytest.mark.parametrize("weights", ["[[0.5],[0.7]]", "[[Infinity],[1]]", "[[true],[1]]"])
+def test_non_integer_weights_exit_two(capsys, command, weights):
+    code, out = run(capsys, command, "--weights", weights, "--point", "1:1")
+    assert code == 2 and out == ""
+
+
 def test_quotient_height_torus(capsys):
     code, data = run_json(
         capsys, "quotient-height", "--weights=-2,1,4", "--point", "2:2:1"
@@ -111,6 +118,8 @@ def test_parse_errors_exit_two(capsys):
                   "--point", "1:1", "--place", "6")
     assert code == 2
     code, _ = run(capsys, "--tol", "-1", "height", "1:1")
+    assert code == 2
+    code, _ = run(capsys, "semistable", "--weights", "0.5,1", "--point", "1:1")
     assert code == 2
     for flag in ("--tol", "--arch-tol"):
         for value in ("nan", "inf"):
@@ -286,10 +295,12 @@ def _cli_calls(draw):
     """(argv, stdin payload) of a command that must exit with 0, 1, 2 or 3."""
     if draw(st.booleans()):  # a torus point
         rank, k = draw(st.integers(1, 2)), draw(st.integers(1, 4))
-        weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+        entry = st.one_of(st.integers(-2, 2), st.sampled_from([0.5, 1.0, True, math.inf]))
+        weights = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
                                 min_size=k, max_size=k))
         payload = {"weights": weights, "point": ":".join(draw(st.lists(_big, min_size=k, max_size=k)))}
-        command = draw(st.sampled_from(["height", "instability", "quotient-height"]))
+        command = draw(st.sampled_from(
+            ["height", "instability", "quotient-height", "semistable", "destabilize"]))
         places = ["oo", "2", "all"]
     else:  # a matrix: no quotient height or --place all, which factor the charpoly
         n = draw(st.integers(1, 3))
@@ -297,7 +308,7 @@ def _cli_calls(draw):
         payload = {"matrix": draw(rows)}
         command = draw(st.sampled_from(["height", "instability", "minimal"]))
         places = ["oo", "2"]
-    if command in ("height", "quotient-height"):
+    if command in ("height", "quotient-height", "semistable", "destabilize"):
         return [command], payload
     if draw(st.booleans()):
         return [command], {**payload, "place": draw(st.one_of(_place_values, st.sampled_from(places)))}

@@ -36,8 +36,6 @@ def calls(monkeypatch):
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "lp" and kwargs.get("box") is not None:
-                counts["hull lp"] += 1
             return fn(*args, **kwargs)
 
         for key, mod in list(sys.modules.items()):
@@ -48,6 +46,7 @@ def calls(monkeypatch):
     count("roots", conjugation, "complex_roots")
     count("lp", exactlp, "minimize_max_affine")
     count("feasible", exactlp, "feasible")
+    count("hull lp", exactlp, "separating_direction")
     count("simplex", exactlp, "_simplex")
     count("factorize", places, "factorize")
     count("valuation", places, "valuation")
@@ -72,7 +71,7 @@ def test_conjugation_residual_factors_each_number_once(calls):
 def test_torus_quotient_height_runs_no_hull_lp(calls):
     action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
     quotient_height(action, ProjectivePointQ.parse("12:5:7:10:3"))
-    # semistability is read off the face of zero, not a boxed hull LP
+    # semistability is read off the face of zero, not a separate hull LP
     assert calls["hull lp"] == 0
     # one LP per support prime (2, 3, 5, 7)
     assert calls["lp"] == 4

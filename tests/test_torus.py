@@ -59,10 +59,10 @@ def test_lp_unbounded_and_infeasible():
     assert not exactlp.feasible(rows, 1)
 
 
-def test_lp_box_constraint_and_tie_breaking():
-    # objective max(x, -x) on |x| <= 1: value 0 at the unique minimizer x = 0
+def test_lp_tie_breaking_at_unique_minimizer():
+    # objective max(x, -x): value 0 at the unique minimizer x = 0
     value, minimizer = exactlp.minimize_max_affine(
-        [(Fraction(1),), (Fraction(-1),)], [Fraction(0), Fraction(0)], box=Fraction(1)
+        [(Fraction(1),), (Fraction(-1),)], [Fraction(0), Fraction(0)]
     )
     assert value == Fraction(0)
     assert minimizer == (Fraction(0),)
@@ -80,14 +80,14 @@ def test_lp_two_variables():
     assert max(minimizer[0] + minimizer[1], -minimizer[0], -minimizer[1]) == 0
 
 
-def _highs_min_max(slopes, offsets, box=None):
+def _highs_min_max(slopes, offsets):
     """min over xi of max_i (slopes[i] . xi + offsets[i]) by HiGHS: (status, value)."""
     r = len(slopes[0])
     res = linprog(
         np.eye(r + 1)[r],
         A_ub=[[float(v) for v in m] + [-1.0] for m in slopes],
         b_ub=[-float(c) for c in offsets],
-        bounds=[(None, None) if box is None else (-float(box), float(box))] * r + [(None, None)],
+        bounds=[(None, None)] * (r + 1),
         method="highs",
     )
     return res.status, res.fun
@@ -101,24 +101,41 @@ def _random_program(rng):
     return rank, slopes, offsets
 
 
-@pytest.mark.parametrize("box", [None, Fraction(1)])
-def test_lp_matches_highs_on_random_programs(box):
-    rng = random.Random(97 if box is None else 98)
+def test_lp_matches_highs_on_random_programs():
+    rng = random.Random(97)
     bounded = 0
     for _ in range(150):
         rank, slopes, offsets = _random_program(rng)
-        value, argmin = exactlp.minimize_max_affine(slopes, offsets, box=box)
-        status, highs_value = _highs_min_max(slopes, offsets, box)
+        value, argmin = exactlp.minimize_max_affine(slopes, offsets)
+        status, highs_value = _highs_min_max(slopes, offsets)
         if value is None:
-            assert box is None and status == 3  # unbounded below
+            assert status == 3  # unbounded below
             continue
         bounded += 1
         assert status == 0 and abs(float(value) - highs_value) < 1e-9
         assert max(sum(m_j * x_j for m_j, x_j in zip(m, argmin)) + c
                    for m, c in zip(slopes, offsets)) == value
-        if box is not None:
-            assert all(abs(x_j) <= box for x_j in argmin)
     assert bounded >= 30
+
+
+def test_separating_direction_matches_highs():
+    # None exactly when HiGHS finds lam in P = {lam >= 0, sum lam = 1, sum lam_i m_i = 0};
+    # otherwise every slope pairs strictly positively with the direction, in Fractions
+    rng = random.Random(96)
+    verdicts = set()
+    for _ in range(150):
+        rank, slopes, _ = _random_program(rng)
+        res = linprog(np.zeros(len(slopes)),
+                      A_eq=[[1.0] * len(slopes)] + [[float(m[k]) for m in slopes] for k in range(rank)],
+                      b_eq=[1.0] + [0.0] * rank, bounds=[(0, None)] * len(slopes), method="highs")
+        assert res.status in (0, 2)
+        xi = exactlp.separating_direction(slopes)
+        assert (xi is None) == (res.status == 0)
+        if xi is not None:
+            assert len(xi) == rank
+            assert all(sum(m_j * x_j for m_j, x_j in zip(m, xi)) > 0 for m in slopes)
+        verdicts.add(res.status)
+    assert verdicts == {0, 2}
 
 
 def test_feasible_matches_highs_on_random_systems():
@@ -238,6 +255,15 @@ def test_action_validation_and_json():
     a = TorusAction.from_json({"rank": 1, "weights": [[-2], [1], [4]]})
     assert a == W214
     assert TorusAction.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0, math.inf, math.nan, True])
+def test_non_integer_weights_are_refused(weight):
+    # int() would truncate 0.5 to 0 and make the action trivial, or overflow on inf
+    with pytest.raises(InputError):
+        TorusAction(rank=1, weights=((weight,), (1,)))
+    with pytest.raises(InputError):
+        TorusAction.from_json({"rank": 1, "weights": [[weight], [1]]})
 
 
 # ---------------------------------------------------------------------------
