@@ -34,9 +34,9 @@ from .errors import (
     NotSkewHermitianError,
     ZeroMatrixError,
 )
-from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots, newton_polygon
+from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots
 from .heights import _naive_height, naive_height_coords
-from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, as_fraction, log_abs, valuation, valuation_table
+from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, _valuation, as_fraction, log_abs, valuation_table
 
 NORM_CHOICES = ("frobenius", "sup")
 
@@ -174,7 +174,7 @@ def _eigen_height(data: EigenData) -> LogValue:
     at the primes, log sqrt(sum of squared root moduli) at oo."""
     if data.zero_multiplicity == data.charpoly.degree:
         raise NilpotentError("nilpotent matrix: no image in the quotient")
-    return LogValue(
+    return LogValue._of_primes(
         {p: -polygon.min_root_valuation for p, polygon in data.polygons},
         data.arch_roots.log_root_norm(),
     )
@@ -236,10 +236,11 @@ def instability_conj(
         return LogValue.neg_infinity()
     if place.is_archimedean:
         return _arch_term(phi, complex_roots(cp, tol), norm)
-    p = place.prime
+    p = place.prime  # a Place holds a proven prime
     # exact log (largest |eigenvalue|_p / largest |entry|_p); k < n, so reduced has positive degree
-    root_valuation = newton_polygon(reduced, p).min_root_valuation
-    return LogValue({p: min(valuation(x, p) for x in phi.entries) - root_valuation})
+    polygon = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs])
+    vmin = min(_valuation(x, p) for x in phi.entries)
+    return LogValue._of_primes({p: vmin - polygon.min_root_valuation})
 
 
 def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
@@ -269,12 +270,13 @@ def _instability_terms(phi: MatrixQ, data: EigenData, table, norm: str) -> dict[
     """Terms from the eigen data and the valuation table of the entries."""
     root_valuations = {p: polygon.min_root_valuation for p, polygon in data.polygons}
     primes = sorted(set(table) | set(root_valuations))
-    places = [Place.finite(p) for p in primes] + [ARCHIMEDEAN]
+    # both tables are keyed by proven primes
+    places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]
     if data.zero_multiplicity == phi.n:
         return {place: LogValue.neg_infinity() for place in places}
     # as in instability_conj; a valuation missing from either table is 0
-    terms = {Place.finite(p): LogValue({p: min(table.get(p, [0])) - root_valuations.get(p, 0)})
-             for p in primes}
+    terms = {place: LogValue._of_primes({p: Fraction(min(table.get(p, [0])) - root_valuations.get(p, 0))})
+             for p, place in zip(primes, places)}
     terms[ARCHIMEDEAN] = _arch_term(phi, data.arch_roots, norm)
     return terms
 
@@ -322,7 +324,7 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
     """
     _require_nonzero(phi)
     place = Place.finite(p)
-    vmin = min(valuation(x, p) for x in phi.entries)
+    vmin = min(_valuation(x, p) for x in phi.entries)
     scaled = phi.scaled(Fraction(p) ** (-vmin))
     # every scaled entry is p-integral, so its denominator is a unit mod p
     cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled.rows])

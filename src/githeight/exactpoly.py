@@ -31,7 +31,7 @@ from .errors import (
     NonSquareError,
     ZeroPolynomialError,
 )
-from .places import RationalLike, as_fraction, valuation
+from .places import RationalLike, _valuation, as_fraction, is_prime
 
 _ABERTH_MAX_SWEEPS = 200
 
@@ -220,8 +220,10 @@ def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:
         >>> np2.root_valuations()
         [Fraction(1, 2), Fraction(1, 2)]
     """
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     g, k = f.shift_out_zero_roots()
-    return NewtonPolygon.from_valuations(p, [valuation(c, p) for c in g.coeffs], k)
+    return NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in g.coeffs], k)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,10 @@ def naive_height_coords(coords: Sequence[RationalLike]) -> LogValue:
 
 def _naive_height(xs: Sequence[Fraction], table: dict[int, list]) -> LogValue:
     """Height of the coordinates xs with their valuation table (zeros may be left out)."""
-    finite = {p: -min(vals) for p, vals in table.items()}
+    # the table's keys are proven primes, and some entry at each is finite
+    finite = {p: Fraction(-min(vals)) for p, vals in table.items()}
     # log_abs splits numerator and denominator, so no float overflow
-    return LogValue(finite, 0.5 * log_abs(sum(x * x for x in xs), ARCHIMEDEAN).arch)
+    return LogValue._of_primes(finite, 0.5 * log_abs(sum(x * x for x in xs), ARCHIMEDEAN).arch)
 
 
 def naive_height(x: ProjectivePointQ) -> LogValue:

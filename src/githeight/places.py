@@ -18,12 +18,13 @@ measure of an unstable point.  It absorbs addition and positive scaling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .errors import AllZeroError, InputError, ZeroInputError
+from .errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -49,6 +50,10 @@ _SMALL_PRIMES = _sieve(1000)
 # Witness set proven sufficient for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Pollard-Brent steps allowed per number split: about 21 times the 50 302
+# steps that splitting M61 * M31 (92 bits) takes.
+_POLLARD_MAX_ITERS = 1 << 20
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with proven witness set).
@@ -64,6 +69,11 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin on the fixed bases, for odd n > 37."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -82,24 +92,30 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power issue
-    # here since callers recurse.  Deterministic: seeds tried in order.
-    if n % 2 == 0:
-        return 2
-    for seed in range(1, 100):
-        y, c, m = seed, seed, 128
+    """A proper factor of the odd composite n (Brent's variant of Pollard's
+    rho); NoConvergenceError after _POLLARD_MAX_ITERS steps."""
+    budget = _POLLARD_MAX_ITERS
+    for c in itertools.count(1):
+        y, m = c, 128
         g = r = q = 1
-        x = ys = y
         while g == 1:
             x = y
+            budget -= r
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                budget -= steps
+                if budget < 0:
+                    raise NoConvergenceError(
+                        f"no factor of a {n.bit_length()}-bit number within "
+                        f"{_POLLARD_MAX_ITERS} Pollard-Brent steps"
+                    )
+                for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # the sign of q does not change gcd(q, n)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -107,40 +123,117 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
-    raise ArithmeticError(f"factorization failed for {n}")
+
+
+def _refine(base: list[int], n: int) -> None:
+    """Add n to the pairwise coprime base, splitting elements by gcds so the
+    base stays pairwise coprime and still divides out every number it did."""
+    stack = [n]
+    while stack:
+        n = stack.pop()
+        if n == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(n, b)
+            if g > 1:
+                # b * n -> (b/g) * g * (n/g): the product falls, so this ends
+                base[i] = base[-1]
+                base.pop()
+                stack += (b // g, g, n // g)
+                break
+        else:
+            base.append(n)
+
+
+def _perfect_power_root(n: int) -> int:
+    """The r with n = r^k and k maximal, for n without prime factors below 1000."""
+    # prime exponents suffice; odd ones past the sieve only repeat work
+    exponents = itertools.chain(_SMALL_PRIMES, itertools.count(1001, 2))
+    k = next(exponents)
+    while 9 * k < n.bit_length():  # a root above 1000 has more than 9 bits
+        r = _iroot(n, k)
+        if r ** k == n:
+            n = r
+        else:
+            k = next(exponents)
+    return n
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _divide_out(n: int, primes: list[int], exponents: dict[int, int]) -> int:
+    """Divide n by each prime as often as it goes, record the exponents, and
+    return what is left."""
+    for p in primes:
+        if n == 1:
+            break
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            exponents[p] = k
+    return n
+
+
+def _factor_all(ns: list[int]) -> list[dict[int, int]]:
+    """{prime: exponent} of each positive integer in ns.
+
+    Trial division below 1000 first; the cofactors left over are refined by
+    gcds into one pairwise coprime base, each base element is replaced by
+    its perfect-power root, and only a root that fails Miller-Rabin goes to
+    Pollard-Brent, whose two parts are refined back into the base.  Numbers
+    of one family that share a large prime thus split one another without
+    any Pollard-Brent step.
+    """
+    exponents = [{} for _ in ns]
+    cofactors = [_divide_out(n, _SMALL_PRIMES, e) for n, e in zip(ns, exponents)]
+    base: list[int] = []
+    for n in set(cofactors):
+        _refine(base, n)
+    primes = []
+    while base:
+        b = _perfect_power_root(base.pop())
+        if _miller_rabin(b):
+            primes.append(b)
+            continue
+        d = _pollard_brent(b)
+        _refine(base, d)
+        _refine(base, b // d)
+    primes.sort()
+    for n, e in zip(cofactors, exponents):
+        _divide_out(n, primes, e)
+    return exponents
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}.
 
+    The one-number case of :func:`valuation_table`'s factoring: trial
+    division below 1000, the cofactor's perfect-power root, then
+    Pollard-Brent on what Miller-Rabin finds composite, with 2^20 steps
+    per split (NoConvergenceError beyond them).
+
     Examples:
         >>> factorize(360)
         {2: 3, 3: 2, 5: 1}
+        >>> factorize(12 * 1000003 ** 3)  # the cofactor is a cube: no Pollard-Brent
+        {2: 2, 3: 1, 1000003: 3}
     """
     if n <= 0:
         raise InputError(f"can only factor positive integers, got {n}")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
+    return _factor_all([n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +272,11 @@ def valuation(x: RationalLike, p: int) -> int | float:
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x: RationalLike, p: int) -> int | float:
+    """:func:`valuation` at a p already known to be prime."""
     q = as_fraction(x)
     if q == 0:
         return math.inf
@@ -197,27 +295,32 @@ def valuation(x: RationalLike, p: int) -> int | float:
 def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
     """{p: [v_p(x) for x in xs]} over the support primes p, ascending.
 
-    Each nonzero numerator and denominator is factored once, and every
-    place of the family is read off these factorizations; a zero entry has
-    valuation +infinity at every prime.
+    All nonzero numerators and denominators are factored together: after
+    trial division below 1000, their cofactors are split by gcds into one
+    pairwise coprime base, so numbers that share a large prime split one
+    another without Pollard-Brent (see :func:`factorize`).  A zero entry
+    has valuation +infinity at every prime.
 
     Examples:
         >>> valuation_table([Fraction(9, 10), 0, 4])
         {2: [-1, inf, 2], 3: [2, inf, 0], 5: [-1, inf, 0]}
+        >>> m31, m61 = 2**31 - 1, 2**61 - 1  # the gcd with m61 splits m61 * m31
+        >>> valuation_table([m61 * m31, Fraction(1, m61)])
+        {2147483647: [1, 0], 2305843009213693951: [1, -1]}
     """
     qs = [as_fraction(x) for x in xs]
-    if all(q == 0 for q in qs):
+    nonzero = [q for q in qs if q]
+    if not nonzero:
         raise AllZeroError("support is undefined for an all-zero family")
-    exponents = []
-    for q in qs:
-        e = {}
-        if q:
-            # a Fraction is in lowest terms, so no prime divides both parts
-            e = factorize(abs(q.numerator))
-            e.update((p, -k) for p, k in factorize(q.denominator).items())
-        exponents.append(e)
+    factored = _factor_all([abs(q.numerator) for q in nonzero] + [q.denominator for q in nonzero])
+    exponents = factored[:len(nonzero)]
+    for e, d in zip(exponents, factored[len(nonzero):]):
+        # a Fraction is in lowest terms, so no prime divides both parts
+        e.update((p, -k) for p, k in d.items())
     primes = sorted(set().union(*exponents))
-    return {p: [e.get(p, 0) if q else math.inf for q, e in zip(qs, exponents)] for p in primes}
+    found = iter(exponents)
+    rows = [next(found) if q else None for q in qs]
+    return {p: [math.inf if e is None else e.get(p, 0) for e in rows] for p in primes}
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +346,14 @@ class Place:
 
     def __setattr__(self, name, value):
         raise AttributeError("Place is immutable")
+
+    @classmethod
+    def _of_prime(cls, p: int) -> "Place":
+        """The place of a prime that factoring or a checked Place already
+        proved prime, so it is not tested again."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", p)
+        return place
 
     @classmethod
     def archimedean(cls) -> "Place":
@@ -321,9 +432,10 @@ class LogValue:
         object.__setattr__(self, "neg_inf", bool(neg_inf))
 
     @classmethod
-    def _of_primes(cls, finite: dict[int, Fraction], arch: float) -> "LogValue":
-        """A finite value from Fractions keyed by primes that an existing
-        LogValue already validated, so no key is tested for primality again."""
+    def _of_primes(cls, finite: dict[int, Fraction], arch: float = 0.0) -> "LogValue":
+        """A finite value from Fractions keyed by primes that factoring, a
+        Place or an existing LogValue already proved prime, so no key is
+        tested for primality again."""
         value = object.__new__(cls)
         value._fill(finite, arch, False)
         return value
@@ -462,7 +574,7 @@ def log_abs(x: RationalLike, place: Place) -> LogValue:
         return LogValue.neg_infinity()
     if place.is_archimedean:
         return LogValue.from_arch(math.log(abs(q.numerator)) - math.log(q.denominator))
-    return LogValue({place.prime: -valuation(q, place.prime)})
+    return LogValue._of_primes({place.prime: Fraction(-_valuation(q, place.prime))})
 
 
 def exact_log_abs_arch(x: RationalLike) -> LogValue:
@@ -478,7 +590,7 @@ def exact_log_abs_arch(x: RationalLike) -> LogValue:
     q = as_fraction(x)
     if q == 0:
         raise ZeroInputError("log |0| is -infinity; no exact finite form")
-    return LogValue({p: v for p, (v,) in valuation_table([q]).items()})
+    return LogValue._of_primes({p: Fraction(v) for p, (v,) in valuation_table([q]).items()})
 
 
 def support_primes(xs: Iterable[RationalLike]) -> list[int]:
@@ -509,5 +621,5 @@ def product_formula_residual(x: RationalLike) -> LogValue:
         raise ZeroInputError("the product formula needs a nonzero rational")
     total = exact_log_abs_arch(q)
     for p in support_primes([q]):
-        total = total + log_abs(q, Place.finite(p))
+        total = total + log_abs(q, Place._of_prime(p))
     return total

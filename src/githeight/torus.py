@@ -37,7 +37,7 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, _naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, log_abs, valuation, valuation_table
+from .places import ARCHIMEDEAN, LogValue, Place, _valuation, log_abs, valuation_table
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
@@ -56,6 +56,9 @@ class TorusAction:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # like the weights below, a float or bool rank is refused, not truncated
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InputError(f"torus rank {self.rank!r} is not an integer")
         if self.rank < 1:
             raise InputError("torus rank must be at least 1")
         weights = tuple(tuple(row) for row in self.weights)
@@ -79,7 +82,7 @@ class TorusAction:
     @classmethod
     def from_json(cls, data: Mapping) -> "TorusAction":
         try:
-            return cls(int(data["rank"]), tuple(tuple(w) for w in data["weights"]))
+            return cls(data["rank"], tuple(tuple(w) for w in data["weights"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed torus action payload: {data!r}") from exc
 
@@ -162,8 +165,9 @@ def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: in
     reduction are those of minimal valuation; test 0 in the hull of their
     weights.  Independent of the LP route through the instability measure.
     """
+    place = Place.finite(p)
     xs, ms = _active_weights(action, x)
-    vals = [valuation(c, p) for c in xs]
+    vals = [_valuation(c, place.prime) for c in xs]
     vmin = min(vals)
     return exactlp.separating_direction([m for m, v in zip(ms, vals) if v == vmin]) is None
 
@@ -182,19 +186,20 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep.value, rep.minimizer
         (LogValue(finite={2: -2/3}, arch=0.0), (Fraction(-1, 6),))
     """
-    xs, ms = _active_weights(action, x)
-    return _nonarch_report(ms, [valuation(c, p) for c in xs], p)
-
-
-def _nonarch_report(ms, vals, p: int) -> InstabilityReport:
-    """Measure at p from the valuations of the active coordinates."""
     place = Place.finite(p)
+    xs, ms = _active_weights(action, x)
+    return _nonarch_report(ms, [_valuation(c, place.prime) for c in xs], place)
+
+
+def _nonarch_report(ms, vals, place: Place) -> InstabilityReport:
+    """Measure at a finite place from the valuations of the active coordinates."""
     offsets = [Fraction(-v) for v in vals]
     value, argmin = exactlp.minimize_max_affine(ms, offsets)
     if value is None:
         return _unstable_report(place)
     measure = value - max(offsets)
-    return InstabilityReport(place, LogValue({p: measure}), tuple(argmin), measure == 0)
+    return InstabilityReport(place, LogValue._of_primes({place.prime: measure}), tuple(argmin),
+                             measure == 0)
 
 
 def instability_arch(
@@ -252,10 +257,11 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
 
 def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
     arch = _arch_report(rank, xs, ms, tol)
+    places = [Place._of_prime(p) for p in table]  # the table's keys are proven primes
     if arch.value.neg_inf:
-        reports = {Place.finite(p): _unstable_report(Place.finite(p)) for p in table}
+        reports = {place: _unstable_report(place) for place in places}
     else:
-        reports = {Place.finite(p): _nonarch_report(ms, vals, p) for p, vals in table.items()}
+        reports = {place: _nonarch_report(ms, vals, place) for place, vals in zip(places, table.values())}
     reports[ARCHIMEDEAN] = arch
     return reports
 
@@ -373,7 +379,7 @@ def kempf_ness_profile(
             out.append(0.5 * _logsumexp(a))
     else:
         logp = math.log(place.prime)
-        vals = [valuation(c, place.prime) for c in xs]
+        vals = [_valuation(c, place.prime) for c in xs]
         for s in xi_grid:
             out.append(max(c * s - v * logp for c, v in zip(pairings, vals)))
     return out

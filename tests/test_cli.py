@@ -88,6 +88,13 @@ def test_non_integer_weights_exit_two(capsys, command, weights):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("rank", ["Infinity", "1.9", "true"])
+def test_non_integer_rank_exits_two(capsys, rank):
+    action = '{"rank": %s, "weights": [[1], [2]]}' % rank
+    code, out = run(capsys, "semistable", "--action", action, "--point", "1:1")
+    assert code == 2 and out == ""
+
+
 def test_quotient_height_torus(capsys):
     code, data = run_json(
         capsys, "quotient-height", "--weights=-2,1,4", "--point", "2:2:1"
@@ -275,6 +282,18 @@ def test_torus_terms_of_huge_coordinate(capsys):
                           "--place", "oo")
     assert code == 0
     assert abs(data["value"]["total"] - (0.5 * math.log(2) - 100 * math.log(10))) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient-height", "--matrix", '[["1e200","0"],["0","1"]]'),
+    ("instability", "--matrix", '[["1e200","0"],["0","1"]]', "--place", "all"),
+])
+def test_unfactorable_charpoly_exits_three(capsys, time_limit, argv):
+    # the charpoly coefficient 10^200 + 1 leaves a 582-bit cofactor that
+    # Pollard-Brent does not split within its step budget
+    with time_limit(10):
+        code, out = run(capsys, *argv)
+    assert code == 3 and out == ""
 
 
 def test_minimal_of_huge_entries(capsys):

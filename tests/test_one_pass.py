@@ -14,7 +14,11 @@ from githeight import (
     conjugation,
     exactlp,
     fundamental_formula_residual_conj,
+    instability_all,
+    instability_all_conj,
     instability_arch,
+    instability_nonarch,
+    naive_height,
     places,
     quotient_height,
     quotient_height_conj,
@@ -50,6 +54,7 @@ def calls(monkeypatch):
     count("simplex", exactlp, "_simplex")
     count("factorize", places, "factorize")
     count("valuation", places, "valuation")
+    count("is_prime", places, "is_prime")
     return counts
 
 
@@ -80,6 +85,23 @@ def test_torus_quotient_height_runs_no_hull_lp(calls):
     # one valuation table serves the places, the offsets and the naive height
     assert calls["factorize"] <= 2 * 5
     assert calls["valuation"] == 0
+
+
+def test_factored_primes_are_not_tested_again(calls):
+    action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
+    x = ProjectivePointQ.parse("12:1000000007:7:10:998244353")
+    phi = MatrixQ.from_lists([[1000000007, 3], [Fraction(1, 998244353), 6]])
+    naive_height(x)
+    quotient_height(action, x)
+    instability_all(action, x)
+    quotient_height_conj(phi)
+    instability_all_conj(phi)
+    fundamental_formula_residual_conj(phi)
+    # factoring proves its primes itself; the places and values it keys are trusted
+    assert calls["is_prime"] == 0
+    # a prime named by the caller is tested once
+    instability_nonarch(action, x, 1000000007)
+    assert calls["is_prime"] == 1
 
 
 def test_balanced_point_runs_no_lp(calls):

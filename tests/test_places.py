@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from githeight import places
-from githeight.errors import AllZeroError, InputError, ZeroInputError
+from githeight import MatrixQ, PolyQ, ProjectivePointQ, TorusAction, places
+from githeight.conjugation import is_minimal_nonarch
+from githeight.errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
+from githeight.exactpoly import newton_polygon
 from githeight.places import (
     ARCHIMEDEAN,
     LogValue,
@@ -23,6 +25,7 @@ from githeight.places import (
     valuation_table,
     values_close,
 )
+from githeight.torus import instability_nonarch, residually_semistable_direct
 
 PLACES = [ARCHIMEDEAN, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(97)]
 
@@ -121,6 +124,89 @@ def test_valuation_table_matches_valuation():
         valuation_table([0, Fraction(0)])
     with pytest.raises(AllZeroError):
         valuation_table([])
+
+
+M31, M61 = 2**31 - 1, 2**61 - 1
+P32 = 4294967291  # the largest prime below 2^32
+BIG = (1009, 65537, 1000003, 998244353, 1000000007, P32, M31, M61)
+
+
+def _reference_factorization(n):
+    """{p: e} of n by trial division over the primes below 1000 and BIG."""
+    out = {}
+    for p in [q for q in range(1000) if is_prime(q)] + [q for q in BIG if is_prime(q)]:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    assert n == 1
+    return out
+
+
+def _reference_table(xs):
+    rows = [None if x == 0 else {**_reference_factorization(abs(x.numerator)),
+                                 **{p: -k for p, k in _reference_factorization(x.denominator).items()}}
+            for x in xs]
+    primes = sorted(set().union(*(r for r in rows if r is not None)))
+    return {p: [math.inf if r is None else r.get(p, 0) for r in rows] for p in primes}
+
+
+def test_valuation_table_equals_per_number_factoring():
+    rng = random.Random(23)
+    for _ in range(60):
+        # a few large primes per family, so numerators and denominators share them
+        pool = rng.sample(BIG, rng.randint(1, 3))
+
+        def part():
+            n = rng.choice((1, 2, 6, 45, 7**3, 997))
+            for p in rng.sample(pool, rng.randint(0, min(2, len(pool)))):
+                n *= p ** rng.choice((1, 1, 2, 3))  # p^k and p^k q^j cofactors
+            return n
+
+        xs = [Fraction(0) if rng.random() < 0.2 else Fraction(rng.choice((-1, 1)) * part(), part())
+              for _ in range(rng.randint(1, 6))]
+        if all(x == 0 for x in xs):
+            continue
+        assert valuation_table(xs) == _reference_table(xs)
+        for x in filter(None, xs):
+            assert factorize(abs(x.numerator)) == _reference_factorization(abs(x.numerator))
+
+
+@pytest.mark.parametrize("family", [[M61 * M31, M61], [P32**3, P32], [P32**2]],
+                         ids=["m61m31-m61", "p3-p", "p2"])
+def test_shared_primes_and_powers_need_no_pollard_brent(monkeypatch, family):
+    calls = []
+    pollard_brent = places._pollard_brent
+    monkeypatch.setattr(places, "_pollard_brent", lambda n: calls.append(n) or pollard_brent(n))
+    xs = [Fraction(x) for x in family]
+    assert valuation_table(xs) == _reference_table(xs)
+    assert calls == []
+
+
+def test_factorize_gives_up_within_its_budget(time_limit):
+    # the least prime factor is M61, far beyond 2^20 Pollard-Brent steps
+    with time_limit(10), pytest.raises(NoConvergenceError):
+        factorize(M61 * (2**89 - 1))
+
+
+_W214 = TorusAction(1, ((-2,), (1,), (4,)))
+_P221 = ProjectivePointQ.parse("2:2:1")
+
+
+@pytest.mark.parametrize("p", [1, 4, 91])
+@pytest.mark.parametrize("call", [
+    lambda p: valuation(12, p),
+    lambda p: Place.finite(p),
+    lambda p: LogValue({p: 1}),
+    lambda p: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), p),
+    lambda p: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), p),
+    lambda p: instability_nonarch(_W214, _P221, p),
+    lambda p: residually_semistable_direct(_W214, _P221, p),
+], ids=["valuation", "place", "logvalue", "newton_polygon", "is_minimal_nonarch",
+        "instability_nonarch", "residually_semistable_direct"])
+def test_public_entry_points_refuse_non_primes(call, p):
+    # a user's p is tested once at the entry point; later valuations trust it
+    with pytest.raises(InputError):
+        call(p)
 
 
 def test_logvalue_arithmetic():

@@ -266,6 +266,15 @@ def test_non_integer_weights_are_refused(weight):
         TorusAction.from_json({"rank": 1, "weights": [[weight], [1]]})
 
 
+@pytest.mark.parametrize("rank", [math.inf, 1.9, 1.0, True, "1"])
+def test_non_integer_rank_is_refused(rank):
+    # int() would overflow on inf and truncate 1.9 and True to rank 1
+    with pytest.raises(InputError):
+        TorusAction(rank=rank, weights=((1,), (2,)))
+    with pytest.raises(InputError):
+        TorusAction.from_json({"rank": rank, "weights": [[1], [2]]})
+
+
 # ---------------------------------------------------------------------------
 # instability measures
 # ---------------------------------------------------------------------------
