@@ -50,9 +50,11 @@ _SMALL_PRIMES = _sieve(1000)
 # Witness set proven sufficient for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Pollard-Brent steps allowed per number split: about 21 times the 50 302
-# steps that splitting M61 * M31 (92 bits) takes.
-_POLLARD_MAX_ITERS = 1 << 20
+# Pollard-Brent budget per number split.  A step on an n-bit number costs
+# ceil(n / 64) units, roughly its time in word operations, so giving up on
+# one number takes at most about 1.5 s up to 3000 bits, not a minute;
+# splitting M61 * M31 (92 bits) takes 50 302 steps of 2 units, a tenth of it.
+_POLLARD_BUDGET = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -93,25 +95,25 @@ def _miller_rabin(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A proper factor of the odd composite n (Brent's variant of Pollard's
-    rho); NoConvergenceError after _POLLARD_MAX_ITERS steps."""
-    budget = _POLLARD_MAX_ITERS
+    rho); NoConvergenceError once its steps cost _POLLARD_BUDGET units."""
+    budget, words = _POLLARD_BUDGET, -(-n.bit_length() // 64)
     for c in itertools.count(1):
         y, m = c, 128
         g = r = q = 1
         while g == 1:
             x = y
-            budget -= r
+            budget -= r * words
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
                 steps = min(m, r - k)
-                budget -= steps
+                budget -= steps * words
                 if budget < 0:
                     raise NoConvergenceError(
                         f"no factor of a {n.bit_length()}-bit number within "
-                        f"{_POLLARD_MAX_ITERS} Pollard-Brent steps"
+                        f"{_POLLARD_BUDGET // words} Pollard-Brent steps"
                     )
                 for _ in range(steps):
                     y = (y * y + c) % n

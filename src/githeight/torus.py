@@ -22,9 +22,9 @@ in the quotient; unstable points have iota = -infinity and no image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,13 +108,13 @@ class InstabilityReport:
 
 
 def _active_weights(action: TorusAction, x: ProjectivePointQ):
-    """(nonzero coordinates, their weights as Fractions)."""
+    """(nonzero coordinates, their integer weight tuples)."""
     if len(x.coords) != action.ambient_dim:
         raise LengthMismatchError(
             f"point has {len(x.coords)} coordinates, action expects {action.ambient_dim}"
         )
     active = [(c, w) for c, w in zip(x.coords, action.weights) if c != 0]
-    return [c for c, _ in active], [tuple(Fraction(v) for v in w) for _, w in active]
+    return [c for c, _ in active], [w for _, w in active]
 
 
 def _unstable_report(place: Place) -> InstabilityReport:
@@ -188,13 +188,15 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
     """
     place = Place.finite(p)
     xs, ms = _active_weights(action, x)
-    return _nonarch_report(ms, [_valuation(c, place.prime) for c in xs], place)
+    return _nonarch_report(functools.partial(exactlp.minimize_max_affine, ms),
+                           [_valuation(c, place.prime) for c in xs], place)
 
 
-def _nonarch_report(ms, vals, place: Place) -> InstabilityReport:
-    """Measure at a finite place from the valuations of the active coordinates."""
-    offsets = [Fraction(-v) for v in vals]
-    value, argmin = exactlp.minimize_max_affine(ms, offsets)
+def _nonarch_report(minimize, vals, place: Place) -> InstabilityReport:
+    """Measure at a finite place from the valuations of the active coordinates;
+    minimize(offsets) is min over xi of max_i (<m_i, xi> + offsets_i)."""
+    offsets = [-v for v in vals]
+    value, argmin = minimize(offsets)
     if value is None:
         return _unstable_report(place)
     measure = value - max(offsets)
@@ -217,16 +219,18 @@ def instability_arch(
     its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
     least squares, drives the gradient below tol.
     """
-    return _arch_report(action.rank, *_active_weights(action, x), tol)
+    xs, ms = _active_weights(action, x)
+    return _arch_report(action.rank, xs, ms, functools.partial(exactlp.face_of_zero, ms), tol)
 
 
-def _arch_report(rank: int, xs, ms, tol: float) -> InstabilityReport:
-    """The archimedean report; -infinity when the face of zero is empty."""
+def _arch_report(rank: int, xs, ms, face_of_zero, tol: float) -> InstabilityReport:
+    """The archimedean report; -infinity when the face of zero is empty.
+    face_of_zero() is called only when the exact balance test fails."""
     xs2 = [c ** 2 for c in xs]
     grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
     if all(g == 0 for g in grad0):
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
-    face = exactlp.face_of_zero(ms)
+    face = face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
@@ -247,21 +251,24 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     """Instability reports at every place where the measure can be nonzero.
 
     The places are the support primes of the coordinates, ascending, then
-    oo, all read off one valuation table.  The archimedean face of zero
-    decides semistability for all of them: an unstable point gets -infinity
-    everywhere before any per-prime LP runs.
+    oo, all read off one valuation table.  Every LP runs on one
+    :class:`exactlp.ZeroSumPolytope` of the active weights, so phase 1 runs
+    once per input.  Its face of zero decides semistability for all places:
+    an unstable point gets -infinity everywhere before any per-prime LP runs.
     """
     xs, ms = _active_weights(action, x)
     return _reports(action.rank, xs, ms, valuation_table(xs), tol)
 
 
 def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
-    arch = _arch_report(rank, xs, ms, tol)
+    polytope = exactlp.ZeroSumPolytope(ms)
+    arch = _arch_report(rank, xs, ms, polytope.face_of_zero, tol)
     places = [Place._of_prime(p) for p in table]  # the table's keys are proven primes
     if arch.value.neg_inf:
         reports = {place: _unstable_report(place) for place in places}
     else:
-        reports = {place: _nonarch_report(ms, vals, place) for place, vals in zip(places, table.values())}
+        reports = {place: _nonarch_report(polytope.minimize_max_affine, vals, place)
+                   for place, vals in zip(places, table.values())}
     reports[ARCHIMEDEAN] = arch
     return reports
 
@@ -370,7 +377,7 @@ def kempf_ness_profile(
     if len(lam) != action.rank:
         raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
     xs, ms = _active_weights(action, x)
-    pairings = [sum(int(m[k]) * lam[k] for k in range(action.rank)) for m in ms]
+    pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in ms]
     out = []
     if place.is_archimedean:
         logs = [log_abs(c ** 2, ARCHIMEDEAN).arch for c in xs]

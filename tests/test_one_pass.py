@@ -23,6 +23,7 @@ from githeight import (
     quotient_height,
     quotient_height_conj,
 )
+from githeight.places import ARCHIMEDEAN, Place
 
 _rng = random.Random(8)
 DENSE8 = MatrixQ.from_lists(
@@ -45,13 +46,16 @@ def calls(monkeypatch):
         for key, mod in list(sys.modules.items()):
             if key.startswith("githeight") and getattr(mod, attr, None) is fn:
                 monkeypatch.setattr(mod, attr, wrapper)
+        if isinstance(module, type):  # a method: the class is its one binding
+            monkeypatch.setattr(module, attr, wrapper)
 
     count("charpoly", conjugation, "charpoly")
     count("roots", conjugation, "complex_roots")
-    count("lp", exactlp, "minimize_max_affine")
+    # the module functions go through the polytope's methods, so these count both
+    count("lp", exactlp.ZeroSumPolytope, "minimize_max_affine")
+    count("hull lp", exactlp.ZeroSumPolytope, "separating_direction")
     count("feasible", exactlp, "feasible")
-    count("hull lp", exactlp, "separating_direction")
-    count("simplex", exactlp, "_simplex")
+    count("phase 1", exactlp._Simplex, "__init__")
     count("factorize", places, "factorize")
     count("valuation", places, "valuation")
     count("is_prime", places, "is_prime")
@@ -78,7 +82,7 @@ def test_torus_quotient_height_runs_no_hull_lp(calls):
     quotient_height(action, ProjectivePointQ.parse("12:5:7:10:3"))
     # semistability is read off the face of zero, not a separate hull LP
     assert calls["hull lp"] == 0
-    # one LP per support prime (2, 3, 5, 7)
+    # one LP on the input's polytope per support prime (2, 3, 5, 7)
     assert calls["lp"] == 4
     # the face of zero comes from exactlp.face_of_zero, not one Farkas test per weight
     assert calls["feasible"] == 0
@@ -108,4 +112,47 @@ def test_balanced_point_runs_no_lp(calls):
     # sum x_i^2 m_i = 0: every weight is on the face of zero and the measure is exactly 0
     report = instability_arch(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("3:3"))
     assert report.value.is_exact_zero
-    assert calls["simplex"] == 0
+    assert calls["phase 1"] == 0
+
+
+@pytest.mark.parametrize("whole_input", [quotient_height, instability_all])
+def test_one_phase_one_per_input(calls, whole_input):
+    action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
+    whole_input(action, ProjectivePointQ.parse("12:5:7:10:3"))
+    # the face of zero and the four per-prime LPs share one feasible tableau
+    assert calls["phase 1"] == 1
+    assert calls["lp"] == 4
+
+
+def _degenerate_input(rng):
+    """A torus point whose LPs are degenerate: repeated and zero weights,
+    coordinates over 2, 3, 5 with tied valuations."""
+    rank = rng.randint(1, 4)
+    pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 4))]
+    pool += [tuple(-v for v in m) for m in pool[:rng.randint(0, len(pool))]] + [(0,) * rank]
+    weights = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+    coords = [rng.choice([0, 1, 2, 3, 4, 6, 12, Fraction(1, 2), Fraction(5, 6), 30]) for _ in weights]
+    if not any(coords):
+        coords[0] = 1
+    return TorusAction(rank, tuple(weights)), ProjectivePointQ(tuple(Fraction(c) for c in coords))
+
+
+def test_shared_tableau_matches_one_solve_per_lp():
+    rng = random.Random(1729)
+    stable = 0
+    for _ in range(300):
+        action, x = _degenerate_input(rng)
+        reports = instability_all(action, x)
+        primes = [place.prime for place in reports if not place.is_archimedean]
+        stable += not reports[ARCHIMEDEAN].value.neg_inf
+        for p in primes:
+            assert reports[Place.finite(p)] == instability_nonarch(action, x, p)
+        # the face read off a polytope that already ran LPs is the oracle's
+        ms = [m for m, c in zip(action.weights, x.coords) if c != 0]
+        polytope = exactlp.ZeroSumPolytope(ms)
+        for p in primes:
+            polytope.minimize_max_affine([-places.valuation(c, p) for c in x.coords if c != 0])
+        expected = [j for j, mj in enumerate(ms)
+                    if not exactlp.feasible([(m, 0) for m in ms] + [(mj, -1)], action.rank)]
+        assert polytope.face_of_zero() == expected
+    assert 50 < stable < 300

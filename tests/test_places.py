@@ -183,7 +183,7 @@ def test_shared_primes_and_powers_need_no_pollard_brent(monkeypatch, family):
 
 
 def test_factorize_gives_up_within_its_budget(time_limit):
-    # the least prime factor is M61, far beyond 2^20 Pollard-Brent steps
+    # the least prime factor is M61, far beyond the 2^20 / 3 Pollard-Brent steps of a 150-bit number
     with time_limit(10), pytest.raises(NoConvergenceError):
         factorize(M61 * (2**89 - 1))
 

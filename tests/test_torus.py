@@ -164,7 +164,7 @@ def test_simplex_certificates_on_random_programs():
              for _ in range(m)] + [[1] * (n + 1)]
         b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] + [10]
         c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [0]
-        x, y = exactlp._simplex(a, b, c)
+        x, y = exactlp._Simplex(a, b).maximize(c)
         outcomes.add(x is None)
         duals = [sum(y_i * row[j] for y_i, row in zip(y, a)) for j in range(n + 1)]
         y_b = sum(y_i * b_i for y_i, b_i in zip(y, b))
@@ -179,9 +179,9 @@ def test_simplex_certificates_on_random_programs():
 
 
 def test_face_of_zero_matches_one_farkas_test_per_weight(monkeypatch):
-    solves = []
-    on_polytope = exactlp._on_polytope
-    monkeypatch.setattr(exactlp, "_on_polytope", lambda *a, **k: solves.append(1) or on_polytope(*a, **k))
+    solves = []  # phase-2 solves: phase 1 runs once per polytope
+    maximize = exactlp._Simplex.maximize
+    monkeypatch.setattr(exactlp._Simplex, "maximize", lambda *a, **k: solves.append(1) or maximize(*a, **k))
     rng = random.Random(101)
     for _ in range(60):
         rank, slopes, _ = _random_program(rng)
