@@ -2,10 +2,14 @@
 
 Every operation is reachable as a subcommand with JSON output; inputs come
 from flags or, when the primary input flag is omitted, from a JSON object
-on stdin.  Exit codes: 0 success, 1 domain error (unstable or nilpotent
-input), 2 parse or validation error, 3 convergence failure.  A reader that
-closes stdout early (``githeight paper-suite | head -1``) ends the command
-quietly with exit 0: the rest of the output is dropped.
+on stdin.  Each stdin key takes one JSON type: ``point`` an ``"a:b"``
+string or an array, ``weights`` a comma-separated string or an array,
+``action`` an object or its JSON text, ``matrix`` an array of arrays or its
+JSON text, ``place`` a string or an integer; any other type exits 2.
+Exit codes: 0 success, 1 domain error (unstable or nilpotent input), 2
+parse or validation error, 3 convergence failure.  A reader that closes
+stdout early (``githeight paper-suite | head -1``) ends the command quietly
+with exit 0: the rest of the output is dropped.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -61,52 +64,89 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-@dataclass(frozen=True)
-class Config:
-    """Resolved run configuration shared by every subcommand."""
-
-    arch_tol: float = 1e-12
-    compare_tol: float = 1e-9
-    norm_choice: str = "frobenius"
-    seed: int = 0
-    samples: int = 100
-    fmt: str = "float"
-
-    def __post_init__(self):
-        # the comparisons are false for nan, so nan is rejected too
-        if not all(0 < t < math.inf for t in (self.arch_tol, self.compare_tol)):
-            raise InputError("tolerances must be finite and positive")
-
-
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
 
-def _stdin_payload() -> dict:
-    raw = sys.stdin.read()
-    if not raw.strip():
-        raise InputError("expected a JSON object on stdin")
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"stdin is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise InputError("stdin JSON must be an object")
-    return payload
+# The JSON types each input takes, whether it comes from a flag or from the
+# "stdin" object.  A string that starts with "[" or "{" is JSON text and is
+# decoded first; any other string is the input's own text form ("a:b"
+# coordinates, comma-separated weights, a place).
+_JSON_TYPES = {
+    "point": ((str, list), "an 'a:b' string or an array"),
+    "weights": ((str, list), "a comma-separated string or an array"),
+    "action": ((dict,), "an object or its JSON text"),
+    "matrix": ((list,), "an array of rows or its JSON text"),
+    "place": ((str, int), "a string or an integer"),
+    "stdin": ((dict,), "a JSON object of the inputs"),
+}
+# a command takes its subject from stdin unless one of these flags is given
+_SUBJECT = ("matrix", "weights", "action")
 
 
-def _place_arg(args, payload: dict):
-    """--place if given, else the stdin payload's "place", else oo."""
-    return args.place if args.place is not None else payload.get("place", "oo")
+def _checked(key: str, value):
+    """The value of input ``key``, decoded if it is JSON text; InputError
+    unless it has one of the key's JSON types."""
+    if isinstance(value, str) and value.lstrip()[:1] in ("[", "{"):
+        try:
+            value = json.loads(value)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise InputError(f"{key} is not valid JSON: {exc}") from None
+    types, description = _JSON_TYPES[key]
+    # a JSON true or false is no place, although bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise InputError(f"{key} must be {description}, got {value!r:.80}")
+    return value
+
+
+def _inputs(args, primary) -> dict:
+    """Every input the command takes, checked: each from its flag, else from
+    the JSON object on stdin, which is read only when no flag of ``primary``
+    is given.  An absent place is oo."""
+    keys = [k for k in _JSON_TYPES if hasattr(args, k)]
+    flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    payload = {} if any(k in flags for k in primary) else _checked("stdin", sys.stdin.read())
+    found = {**{k: payload[k] for k in keys if k in payload}, **flags}
+    if "place" in keys:
+        found.setdefault("place", "oo")
+    return {k: _checked(k, v) for k, v in found.items()}
+
+
+def _need(inputs: dict, key: str):
+    if key not in inputs:
+        raise InputError(f"need --{key} or stdin JSON with a '{key}' key")
+    return inputs[key]
+
+
+def _parse_point(inputs: dict) -> ProjectivePointQ:
+    point = _need(inputs, "point")
+    if isinstance(point, list):
+        return ProjectivePointQ(tuple(point))
+    return ProjectivePointQ.parse(point)
+
+
+def _parse_subject(inputs: dict):
+    """The input's MatrixQ if it has a matrix, else its (action, point)."""
+    if "matrix" in inputs:
+        return MatrixQ.from_json(inputs["matrix"])
+    if "action" in inputs:
+        action = TorusAction.from_json(inputs["action"])
+    elif "weights" in inputs:
+        weights = inputs["weights"]
+        if isinstance(weights, str):
+            weights = [int(w) for w in weights.split(",") if w.strip()]
+        rows = [w if isinstance(w, list) else [w] for w in weights]
+        if not rows:
+            raise InputError("empty weight list")
+        action = TorusAction(rank=len(rows[0]), weights=rows)
+    else:
+        raise InputError("need --weights, --action, or stdin JSON")
+    return action, _parse_point(inputs)
 
 
 def _parse_place(value) -> Place:
-    """A place from 'oo', a prime as text, or a prime as a JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Place.finite(value)
-    if not isinstance(value, str):
-        raise InputError(f"place must be 'oo' or a prime, got {value!r}")
-    text = value.strip().lower()
+    """A place from 'oo', or a prime as text or as a JSON integer."""
+    text = str(value).strip().lower()
     if text in ("oo", "inf", "infinity", "arch"):
         return ARCHIMEDEAN
     try:
@@ -114,53 +154,6 @@ def _parse_place(value) -> Place:
     except ValueError:
         raise InputError(f"place must be 'oo' or a prime, got {text!r}") from None
     return Place.finite(p)
-
-
-def _parse_action(args, payload: dict) -> TorusAction:
-    weights = getattr(args, "weights", None) or payload.get("weights")
-    action_json = getattr(args, "action", None) or payload.get("action")
-    if action_json is not None:
-        if isinstance(action_json, str):
-            action_json = json.loads(action_json)
-        return TorusAction.from_json(action_json)
-    if weights is None:
-        raise InputError("need --weights, --action, or stdin JSON")
-    if isinstance(weights, str):
-        if weights.lstrip().startswith("["):
-            weights = json.loads(weights)
-        else:
-            weights = [[int(w)] for w in weights.split(",") if w.strip()]
-    rows = [list(w) if isinstance(w, (list, tuple)) else [w] for w in weights]
-    if not rows:
-        raise InputError("empty weight list")
-    return TorusAction(rank=len(rows[0]), weights=tuple(tuple(r) for r in rows))
-
-
-def _parse_point(args, payload: dict) -> ProjectivePointQ:
-    text = getattr(args, "point", None) or payload.get("point")
-    if text is None:
-        raise InputError("need --point or stdin JSON with a 'point' key")
-    if isinstance(text, list):
-        return ProjectivePointQ(tuple(as_fraction(c) for c in text))
-    return ProjectivePointQ.parse(text)
-
-
-def _parse_matrix(args, payload: dict) -> MatrixQ:
-    raw = getattr(args, "matrix", None) or payload.get("matrix")
-    if raw is None:
-        raise InputError("need --matrix or stdin JSON with a 'matrix' key")
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"matrix is not valid JSON: {exc}") from None
-    return MatrixQ.from_json(raw)
-
-
-def _payload_if_needed(args, keys) -> dict:
-    if any(getattr(args, k, None) is not None for k in keys):
-        return {}
-    return _stdin_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -186,169 +179,138 @@ def _logvalue_json(value: LogValue, fmt: str):
 def _minimizer_json(minimizer, fmt: str):
     if minimizer is None:
         return None
-    out = []
-    for x in minimizer:
-        if isinstance(x, Fraction):
-            out.append(str(x) if fmt == "exact" else float(x))
-        else:
-            out.append(float(x))
-    return out
-
-
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    return [str(x) if fmt == "exact" and isinstance(x, Fraction) else float(x) for x in minimizer]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_height(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("point", "matrix"))
-    if getattr(args, "matrix", None) is not None or "matrix" in payload:
-        value = naive_matrix_height(_parse_matrix(args, payload))
+# Each command but paper-suite returns the JSON object it prints.
+
+def _cmd_height(args) -> dict:
+    inputs = _inputs(args, ("point", "matrix"))
+    if "matrix" in inputs:
+        value = naive_matrix_height(_parse_subject(inputs))
     else:
-        value = naive_height(_parse_point(args, payload))
-    _emit(_logvalue_json(value, config.fmt))
-    return 0
+        value = naive_height(_parse_point(inputs))
+    return _logvalue_json(value, args.format)
 
 
-def _cmd_semistable(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("matrix", "weights", "action"))
-    if getattr(args, "matrix", None) is not None or "matrix" in payload:
-        ok = is_semistable_conj(_parse_matrix(args, payload))
+def _cmd_semistable(args) -> dict:
+    subject = _parse_subject(_inputs(args, _SUBJECT))
+    if isinstance(subject, MatrixQ):
+        ok = is_semistable_conj(subject)
     else:
-        action = _parse_action(args, payload)
-        ok = is_semistable(action, _parse_point(args, payload))
-    _emit({"semistable": ok})
-    return 0
+        ok = is_semistable(*subject)
+    return {"semistable": ok}
 
 
-def _cmd_destabilize(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("weights", "action"))
-    action = _parse_action(args, payload)
-    one_ps = destabilizing_1ps(action, _parse_point(args, payload))
-    if one_ps is None:
-        _emit({"semistable": True, "one_ps": None})
+def _cmd_destabilize(args) -> dict:
+    one_ps = destabilizing_1ps(*_parse_subject(_inputs(args, _SUBJECT)))
+    return {"semistable": one_ps is None, "one_ps": None if one_ps is None else list(one_ps)}
+
+
+def _cmd_instability(args) -> dict:
+    inputs = _inputs(args, _SUBJECT)
+    place = None if inputs["place"] == "all" else _parse_place(inputs["place"])
+    subject = _parse_subject(inputs)
+    if place is None:
+        if isinstance(subject, MatrixQ):
+            values = instability_all_conj(subject, norm=args.norm, tol=args.tol)
+        else:
+            reports = instability_all(*subject, tol=args.arch_tol)
+            values = {pl: r.value for pl, r in reports.items()}
+        return {"instability": {str(pl): _logvalue_json(v, args.format) for pl, v in values.items()}}
+    if isinstance(subject, MatrixQ):
+        value = instability_conj(subject, place, norm=args.norm, tol=args.tol)
+        return {"place": str(place), "value": _logvalue_json(value, args.format)}
+    if place.is_archimedean:
+        report = instability_arch(*subject, tol=args.arch_tol)
     else:
-        _emit({"semistable": False, "one_ps": list(one_ps)})
-    return 0
+        report = instability_nonarch(*subject, place.prime)
+    return {
+        "place": str(report.place),
+        "value": _logvalue_json(report.value, args.format),
+        "minimizer": _minimizer_json(report.minimizer, args.format),
+        "residually_semistable": report.residually_semistable,
+    }
 
 
-def _cmd_instability(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("matrix", "weights", "action"))
-    place_text = _place_arg(args, payload)
-    place = None if place_text == "all" else _parse_place(place_text)
-
-    if getattr(args, "matrix", None) is not None or "matrix" in payload:
-        phi = _parse_matrix(args, payload)
-        if place is not None:
-            value = instability_conj(phi, place, norm=config.norm_choice, tol=config.compare_tol)
-            _emit({"place": str(place), "value": _logvalue_json(value, config.fmt)})
-            return 0
-        values = instability_all_conj(phi, norm=config.norm_choice, tol=config.compare_tol)
+def _cmd_quotient_height(args) -> dict:
+    subject = _parse_subject(_inputs(args, _SUBJECT))
+    if isinstance(subject, MatrixQ):
+        value = quotient_height_conj(subject, tol=args.tol)
     else:
-        action = _parse_action(args, payload)
-        point = _parse_point(args, payload)
-        if place is not None:
-            if place.is_archimedean:
-                report = instability_arch(action, point, tol=config.arch_tol)
-            else:
-                report = instability_nonarch(action, point, place.prime)
-            _emit({
-                "place": str(report.place),
-                "value": _logvalue_json(report.value, config.fmt),
-                "minimizer": _minimizer_json(report.minimizer, config.fmt),
-                "residually_semistable": report.residually_semistable,
-            })
-            return 0
-        reports = instability_all(action, point, tol=config.arch_tol)
-        values = {pl: r.value for pl, r in reports.items()}
-    _emit({"instability": {str(pl): _logvalue_json(v, config.fmt) for pl, v in values.items()}})
-    return 0
+        value = quotient_height(*subject, tol=args.arch_tol)
+    return _logvalue_json(value, args.format)
 
 
-def _cmd_quotient_height(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("matrix", "weights", "action"))
-    if getattr(args, "matrix", None) is not None or "matrix" in payload:
-        value = quotient_height_conj(_parse_matrix(args, payload),
-                                     tol=config.compare_tol)
-    else:
-        action = _parse_action(args, payload)
-        value = quotient_height(action, _parse_point(args, payload),
-                                tol=config.arch_tol)
-    _emit(_logvalue_json(value, config.fmt))
-    return 0
-
-
-def _cmd_minimal(args, config: Config) -> int:
-    payload = _payload_if_needed(args, ("matrix",))
-    phi = _parse_matrix(args, payload)
-    place = _parse_place(_place_arg(args, payload))
+def _cmd_minimal(args) -> dict:
+    inputs = _inputs(args, ("matrix",))
+    phi = MatrixQ.from_json(_need(inputs, "matrix"))
+    place = _parse_place(inputs["place"])
     if place.is_archimedean:
         report = is_minimal_arch(phi)
     else:
         report = is_minimal_nonarch(phi, place.prime)
-    _emit({
+    return {
         "place": str(report.place),
         "minimal": report.minimal,
         "defect": report.defect,
         "witness": report.witness,
-    })
-    return 0
+    }
 
 
-def _cmd_bounds(args, config: Config) -> int:
-    if args.bounds_cmd == "ell":
-        _emit({"n": args.n, "ell": ell(args.n)})
-        return 0
-    if args.bounds_cmd == "epsilon":
-        result = epsilon_norm_check(args.w)
-        _emit({
-            "size": result.size,
-            "norm": result.norm,
-            "bound": result.bound,
-            "ok": result.ok,
-            "iterations": result.iterations,
-        })
-        return 0
-    if args.bounds_cmd == "lower":
-        multipliers = [as_fraction(b) for b in args.b.split(",")]
-        ranks = [int(r) for r in args.ranks.split(",")]
-        if args.slopes_json is not None:
-            slopes = [LogValue.from_json_dict(d) for d in json.loads(args.slopes_json)]
-        else:
-            slopes = [LogValue.from_arch(float(s)) for s in args.slopes.split(",")]
-        value = explicit_lower_bound(multipliers, slopes, ranks)
-        _emit(_logvalue_json(value, config.fmt))
-        return 0
-    if args.bounds_cmd == "convex-lemma":
-        variant = _normalize_variant(args.variant)
-        _emit({
-            "variant": variant,
-            "min": convex_lemma_min(variant, args.grid_tol),
-            "argmin": convex_lemma_argmin(variant, args.grid_tol),
-        })
-        return 0
-    raise InputError(f"unknown bounds subcommand {args.bounds_cmd!r}")
+def _cmd_ell(args) -> dict:
+    return {"n": args.n, "ell": ell(args.n)}
 
 
-def _normalize_variant(text: str) -> str:
-    key = text.strip().lower().replace("-", "_").replace(" ", "")
-    if key in ("log3",):
-        return "log3"
-    if key in ("log_sqrt3", "logsqrt3", "sqrt3"):
-        return "log_sqrt3"
-    raise InputError(f"unknown convex profile {text!r}")
+def _cmd_epsilon(args) -> dict:
+    result = epsilon_norm_check(args.w)
+    return {
+        "size": result.size,
+        "norm": result.norm,
+        "bound": result.bound,
+        "ok": result.ok,
+        "iterations": result.iterations,
+    }
+
+
+def _cmd_lower(args) -> dict:
+    multipliers = [as_fraction(b) for b in args.b.split(",")]
+    ranks = [int(r) for r in args.ranks.split(",")]
+    if args.slopes_json is not None:
+        slopes = [LogValue.from_json_dict(d) for d in json.loads(args.slopes_json)]
+    else:
+        slopes = [LogValue.from_arch(float(s)) for s in args.slopes.split(",")]
+    value = explicit_lower_bound(multipliers, slopes, ranks)
+    return _logvalue_json(value, args.format)
+
+
+# the convex profiles by name, "-" read as "_" and spaces dropped
+_VARIANTS = {"log3": "log3", "log_sqrt3": "log_sqrt3", "logsqrt3": "log_sqrt3", "sqrt3": "log_sqrt3"}
+
+
+def _cmd_convex_lemma(args) -> dict:
+    key = args.variant.strip().lower().replace("-", "_").replace(" ", "")
+    if key not in _VARIANTS:
+        raise InputError(f"unknown convex profile {args.variant!r}")
+    variant = _VARIANTS[key]
+    return {
+        "variant": variant,
+        "min": convex_lemma_min(variant, args.grid_tol),
+        "argmin": convex_lemma_argmin(variant, args.grid_tol),
+    }
 
 
 # ---------------------------------------------------------------------------
 # bundled regression suite of worked examples
 # ---------------------------------------------------------------------------
 
-def _suite_checks(config: Config):
+def _suite_checks(args):
     """Named end-to-end checks with frozen expected values."""
-    tol = config.compare_tol
+    tol = args.tol
     action = TorusAction(rank=1, weights=((-2,), (1,), (4,)))
     point = ProjectivePointQ.parse("2:2:1")
     unipotent = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -390,12 +352,12 @@ def _suite_checks(config: Config):
         return "exact 0", f"{r.value.to_float():.9f}", ok
 
     def c_inst_arch():
-        r = instability_arch(action, point, tol=config.arch_tol)
+        r = instability_arch(action, point, tol=args.arch_tol)
         ok = r.value.is_exact_zero and all(float(x) == 0.0 for x in r.minimizer)
         return "exact 0 at xi = 0", f"{r.value.to_float():.9f} at {r.minimizer}", ok
 
     def c_quot_torus():
-        v = quotient_height(action, point, tol=config.arch_tol)
+        v = quotient_height(action, point, tol=args.arch_tol)
         expect = LN3 - Fraction(2, 3) * LN2
         ok = (
             v.finite_coefficient(2) == Fraction(-2, 3)
@@ -442,8 +404,7 @@ def _suite_checks(config: Config):
         return "<= 1e-10", f"{worst:.3e}", worst <= 1e-10
 
     def c_orbit():
-        v = orbit_sampling_bound(unipotent, samples=config.samples,
-                                 seed=config.seed).to_float()
+        v = orbit_sampling_bound(unipotent, samples=100, seed=0).to_float()
         lower = 0.5 * math.log(3.0)
         return f">= {lower:.9f}", f"{v:.9f}", v >= lower - 1e-9
 
@@ -517,8 +478,8 @@ def _suite_checks(config: Config):
     ]
 
 
-def _cmd_suite(args, config: Config) -> int:
-    checks = _suite_checks(config)
+def _cmd_suite(args) -> int:
+    checks = _suite_checks(args)
     width = max(len(name) for name, _ in checks)
     failures = 0
     for name, fn in checks:
@@ -539,6 +500,25 @@ def _cmd_suite(args, config: Config) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+# The global options.
+_OPTIONS = (
+    ("--tol", dict(type=float, default=None,
+                   help="comparison tolerance, and the root-refinement tolerance of "
+                        "every matrix command (default 1e-9; env GIT_HEIGHT_TOL)")),
+    ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
+    ("--format", dict(choices=("float", "exact"), default="float",
+                      help="finite parts as floats or exact rational strings")),
+    ("--norm", dict(choices=("frobenius", "sup"), default="frobenius",
+                    help="archimedean matrix norm")),
+)
+_MATRIX = ("--matrix", dict(help="JSON rows of a square matrix"))
+_TORUS = (
+    ("--weights", dict(help="comma-separated rank-1 weights or JSON rows")),
+    ("--action", dict(help="JSON {rank, weights}")),
+    ("--point", dict(help="colon-separated coordinates")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="githeight",
@@ -549,116 +529,66 @@ def build_parser() -> argparse.ArgumentParser:
     # the same options are accepted after the subcommand; SUPPRESS keeps an
     # absent trailing flag from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs in (
-        ("--tol", dict(type=float, default=None,
-                       help="comparison tolerance, and the root-refinement tolerance of "
-                            "every matrix command (default 1e-9; env GIT_HEIGHT_TOL)")),
-        ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
-        ("--seed", dict(type=int, default=0, help="RNG seed")),
-        ("--samples", dict(type=int, default=100, help="orbit sample count")),
-        ("--format", dict(choices=("float", "exact"), default="float",
-                          help="finite parts as floats or exact rational strings")),
-        ("--norm", dict(choices=("frobenius", "sup"), default="frobenius",
-                        help="archimedean matrix norm")),
-    ):
+    for flag, kwargs in _OPTIONS:
         parser.add_argument(flag, **kwargs)
         common.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
 
+    def command(subparsers, name, func, help, *arguments) -> None:
+        """Add the subcommand ``name``, which runs ``func(args)``, with the
+        global options and each (flag, keywords) pair of ``arguments``."""
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+
     sub = parser.add_subparsers(dest="command", required=True)
+    command(sub, "height", _cmd_height, "naive height of a point or matrix",
+            ("point", dict(nargs="?", help="colon-separated coordinates, e.g. 2:2:1")), _MATRIX)
+    command(sub, "semistable", _cmd_semistable, "semistability test", *_TORUS, _MATRIX)
+    command(sub, "destabilize", _cmd_destabilize,
+            "destabilizing one-parameter subgroup, if any", *_TORUS)
+    command(sub, "instability", _cmd_instability, "instability measure at a place",
+            *_TORUS, _MATRIX, ("--place", dict(help="'oo', a prime, or 'all'")))
+    command(sub, "quotient-height", _cmd_quotient_height, "height on the quotient",
+            *_TORUS, _MATRIX)
+    command(sub, "minimal", _cmd_minimal, "norm minimality on the orbit at a place",
+            _MATRIX, ("--place", dict(help="'oo' or a prime")))
 
-    p = sub.add_parser("height", parents=[common],
-                       help="naive height of a point or matrix")
-    p.add_argument("point", nargs="?", help="colon-separated coordinates, e.g. 2:2:1")
-    p.add_argument("--matrix", help="JSON rows of a square matrix")
-    p.set_defaults(func=_cmd_height)
+    bounds = sub.add_parser("bounds", help="slope bounds and related constants")
+    bsub = bounds.add_subparsers(dest="bounds_cmd", required=True)
+    command(bsub, "ell", _cmd_ell, "(log n!)/n", ("n", dict(type=int)))
+    command(bsub, "epsilon", _cmd_epsilon, "antisymmetrization norm check",
+            ("w", dict(type=int)))
+    command(bsub, "lower", _cmd_lower, "explicit lower bound for twisted heights",
+            ("--b", dict(required=True, help="comma-separated twisting exponents")),
+            ("--slopes", dict(help="comma-separated slopes (floats)")),
+            ("--slopes-json", dict(help="JSON list of exact slope values")),
+            ("--ranks", dict(required=True, help="comma-separated ranks")))
+    command(bsub, "convex-lemma", _cmd_convex_lemma, "named one-variable convex minimum",
+            ("variant", dict(help="log3 or log_sqrt3")),
+            ("--grid-tol", dict(type=float, default=1e-10)))
 
-    p = sub.add_parser("semistable", parents=[common], help="semistability test")
-    _add_torus_args(p)
-    p.add_argument("--matrix", help="JSON rows of a square matrix")
-    p.set_defaults(func=_cmd_semistable)
-
-    p = sub.add_parser("destabilize", parents=[common],
-                       help="destabilizing one-parameter subgroup, if any")
-    _add_torus_args(p)
-    p.set_defaults(func=_cmd_destabilize)
-
-    p = sub.add_parser("instability", parents=[common],
-                       help="instability measure at a place")
-    _add_torus_args(p)
-    p.add_argument("--matrix", help="JSON rows of a square matrix")
-    p.add_argument("--place", help="'oo', a prime, or 'all'", default=None)
-    p.set_defaults(func=_cmd_instability)
-
-    p = sub.add_parser("quotient-height", parents=[common],
-                       help="height on the quotient")
-    _add_torus_args(p)
-    p.add_argument("--matrix", help="JSON rows of a square matrix")
-    p.set_defaults(func=_cmd_quotient_height)
-
-    p = sub.add_parser("minimal", parents=[common],
-                       help="norm minimality on the orbit at a place")
-    p.add_argument("--matrix", help="JSON rows of a square matrix")
-    p.add_argument("--place", help="'oo' or a prime", default=None)
-    p.set_defaults(func=_cmd_minimal)
-
-    p = sub.add_parser("bounds", help="slope bounds and related constants")
-    bsub = p.add_subparsers(dest="bounds_cmd", required=True)
-    b = bsub.add_parser("ell", parents=[common], help="(log n!)/n")
-    b.add_argument("n", type=int)
-    b.set_defaults(func=_cmd_bounds)
-    b = bsub.add_parser("epsilon", parents=[common],
-                        help="antisymmetrization norm check")
-    b.add_argument("w", type=int)
-    b.set_defaults(func=_cmd_bounds)
-    b = bsub.add_parser("lower", parents=[common],
-                        help="explicit lower bound for twisted heights")
-    b.add_argument("--b", required=True, help="comma-separated twisting exponents")
-    b.add_argument("--slopes", help="comma-separated slopes (floats)")
-    b.add_argument("--slopes-json", help="JSON list of exact slope values")
-    b.add_argument("--ranks", required=True, help="comma-separated ranks")
-    b.set_defaults(func=_cmd_bounds)
-    b = bsub.add_parser("convex-lemma", parents=[common],
-                        help="named one-variable convex minimum")
-    b.add_argument("variant", help="log3 or log_sqrt3")
-    b.add_argument("--grid-tol", type=float, default=1e-10)
-    b.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("paper-suite", parents=[common],
-                       help="run the bundled regression suite of worked examples")
-    p.set_defaults(func=_cmd_suite)
-
+    command(sub, "paper-suite", _cmd_suite,
+            "run the bundled regression suite of worked examples")
     return parser
 
 
-def _add_torus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weights", help="comma-separated rank-1 weights or JSON rows")
-    p.add_argument("--action", help="JSON {rank, weights}")
-    p.add_argument("--point", help="colon-separated coordinates")
-
-
-def _resolve_config(args) -> Config:
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("GIT_HEIGHT_TOL")
-        tol = float(env) if env else 1e-9
-    return Config(
-        arch_tol=args.arch_tol,
-        compare_tol=tol,
-        norm_choice=args.norm,
-        seed=args.seed,
-        samples=args.samples,
-        fmt=args.format,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        code = args.func(args, config)
+        if args.tol is None:
+            env = os.environ.get("GIT_HEIGHT_TOL")
+            args.tol = float(env) if env else 1e-9
+        # the comparisons are false for nan, so nan is rejected too
+        if not all(0 < t < math.inf for t in (args.tol, args.arch_tol)):
+            raise InputError("tolerances must be finite and positive")
+        output = args.func(args)
+        # paper-suite prints its own report and returns its exit code
+        if not isinstance(output, int):
+            print(json.dumps(output, indent=2, sort_keys=True))
+            output = 0
         sys.stdout.flush()
-        return code
+        return output
     except BrokenPipeError:
         # the reader has gone: the flush at interpreter exit writes the rest to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -671,10 +601,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError, and the int(), float() and JSON parse errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

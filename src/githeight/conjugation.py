@@ -61,17 +61,16 @@ class MatrixQ:
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[RationalLike]]) -> "MatrixQ":
-        return cls(tuple(tuple(as_fraction(x) for x in row) for row in rows))
+        # a row that is not a list would fail later as a TypeError on iteration
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise InputError("a matrix must be an array of rows, each an array")
+        return cls(tuple(rows))
+
+    from_json = from_lists
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_json(cls, data) -> "MatrixQ":
-        if not isinstance(data, (list, tuple)):
-            raise InputError("matrix JSON must be an array of rows")
-        return cls.from_lists(data)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]

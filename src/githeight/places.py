@@ -50,9 +50,9 @@ _SMALL_PRIMES = _sieve(1000)
 # Witness set proven sufficient for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Pollard-Brent budget per number split.  A step on an n-bit number costs
-# ceil(n / 64) units, roughly its time in word operations, so giving up on
-# one number takes at most about 1.5 s up to 3000 bits, not a minute;
+# Pollard-Brent budget of one family, shared by all its splits.  A step on
+# an n-bit number costs ceil(n / 64) units, roughly its time in word
+# operations, so giving up takes at most about 1.5 s up to 3000 bits;
 # splitting M61 * M31 (92 bits) takes 50 302 steps of 2 units, a tenth of it.
 _POLLARD_BUDGET = 1 << 20
 
@@ -93,10 +93,10 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
     """A proper factor of the odd composite n (Brent's variant of Pollard's
-    rho); NoConvergenceError once its steps cost _POLLARD_BUDGET units."""
-    budget, words = _POLLARD_BUDGET, -(-n.bit_length() // 64)
+    rho) and the budget units left; NoConvergenceError once they run out."""
+    words = -(-n.bit_length() // 64)
     for c in itertools.count(1):
         y, m = c, 128
         g = r = q = 1
@@ -113,7 +113,7 @@ def _pollard_brent(n: int) -> int:
                 if budget < 0:
                     raise NoConvergenceError(
                         f"no factor of a {n.bit_length()}-bit number within "
-                        f"{_POLLARD_BUDGET // words} Pollard-Brent steps"
+                        f"the Pollard-Brent budget of {_POLLARD_BUDGET} units"
                     )
                 for _ in range(steps):
                     y = (y * y + c) % n
@@ -127,7 +127,7 @@ def _pollard_brent(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
-            return g
+            return g, budget
 
 
 def _refine(base: list[int], n: int) -> None:
@@ -205,12 +205,13 @@ def _factor_all(ns: list[int]) -> list[dict[int, int]]:
     for n in set(cofactors):
         _refine(base, n)
     primes = []
+    budget = _POLLARD_BUDGET
     while base:
         b = _perfect_power_root(base.pop())
         if _miller_rabin(b):
             primes.append(b)
             continue
-        d = _pollard_brent(b)
+        d, budget = _pollard_brent(b, budget)
         _refine(base, d)
         _refine(base, b // d)
     primes.sort()
@@ -224,8 +225,8 @@ def factorize(n: int) -> dict[int, int]:
 
     The one-number case of :func:`valuation_table`'s factoring: trial
     division below 1000, the cofactor's perfect-power root, then
-    Pollard-Brent on what Miller-Rabin finds composite, with 2^20 steps
-    per split (NoConvergenceError beyond them).
+    Pollard-Brent on what Miller-Rabin finds composite, all its splits
+    within one budget of 2^20 units (NoConvergenceError beyond it).
 
     Examples:
         >>> factorize(360)

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +260,82 @@ def test_stdin_place_of_other_json_types_exits_two(capsys, monkeypatch, command,
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (("quotient-height",), {"weights": 5, "point": "1:1"}),
+    (("quotient-height",), {"weights": True, "point": "1:1"}),
+    (("height",), {"point": 5}),
+    (("quotient-height",), {"weights": [[1], [-1]], "point": {"a": 1}}),
+    (("quotient-height",), {"matrix": [1, 2]}),
+    (("quotient-height", "--matrix", "[1,2]"), {}),
+    (("quotient-height", "--matrix", "[" * 100_000), {}),
+])
+def test_wrong_json_types_exit_two(capsys, monkeypatch, argv, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _readme_examples():
+    """(argv, printed JSON) of every `$ githeight` example in README.md whose
+    output is a JSON object."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        # a command runs on over lines that end in a backslash
+        for command, output in re.findall(r"^\$ githeight ((?:.*\\\n)*.*)\n((?:[^$].*\n)*)", block, re.M):
+            if output.startswith("{"):
+                examples.append((shlex.split(command.replace("\\\n", " ")), json.loads(output)))
+    return examples
+
+
+def _same_json(got, want):
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_json(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same_json, got, want))
+    return got == want
+
+
+def test_readme_has_eight_json_examples():
+    assert len(_readme_examples()) == 8
+
+
+@pytest.mark.parametrize("argv, printed", _readme_examples())
+def test_readme_examples(capsys, argv, printed):
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and _same_json(data, printed)
+
+
+_EVERY_SUBCOMMAND = [
+    ("height", "2:2:1"),
+    ("semistable", "--weights=-2,1,4", "--point", "2:2:1"),
+    ("destabilize", "--weights", "1,1", "--point", "1:1"),
+    ("instability", "--matrix", "[[2,0],[0,3]]", "--place", "all"),
+    ("instability", "--weights=-1,1", "--point", "1:3", "--place", "oo"),
+    ("quotient-height", "--matrix", "[[1,1],[0,1]]"),
+    ("minimal", "--matrix", "[[1,1],[0,1]]"),
+    ("bounds", "ell", "2"),
+    ("bounds", "epsilon", "2"),
+    ("bounds", "lower", "--b", "1,0", "--ranks", "2,3", "--slopes", "0.5,-1"),
+    ("bounds", "convex-lemma", "log3"),
+    ("paper-suite",),
+]
+
+
+@pytest.mark.parametrize("option", [("--tol", "1e-6"), ("--arch-tol", "1e-4"),
+                                    ("--format", "exact"), ("--norm", "sup")])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND)
+def test_global_options_before_and_after_the_subcommand(capsys, argv, option):
+    before = run(capsys, *option, *argv)
+    assert before[0] == 0
+    assert run(capsys, *argv, *option) == before
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient-height", "--weights=-1,1", "--point", "1e200:1"),
     ("instability", "--weights=-1,1", "--point", "1e200:1", "--place", "oo"),
@@ -302,6 +380,11 @@ def test_minimal_of_huge_entries(capsys):
 
 
 _big = st.builds(lambda s, k: f"{s}1e{k}", st.sampled_from(["", "-"]), st.integers(0, 300))
+# a value of a wrong JSON type for weights, point, action, matrix or one matrix row
+_wrong_json = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.none(), st.dictionaries(st.just("a"), st.integers(0, 3)),
+    st.sampled_from(["x", "1,x", "", "[1", "{}"]), st.lists(st.integers(-2, 2), max_size=3),
+)
 _place_values = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 10), st.integers(10**20, 10**30),
     st.floats(allow_nan=False), st.sampled_from(["oo", "2", "3", "x", ""]),
@@ -327,6 +410,12 @@ def _cli_calls(draw):
         payload = {"matrix": draw(rows)}
         command = draw(st.sampled_from(["height", "instability", "minimal", "quotient-height"]))
         places = ["oo", "2", "all"]
+    if draw(st.integers(0, 3)) == 3:  # one input, or one matrix row, of a wrong JSON type
+        key = draw(st.sampled_from(["weights", "point", "action"] if "point" in payload else ["matrix", "row"]))
+        if key == "row":
+            payload["matrix"][draw(st.integers(0, len(payload["matrix"]) - 1))] = draw(_wrong_json)
+        else:
+            payload[key] = draw(_wrong_json)
     if command in ("height", "quotient-height", "semistable", "destabilize"):
         return [command], payload
     if draw(st.booleans()):

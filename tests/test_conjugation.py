@@ -59,6 +59,14 @@ def test_matrix_type():
     assert MatrixQ.from_json(m.to_json()) == m
 
 
+@pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], ["12", "34"], 5, None])
+def test_matrix_rows_that_are_not_lists_are_refused(rows):
+    with pytest.raises(InputError):
+        MatrixQ.from_json(rows)
+    with pytest.raises(InputError):
+        MatrixQ.from_lists(rows)
+
+
 def test_semistable_examples():
     assert is_semistable_conj(UNIPOTENT)
     assert not is_semistable_conj(NILPOTENT)

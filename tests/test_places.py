@@ -188,6 +188,17 @@ def test_factorize_gives_up_within_its_budget(time_limit):
         factorize(M61 * (2**89 - 1))
 
 
+def test_one_pollard_brent_budget_per_family(monkeypatch):
+    # split alone, the two semiprimes cost 12 798 and 6 270 units: each fits
+    # the budget, and both together do not
+    monkeypatch.setattr(places, "_POLLARD_BUDGET", 16_000)
+    first, second = 10000019 * 10001009, 10002007 * 10003001
+    assert factorize(first) == {10000019: 1, 10001009: 1}
+    assert factorize(second) == {10002007: 1, 10003001: 1}
+    with pytest.raises(NoConvergenceError):
+        valuation_table([Fraction(first), Fraction(second)])
+
+
 _W214 = TorusAction(1, ((-2,), (1,), (4,)))
 _P221 = ProjectivePointQ.parse("2:2:1")
 
