@@ -402,10 +402,16 @@ def _lemma_profile(variant: str):
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    if not 0 < tol < math.inf:
+        raise InputError("grid tolerance must be finite and positive")
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    # a tolerance below the float spacing is never reached: stop once the
+    # interval stops shrinking
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)

@@ -78,6 +78,7 @@ _JSON_TYPES = {
     "action": ((dict,), "an object or its JSON text"),
     "matrix": ((list,), "an array of rows or its JSON text"),
     "place": ((str, int), "a string or an integer"),
+    "slopes_json": ((list,), "a JSON array of slope objects"),
     "stdin": ((dict,), "a JSON object of the inputs"),
 }
 # a command takes its subject from stdin unless one of these flags is given
@@ -281,7 +282,8 @@ def _cmd_lower(args) -> dict:
     multipliers = [as_fraction(b) for b in args.b.split(",")]
     ranks = [int(r) for r in args.ranks.split(",")]
     if args.slopes_json is not None:
-        slopes = [LogValue.from_json_dict(d) for d in json.loads(args.slopes_json)]
+        # from_json_dict refuses an element that is not an object
+        slopes = [LogValue.from_json_dict(d) for d in _checked("slopes_json", args.slopes_json)]
     else:
         slopes = [LogValue.from_arch(float(s)) for s in args.slopes.split(",")]
     value = explicit_lower_bound(multipliers, slopes, ranks)
@@ -533,13 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(flag, **kwargs)
         common.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
 
-    def command(subparsers, name, func, help, *arguments) -> None:
+    def command(subparsers, name, func, help, *arguments) -> argparse.ArgumentParser:
         """Add the subcommand ``name``, which runs ``func(args)``, with the
         global options and each (flag, keywords) pair of ``arguments``."""
         p = subparsers.add_parser(name, parents=[common], help=help)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
+        return p
 
     sub = parser.add_subparsers(dest="command", required=True)
     command(sub, "height", _cmd_height, "naive height of a point or matrix",
@@ -559,11 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
     command(bsub, "ell", _cmd_ell, "(log n!)/n", ("n", dict(type=int)))
     command(bsub, "epsilon", _cmd_epsilon, "antisymmetrization norm check",
             ("w", dict(type=int)))
-    command(bsub, "lower", _cmd_lower, "explicit lower bound for twisted heights",
-            ("--b", dict(required=True, help="comma-separated twisting exponents")),
-            ("--slopes", dict(help="comma-separated slopes (floats)")),
-            ("--slopes-json", dict(help="JSON list of exact slope values")),
-            ("--ranks", dict(required=True, help="comma-separated ranks")))
+    lower = command(bsub, "lower", _cmd_lower, "explicit lower bound for twisted heights",
+                    ("--b", dict(required=True, help="comma-separated twisting exponents")),
+                    ("--ranks", dict(required=True, help="comma-separated ranks")))
+    slopes = lower.add_mutually_exclusive_group(required=True)
+    slopes.add_argument("--slopes", help="comma-separated slopes (floats)")
+    slopes.add_argument("--slopes-json", help="JSON list of exact slope values")
     command(bsub, "convex-lemma", _cmd_convex_lemma, "named one-variable convex minimum",
             ("variant", dict(help="log3 or log_sqrt3")),
             ("--grid-tol", dict(type=float, default=1e-10)))

@@ -261,99 +261,67 @@ class ComplexMultiset:
         return max(abs(z) for z, _ in self.entries)
 
 
-def _horner(coeffs: list[complex], z: complex) -> complex:
+def _horner(coeffs: list[float], z: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 
 
-def _residual_scale(coeffs: list[complex], z: complex) -> float:
-    """sum |c_i| |z|^i by Horner's rule, so no power of |z| overflows alone."""
+def _residual_scale(coeffs: list[float], z: complex) -> float:
+    """sum |c_i| |z|^i of real c_i by Horner's rule, so no power of |z| overflows alone."""
     scale = _horner([abs(c) for c in coeffs], abs(z)).real
     if not math.isfinite(scale):
         raise NoConvergenceError("root size exceeds double precision")
     return scale or 1.0
 
 
-def _aberth(coeffs: list[complex], tol: float) -> list[complex]:
-    """Polish all roots simultaneously; coeffs ascending, leading nonzero."""
+def _aberth(coeffs: list[float], tol: float) -> list[complex]:
+    """All roots, closed under conjugation exactly; coeffs real, ascending,
+    both end coefficients nonzero.
+
+    The start is np.roots: LAPACK's real eigensolver returns real roots
+    exactly real and complex roots as exact conjugate pairs, the upper
+    member first.  Each Aberth-Ehrlich sweep moves the real roots along the
+    real axis and each upper member, then conjugates it into its partner.
+    """
     deg = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    init = np.roots(coeffs[::-1])
-    if len(init) != deg or not np.all(np.isfinite(init)):
-        radius = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
-        init = radius * np.exp(2j * np.pi * (np.arange(deg) + 0.25) / deg)
-    z = [complex(w) for w in init]
-    # deterministic nudge so the Aberth denominators never start at zero
-    for i in range(deg):
-        for j in range(i):
-            if abs(z[i] - z[j]) < 1e-12 * (1.0 + abs(z[i])):
-                z[i] += (1e-7 + 1e-7j) * (i + 1) * (1.0 + abs(z[i]))
-    for _ in range(_ABERTH_MAX_SWEEPS):
-        if all(abs(_horner(coeffs, zi)) <= tol * _residual_scale(coeffs, zi) for zi in z):
-            return z
-        moved = 0.0
-        for i in range(deg):
+    z = [complex(w) for w in np.roots(coeffs[::-1])]
+    # pairs by exact equality, never by distance
+    upper = {i for i in range(deg - 1) if z[i].imag > 0 and z[i + 1] == z[i].conjugate()}
+    movers = sorted(upper | {i for i in range(deg) if z[i].imag == 0})
+    sweeps = 0
+    while not all(abs(_horner(coeffs, zi)) <= tol * _residual_scale(coeffs, zi) for zi in z):
+        if sweeps == _ABERTH_MAX_SWEEPS:
+            raise NoConvergenceError(
+                f"root refinement did not reach tolerance {tol} in {_ABERTH_MAX_SWEEPS} sweeps")
+        sweeps += 1
+        for i in movers:
+            if any(z[j] == z[i] for j in range(deg) if j != i):
+                # Aberth's repulsion needs distinct approximations; the upper
+                # member of a pair that reached the real axis moves off it
+                z[i] += (1e-7 + 1e-7j if i in upper else 1e-7) * (1.0 + abs(z[i]))
             pz = _horner(coeffs, z[i])
-            dz = _horner(dcoeffs, z[i])
-            if dz == 0:
-                z[i] += (1e-7 + 1e-7j) * (1.0 + abs(z[i]))
-                moved = math.inf
-                continue
-            newton = pz / dz
-            s = 0j
-            for j in range(deg):
-                if j != i:
-                    diff = z[i] - z[j]
-                    if diff != 0:
-                        s += 1.0 / diff
-            denom = 1.0 - newton * s
-            step = newton if denom == 0 else newton / denom
-            z[i] -= step
-            moved = max(moved, abs(step))
-        if moved <= 1e-16 * (1.0 + max(abs(zi) for zi in z)):
-            break
-    if all(abs(_horner(coeffs, zi)) <= tol * _residual_scale(coeffs, zi) for zi in z):
-        return z
-    raise NoConvergenceError(
-        f"root refinement did not reach tolerance {tol} in {_ABERTH_MAX_SWEEPS} sweeps"
-    )
-
-
-def _symmetrize(roots: list[complex]) -> list[complex]:
-    """Snap near-real roots to the real axis and force exact conjugate pairs."""
-    reals: list[complex] = []
-    upper: list[complex] = []
-    lower: list[complex] = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z)):
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            upper.append(z)
-        else:
-            lower.append(z)
-    paired: list[complex] = []
-    lower_left = list(lower)
-    for z in upper:
-        if lower_left:
-            best = min(lower_left, key=lambda w: abs(w - z.conjugate()))
-            lower_left.remove(best)
-            avg = (z + best.conjugate()) / 2
-            paired.extend([avg, avg.conjugate()])
-        else:
-            paired.extend([z, z.conjugate()])
-    reals.extend(complex(w.real, 0.0) for w in lower_left)
-    return reals + paired
+            s = sum(1.0 / (z[i] - z[j]) for j in range(deg) if z[j] != z[i])
+            # the Newton step p/p' over 1 - (p/p') s, without dividing by p'
+            denom = _horner(dcoeffs, z[i]) - pz * s
+            if pz != 0 and denom != 0:
+                step = pz / denom
+                z[i] -= step if i in upper else step.real
+            if i in upper:
+                z[i + 1] = z[i].conjugate()
+    return z
 
 
 def complex_roots(f: PolyQ, tol: float = 1e-9) -> ComplexMultiset:
     """All complex roots, multiplicity-clustered, conjugation-closed.
 
-    Companion-matrix eigenvalues initialize an Aberth-Ehrlich sweep that
+    :func:`_aberth` takes the real coefficients, scaled to at most 1, and
     runs until every residual satisfies |f(z)| <= tol * scale(z), with a
-    hard cap of 200 sweeps (NoConvergenceError beyond).  Roots are then
-    clustered at a 1e-6 relative radius to recover multiplicities.
+    hard cap of 200 sweeps.  Roots are then clustered at a 1e-6 relative
+    radius to recover multiplicities.  NoConvergenceError beyond the cap or
+    the double range of the coefficients.
 
     Examples:
         >>> roots = complex_roots(PolyQ.from_coeffs([1, -2, 1]))  # (T-1)^2
@@ -367,9 +335,11 @@ def complex_roots(f: PolyQ, tol: float = 1e-9) -> ComplexMultiset:
     if g.degree > 0:
         scale = max(abs(c) for c in g.coeffs)
         coeffs = [float(c / scale) for c in g.coeffs]
-        if coeffs[-1] == 0.0:
+        # np.roots divides by the leading coefficient
+        if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(
+                math.isfinite(c / coeffs[-1]) for c in coeffs):
             raise NoConvergenceError("coefficient range exceeds double precision")
-        refined = _symmetrize(_aberth([complex(c) for c in coeffs], tol))
+        refined = _aberth(coeffs, tol)
         clusters: list[list[complex]] = []
         for z in sorted(refined, key=lambda w: (w.real, w.imag)):
             for cl in clusters:

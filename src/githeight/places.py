@@ -252,7 +252,8 @@ def as_fraction(x: RationalLike) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    # a JSON true or false is no number, although bool is an int subclass
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

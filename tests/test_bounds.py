@@ -178,6 +178,17 @@ def test_convex_lemma_values():
         convex_lemma_min("cubic")
 
 
+@pytest.mark.parametrize("variant", ["log3", "log_sqrt3"])
+def test_convex_lemma_tolerances_below_float_spacing_return(time_limit, variant):
+    want = math.log(3) if variant == "log3" else 0.5 * math.log(3)
+    for grid_tol in (1e-300, 5e-324):
+        with time_limit(2):
+            assert abs(convex_lemma_min(variant, grid_tol) - want) < 1e-12
+    for grid_tol in (0.0, -1.0, math.nan, math.inf):
+        with time_limit(2), pytest.raises(InputError):
+            convex_lemma_min(variant, grid_tol)
+
+
 def test_convex_lemma_profiles_are_convex_on_a_grid():
     from githeight.bounds import _lemma_profile
 

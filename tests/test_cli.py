@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,67 @@ def test_bounds_commands(capsys):
     assert code == 0 and data["total"] == 0.0
     code, data = run_json(capsys, "bounds", "convex-lemma", "log3")
     assert code == 0 and abs(data["min"] - math.log(3)) < 1e-8
+
+
+_LOWER = ("bounds", "lower", "--b", "0,0", "--ranks", "2,3")
+
+
+@pytest.mark.parametrize("slopes", [
+    (),
+    ("--slopes-json", "5"),
+    ("--slopes-json", "[5]"),
+    ("--slopes-json", '{"arch": 1}'),
+    ("--slopes", "1,2", "--slopes-json", "[]"),
+])
+def test_bounds_lower_needs_one_slope_list(capsys, slopes):
+    try:
+        code = cli.main([*_LOWER, *slopes])
+    except SystemExit as exc:  # argparse: the flags are one required choice
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_bounds_lower_exact_slopes(capsys):
+    code, data = run_json(capsys, *_LOWER, "--slopes-json", '[{"arch": 0.5}, {"arch": -1.0}]')
+    assert code == 0 and data["total"] == 0.0
+
+
+@pytest.mark.parametrize("grid_tol, want", [
+    ("1e-300", 0), ("0", 2), ("-1", 2), ("nan", 2), ("inf", 2),
+])
+def test_convex_lemma_grid_tolerance(capsys, time_limit, grid_tol, want):
+    with time_limit(2):
+        code = cli.main(["bounds", "convex-lemma", "log3", f"--grid-tol={grid_tol}"])
+    out, err = capsys.readouterr()
+    assert code == want
+    if want == 0:
+        assert abs(json.loads(out)["min"] - math.log(3)) < 1e-12
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("height",), {"point": [True, 2]}),
+    (("quotient-height",), {"matrix": [[True]]}),
+])
+def test_json_booleans_are_no_numbers(capsys, monkeypatch, argv, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_charpoly_beyond_double_range_exits_three(capsys):
+    # 1e310 is finite as a rational; its charpoly's leading coefficient is
+    # subnormal once the coefficients are scaled to at most 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["instability", "--matrix", '[["1e310","0"],["0","3"]]'])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: coefficient range exceeds double precision\n"
 
 
 def test_env_tolerance_override(capsys, monkeypatch):

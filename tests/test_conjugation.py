@@ -281,3 +281,50 @@ def test_orbit_sampling_bound():
     assert d.to_float() >= 0.5 * math.log(13) - 1e-9
     with pytest.raises(InputError):
         orbit_sampling_bound(UNIPOTENT, samples=0, seed=0)
+
+
+def test_quotient_height_of_repeated_eigenvalues():
+    phi = MatrixQ.from_lists([[2 if i == j < 2 else 3 if i == j else 0 for j in range(5)]
+                              for i in range(5)])
+    assert abs(quotient_height_conj(phi).arch - 0.5 * math.log(35)) < 1e-8
+
+
+def _repeated_block_matrix(rng):
+    """(matrix, sum of squared eigenvalue moduli): a block diagonal integer
+    matrix of repeated eigenvalues, repeated rotation blocks [[a, -b], [b, a]]
+    and Jordan blocks, conjugated by unimodular shears I + c E_ij."""
+    n = rng.randint(2, 12)
+    scalars = rng.sample([-4, -3, -2, -1, 1, 2, 3, 4, 5], rng.randint(2, 3))
+    rotations = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    a = [[0] * n for _ in range(n)]
+    at, square_sum = 0, 0
+    while at < n:
+        kind = rng.choice(("scalar", "rotation", "jordan") if n - at >= 2 else ("scalar",))
+        if kind == "rotation":
+            x, y = rng.choice(rotations)
+            a[at][at], a[at][at + 1], a[at + 1][at], a[at + 1][at + 1] = x, -y, y, x
+            size, square_sum = 2, square_sum + 2 * (x * x + y * y)
+        else:
+            e = rng.choice(scalars)
+            size = 1 if kind == "scalar" else rng.randint(2, min(3, n - at))
+            for i in range(at, at + size):
+                a[i][i] = e
+                if i + 1 < at + size:
+                    a[i][i + 1] = 1
+            square_sum += size * e * e
+        at += size
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # S A S^-1 with S = I + c E_ij: row i += c row j, then column j -= c column i
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= c * row[i]
+    return MatrixQ.from_lists(a), square_sum
+
+
+def test_quotient_height_arch_part_on_repeated_blocks():
+    rng = random.Random(10)
+    for _ in range(240):
+        phi, square_sum = _repeated_block_matrix(rng)
+        assert abs(quotient_height_conj(phi).arch - 0.5 * math.log(square_sum)) < 5e-3

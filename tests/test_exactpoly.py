@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from githeight import exactpoly
 from githeight.errors import (
     AllRootsZeroError,
+    NoConvergenceError,
     NonSquareError,
     ZeroPolynomialError,
 )
@@ -247,6 +250,54 @@ def test_complex_roots_conjugation_and_power_sums():
         scale = 1.0 + max(abs(p1), abs(p2))
         assert abs(p1 - e1) <= 1e-8 * scale
         assert abs(p2 - (e1 * p1.real - 2 * e2)) <= 1e-8 * scale
+
+
+def test_complex_roots_pair_exact_conjugates():
+    # the polynomials of test_complex_roots_conjugation_and_power_sums
+    rng = random.Random(23)
+    for _ in range(60):
+        deg = rng.randint(1, 8)
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(deg)] + [Fraction(1)]
+        entries = dict(complex_roots(PolyQ.from_coeffs(coeffs)).entries)
+        for z, m in entries.items():
+            assert z.imag == 0.0 or entries.get(z.conjugate()) == m
+
+
+def test_complex_roots_of_repeated_roots():
+    # (T-2)^2 (T-3)^3: a distance pairing of the complex solver's roots once
+    # invented the pair 2.49998 +- 4e-5i and counted six roots
+    roots = complex_roots(PolyQ.from_roots([2, 2, 3, 3, 3]))
+    assert roots.total == 5
+    assert all(min(abs(z - 2), abs(z - 3)) < 1e-4 for z in roots.expanded())
+
+
+@pytest.mark.parametrize("coeffs", [
+    [3 * 10**310, -(10**310 + 3), 1],  # leading coefficient subnormal once scaled
+    [1, 10**300, 10**620],  # constant term 0.0 once scaled
+])
+def test_complex_roots_refuse_coefficients_beyond_double_range(coeffs):
+    with pytest.raises(NoConvergenceError, match="coefficient range"):
+        complex_roots(PolyQ.from_coeffs(coeffs))
+
+
+def test_aberth_sweeps_keep_exact_conjugate_pairs(monkeypatch):
+    # (T^2 - 2T + 5)(T^2 + T + 13/16)(T - 3)(T + 2): roots 1 +- 2i, -1/2 +- 3/4 i, 3, -2
+    f = (poly(5, -2, 1) * poly(Fraction(13, 16), 1, 1)) * (poly(-3, 1) * poly(2, 1))
+    true = [1 + 2j, 1 - 2j, -0.5 + 0.75j, -0.5 - 0.75j, 3, -2]
+    # the real eigensolver's layout, each root moved by 1e-3: pairs consecutive,
+    # upper member first, moved conjugately
+    moved = [1 + 2j + 1e-3, 1 - 2j + 1e-3, -0.5 + 0.75j - 1e-3j, -0.5 - 0.75j + 1e-3j,
+             3 - 1e-3, -2 + 1e-3]
+    monkeypatch.setattr(exactpoly.np, "roots", lambda c: np.array(moved))
+    roots = complex_roots(f).expanded()
+    assert len(roots) == 6
+    assert all(min(abs(z - t) for z in roots) < 1e-9 for t in true)
+    assert sorted(roots, key=lambda z: (z.real, z.imag)) == sorted(
+        (z.conjugate() for z in roots), key=lambda z: (z.real, z.imag))
+    # two exactly equal starts are moved apart before Aberth's repulsion
+    monkeypatch.setattr(exactpoly.np, "roots", lambda c: np.array([1.5, 1.5]))
+    got = sorted(z.real for z in complex_roots(poly(2, -3, 1)).expanded())  # (T-1)(T-2)
+    assert abs(got[0] - 1) < 1e-9 and abs(got[1] - 2) < 1e-9
 
 
 def test_split_polynomial_valuation_oracle():

@@ -51,6 +51,12 @@ def test_as_fraction_parses_strings():
         as_fraction("a/b")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_as_fraction_refuses_booleans(flag):
+    with pytest.raises(InputError):
+        as_fraction(flag)
+
+
 def test_prime_helpers():
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(91)
