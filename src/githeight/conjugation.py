@@ -248,7 +248,11 @@ def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
         mat = 0.5 * log_abs(sum(x * x for x in phi.entries), ARCHIMEDEAN).arch
     else:
         eig = math.log(roots.max_abs())
-        mat = math.log(float(np.linalg.norm(phi.to_complex_array(), 2)))
+        # scaled exactly by 2^-k so the largest entry lies near 1, since
+        # entries may lie beyond the double range
+        k = max(abs(x.numerator).bit_length() - x.denominator.bit_length() for x in phi.entries if x)
+        scaled = [[float(x * Fraction(2) ** -k) for x in row] for row in phi.rows]
+        mat = math.log(float(np.linalg.norm(scaled, 2))) + k * math.log(2)
     return LogValue.from_arch(eig - mat)
 
 

@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
 
@@ -55,6 +55,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # operations, so giving up takes at most about 1.5 s up to 3000 bits;
 # splitting M61 * M31 (92 bits) takes 50 302 steps of 2 units, a tenth of it.
 _POLLARD_BUDGET = 1 << 20
+
+# The primes of each coprime-base root split in this process, and the
+# budget units the split cost (0 for a prime root); a family whose budget
+# left covers those units is charged them, so every result and every
+# NoConvergenceError is the one a fresh split would give.  Oldest roots go
+# first beyond the cap.
+_SPLITS: dict[int, tuple[tuple[int, ...], int]] = {}
+_SPLITS_CAP = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -189,15 +197,37 @@ def _divide_out(n: int, primes: list[int], exponents: dict[int, int]) -> int:
     return n
 
 
+def _split(b: int, budget: int) -> tuple[list[int], int]:
+    """The primes of a perfect-power root b without prime factors below
+    1000, and the budget left.
+
+    A root that passes Miller-Rabin is prime; a composite one goes to
+    Pollard-Brent, and the roots of its two parts' pairwise coprime base
+    are split in turn.
+    """
+    roots, primes = [b], []
+    while roots:
+        b = roots.pop()
+        if _miller_rabin(b):
+            primes.append(b)
+            continue
+        d, budget = _pollard_brent(b, budget)
+        parts: list[int] = []
+        _refine(parts, d)
+        _refine(parts, b // d)
+        roots += map(_perfect_power_root, parts)
+    return primes, budget
+
+
 def _factor_all(ns: list[int]) -> list[dict[int, int]]:
     """{prime: exponent} of each positive integer in ns.
 
     Trial division below 1000 first; the cofactors left over are refined by
-    gcds into one pairwise coprime base, each base element is replaced by
-    its perfect-power root, and only a root that fails Miller-Rabin goes to
-    Pollard-Brent, whose two parts are refined back into the base.  Numbers
-    of one family that share a large prime thus split one another without
-    any Pollard-Brent step.
+    gcds into one pairwise coprime base, so numbers of one family that share
+    a large prime split one another without any Pollard-Brent step.  Each
+    base element's perfect-power root is then split by :func:`_split`, or
+    read from ``_SPLITS`` when its recorded units fit the budget left, so
+    the primes come back as the memo's own int objects.
     """
     exponents = [{} for _ in ns]
     cofactors = [_divide_out(n, _SMALL_PRIMES, e) for n, e in zip(ns, exponents)]
@@ -206,14 +236,18 @@ def _factor_all(ns: list[int]) -> list[dict[int, int]]:
         _refine(base, n)
     primes = []
     budget = _POLLARD_BUDGET
-    while base:
-        b = _perfect_power_root(base.pop())
-        if _miller_rabin(b):
-            primes.append(b)
-            continue
-        d, budget = _pollard_brent(b, budget)
-        _refine(base, d)
-        _refine(base, b // d)
+    for b in map(_perfect_power_root, reversed(base)):
+        hit = _SPLITS.get(b)
+        if hit is None or hit[1] > budget:
+            # rho is deterministic, so a hit beyond the budget left fails here
+            # just as a first split would, and only a success is recorded
+            found, left = _split(b, budget)
+            if len(_SPLITS) >= _SPLITS_CAP:
+                del _SPLITS[next(iter(_SPLITS))]  # the oldest root
+            hit = _SPLITS[b] = tuple(sorted(found)), budget - left
+        found, units = hit
+        budget -= units
+        primes += found
     primes.sort()
     for n, e in zip(cofactors, exponents):
         _divide_out(n, primes, e)
@@ -226,7 +260,11 @@ def factorize(n: int) -> dict[int, int]:
     The one-number case of :func:`valuation_table`'s factoring: trial
     division below 1000, the cofactor's perfect-power root, then
     Pollard-Brent on what Miller-Rabin finds composite, all its splits
-    within one budget of 2^20 units (NoConvergenceError beyond it).
+    within one budget of 2^20 units (NoConvergenceError beyond it).  A
+    composite root is split once per process: a memo capped at 4096 roots
+    keeps its primes and the units the split cost, and a later call is
+    charged those units as if the split ran, so results and failures do
+    not depend on what ran before.  Failed splits are not recorded.
 
     Examples:
         >>> factorize(360)
@@ -302,8 +340,10 @@ def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
     All nonzero numerators and denominators are factored together: after
     trial division below 1000, their cofactors are split by gcds into one
     pairwise coprime base, so numbers that share a large prime split one
-    another without Pollard-Brent (see :func:`factorize`).  A zero entry
-    has valuation +infinity at every prime.
+    another without Pollard-Brent, and a composite root split before in
+    this process is read from the memo, charged the budget its split cost
+    (see :func:`factorize`).  A zero entry has valuation +infinity at
+    every prime.
 
     Examples:
         >>> valuation_table([Fraction(9, 10), 0, 4])
@@ -391,13 +431,20 @@ ARCHIMEDEAN = Place.archimedean()
 # exact logarithmic values
 # ---------------------------------------------------------------------------
 
+def _plain(arch: float) -> float:
+    """arch as a float without -0.0, any zero being the one constant 0.0."""
+    return float(arch) + 0.0 or 0.0
+
+
 class LogValue:
     """A real number written as  sum_p q_p log(p) + arch,  or -infinity.
 
     ``finite`` maps primes to exact rational coefficients (zeros dropped),
     ``arch`` is a float, ``neg_inf`` flags the value -infinity.  Instances
     are immutable; arithmetic returns new values and keeps the finite
-    coefficients exact.
+    coefficients exact.  The finite part is stored as one flat tuple
+    p1, q1, p2, q2, ... ascending in p, and ``finite`` is a read-only view
+    of it built on access.
 
     Examples:
         >>> v = LogValue({2: Fraction(-2, 3)})
@@ -408,7 +455,7 @@ class LogValue:
         True
     """
 
-    __slots__ = ("finite", "arch", "neg_inf")
+    __slots__ = ("_items", "arch", "neg_inf")
 
     def __init__(
         self,
@@ -426,40 +473,63 @@ class LogValue:
                 q = as_fraction(q)
                 if q != 0:
                     clean[p] = clean.get(p, Fraction(0)) + q
-        self._fill(clean, 0.0 if neg_inf else arch, neg_inf)
+        self._fill(self._flat_items(clean), 0.0 if neg_inf else _plain(arch), bool(neg_inf))
 
-    def _fill(self, finite: dict[int, Fraction], arch: float, neg_inf: bool) -> None:
-        object.__setattr__(
-            self, "finite", MappingProxyType({p: q for p, q in sorted(finite.items()) if q != 0})
-        )
-        object.__setattr__(self, "arch", float(arch) + 0.0)  # no -0.0
-        object.__setattr__(self, "neg_inf", bool(neg_inf))
+    def _fill(self, items: tuple, arch: float, neg_inf: bool) -> None:
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "arch", arch)
+        object.__setattr__(self, "neg_inf", neg_inf)
+
+    @staticmethod
+    def _flat_items(finite: dict[int, Fraction]) -> tuple:
+        """p1, q1, p2, q2, ... ascending in p, zeros dropped; one flat tuple
+        holds a value's finite part without a tuple per pair."""
+        return tuple(x for p, q in sorted(finite.items()) if q != 0 for x in (p, q))
+
+    def _pairs(self) -> Iterator[tuple[int, Fraction]]:
+        items = iter(self._items)
+        return zip(items, items)
 
     @classmethod
     def _of_primes(cls, finite: dict[int, Fraction], arch: float = 0.0) -> "LogValue":
         """A finite value from Fractions keyed by primes that factoring, a
         Place or an existing LogValue already proved prime, so no key is
-        tested for primality again."""
-        value = object.__new__(cls)
-        value._fill(finite, arch, False)
+        tested for primality again.  Equal values share one object (see
+        ``_VALUES``), and a value with no primes and arch 0 is ``_ZERO``."""
+        items, arch = cls._flat_items(finite), _plain(arch)
+        if not items and not arch:
+            return _ZERO
+        key = (items, arch)
+        value = _VALUES.get(key)
+        if value is None:
+            value = object.__new__(cls)
+            value._fill(items, arch, False)
+            if len(_VALUES) >= _VALUES_CAP:
+                del _VALUES[next(iter(_VALUES))]  # the oldest value
+            _VALUES[key] = value
         return value
 
     def __setattr__(self, name, value):
         raise AttributeError("LogValue is immutable")
 
+    @property
+    def finite(self) -> Mapping[int, Fraction]:
+        """{prime: coefficient}, ascending, as a read-only view."""
+        return MappingProxyType(dict(self._pairs())) if self._items else _NO_PRIMES
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LogValue":
-        return cls()
+        return _ZERO
 
     @classmethod
     def from_arch(cls, t: float) -> "LogValue":
-        return cls(arch=t)
+        return cls._of_primes({}, t)
 
     @classmethod
     def neg_infinity(cls) -> "LogValue":
-        return cls(neg_inf=True)
+        return _NEG_INF
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -468,15 +538,15 @@ class LogValue:
             return NotImplemented
         if self.neg_inf or other.neg_inf:
             return LogValue.neg_infinity()
-        merged = dict(self.finite)
-        for p, q in other.finite.items():
+        merged = dict(self._pairs())
+        for p, q in other._pairs():
             merged[p] = merged.get(p, Fraction(0)) + q
         return LogValue._of_primes(merged, self.arch + other.arch)
 
     def __neg__(self) -> "LogValue":
         if self.neg_inf:
             raise InputError("cannot negate -infinity")
-        return LogValue._of_primes({p: -q for p, q in self.finite.items()}, -self.arch)
+        return LogValue._of_primes({p: -q for p, q in self._pairs()}, -self.arch)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         if not isinstance(other, LogValue):
@@ -492,7 +562,7 @@ class LogValue:
             if c == 0:
                 return LogValue.zero()
             raise InputError("cannot scale -infinity by a negative factor")
-        return LogValue._of_primes({p: q * c for p, q in self.finite.items()}, self.arch * float(c))
+        return LogValue._of_primes({p: q * c for p, q in self._pairs()}, self.arch * float(c))
 
     # -- queries -------------------------------------------------------------
 
@@ -500,15 +570,15 @@ class LogValue:
         """Round to a double: exact finite part summed with math.fsum."""
         if self.neg_inf:
             return -math.inf
-        return math.fsum([float(q) * math.log(p) for p, q in self.finite.items()] + [self.arch])
+        return math.fsum([float(q) * math.log(p) for p, q in self._pairs()] + [self.arch])
 
     @property
     def is_exact_zero(self) -> bool:
         """True iff the representation itself is zero (no rounding)."""
-        return not self.neg_inf and not self.finite and self.arch == 0.0
+        return not self.neg_inf and not self._items and self.arch == 0.0
 
     def finite_coefficient(self, p: int) -> Fraction:
-        return self.finite.get(p, Fraction(0))
+        return dict(self._pairs()).get(p, Fraction(0))
 
     def close_to(self, other: "LogValue", tol: float | None = None) -> bool:
         """Compare float images within an absolute tolerance (default 1e-9)."""
@@ -522,17 +592,17 @@ class LogValue:
             return NotImplemented
         return (
             self.neg_inf == other.neg_inf
-            and dict(self.finite) == dict(other.finite)
+            and self._items == other._items
             and self.arch == other.arch
         )
 
     def __hash__(self):
-        return hash((tuple(self.finite.items()), self.arch, self.neg_inf))
+        return hash((tuple(self._pairs()), self.arch, self.neg_inf))
 
     def __repr__(self):
         if self.neg_inf:
             return "LogValue.neg_infinity()"
-        fin = "{" + ", ".join(f"{p}: {q}" for p, q in self.finite.items()) + "}"
+        fin = "{" + ", ".join(f"{p}: {q}" for p, q in self._pairs()) + "}"
         return f"LogValue(finite={fin}, arch={self.arch!r})"
 
     # -- serialization -------------------------------------------------------
@@ -540,7 +610,7 @@ class LogValue:
     def to_json_dict(self) -> dict:
         """JSON form: {"finite": {"2": "-2/3"}, "arch": 0.0, "neg_inf": false}."""
         return {
-            "finite": {str(p): str(q) for p, q in self.finite.items()},
+            "finite": {str(p): str(q) for p, q in self._pairs()},
             "arch": self.arch,
             "neg_inf": self.neg_inf,
         }
@@ -552,6 +622,16 @@ class LogValue:
             return cls(finite, float(d.get("arch", 0.0)), bool(d.get("neg_inf", False)))
         except (TypeError, AttributeError) as exc:
             raise InputError(f"malformed LogValue payload: {d!r}") from exc
+
+
+_NO_PRIMES: Mapping[int, Fraction] = MappingProxyType({})
+_ZERO = LogValue()
+_NEG_INF = LogValue(neg_inf=True)
+# Equal values built by LogValue._of_primes share one object, so a caller
+# that keeps many results keeps one copy of each distinct value.  The
+# oldest values go first beyond the cap.
+_VALUES: dict[tuple, LogValue] = {}
+_VALUES_CAP = 4096
 
 
 def values_close(a: LogValue, b: LogValue, tol: float | None = None) -> bool:

@@ -411,6 +411,14 @@ def test_archimedean_terms_of_huge_entries(capsys, argv):
         assert "Infinity" not in out and "NaN" not in out
 
 
+def test_sup_norm_of_entries_beyond_the_double_range(capsys):
+    # charpoly T^2 - 1, so all of the measure is -log of the spectral norm 10^400
+    code, data = run_json(capsys, "instability", "--matrix", '[["0","1e400"],["1e-400","0"]]',
+                          "--norm", "sup")
+    assert code == 0
+    assert abs(data["value"]["arch"] + 400 * math.log(10)) < 1e-9
+
+
 def test_torus_terms_of_huge_coordinate(capsys):
     # log x_i^2 are 921 apart, so the face Hessian at xi = 0 underflows to 0.0;
     # the least-squares start of the minimizer balances them at once

@@ -182,7 +182,8 @@ def test_valuation_table_equals_per_number_factoring():
 def test_shared_primes_and_powers_need_no_pollard_brent(monkeypatch, family):
     calls = []
     pollard_brent = places._pollard_brent
-    monkeypatch.setattr(places, "_pollard_brent", lambda n: calls.append(n) or pollard_brent(n))
+    monkeypatch.setattr(places, "_pollard_brent",
+                        lambda n, budget: calls.append(n) or pollard_brent(n, budget))
     xs = [Fraction(x) for x in family]
     assert valuation_table(xs) == _reference_table(xs)
     assert calls == []
@@ -197,12 +198,67 @@ def test_factorize_gives_up_within_its_budget(time_limit):
 def test_one_pollard_brent_budget_per_family(monkeypatch):
     # split alone, the two semiprimes cost 12 798 and 6 270 units: each fits
     # the budget, and both together do not
+    monkeypatch.setattr(places, "_SPLITS", {})
     monkeypatch.setattr(places, "_POLLARD_BUDGET", 16_000)
     first, second = 10000019 * 10001009, 10002007 * 10003001
     assert factorize(first) == {10000019: 1, 10001009: 1}
     assert factorize(second) == {10002007: 1, 10003001: 1}
+    # both splits are now recorded with their cost, and charged it again
+    assert places._SPLITS == {first: ((10000019, 10001009), 12_798),
+                              second: ((10002007, 10003001), 6_270)}
     with pytest.raises(NoConvergenceError):
         valuation_table([Fraction(first), Fraction(second)])
+    assert len(places._SPLITS) == 2  # a failure is not recorded
+    monkeypatch.setattr(places, "_POLLARD_BUDGET", 1 << 20)
+    assert valuation_table([Fraction(first), Fraction(second)]) == {
+        10000019: [1, 0], 10001009: [1, 0], 10002007: [0, 1], 10003001: [0, 1]}
+
+
+def _semiprimes(rng, count, bits):
+    """count products of two random primes of the given size."""
+    def prime():
+        while True:
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            if is_prime(n):
+                return n
+
+    return [(prime(), prime()) for _ in range(count)]
+
+
+def test_split_memo_gives_the_cold_results(monkeypatch):
+    rng = random.Random(41)
+    pairs = _semiprimes(rng, 12, 28)
+    families = []
+    for _ in range(20):
+        chosen = rng.sample(pairs, rng.randint(1, 3))
+        # p q, (p q)^2 and p^2 q cofactors, times small primes
+        xs = [Fraction(rng.choice((1, 6, 35)) * (p * q) ** rng.choice((1, 2)) * rng.choice((1, p)),
+                       rng.choice((1, 2, 9)))
+              for p, q in chosen]
+        families.append(xs)
+    numbers = [p * q * rng.choice((1, 4, 999)) for p, q in pairs]
+
+    def results():
+        return ([valuation_table(xs) for xs in families], [factorize(n) for n in numbers])
+
+    monkeypatch.setattr(places, "_SPLITS", {})
+    cold = results()
+    assert results() == cold
+    for (p, q), n in zip(pairs, numbers):
+        found = factorize(n)
+        assert {r: k for r, k in found.items() if r > 1000} == {p: 1, q: 1}
+        # a warm result shares the memo's prime objects
+        assert all(any(r is s for r in found) for s in places._SPLITS[p * q][0])
+
+
+def test_split_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(places, "_SPLITS", {})
+    monkeypatch.setattr(places, "_SPLITS_CAP", 3)
+    numbers = [p * q for p, q in _semiprimes(random.Random(43), 7, 24)]
+    for n in numbers:
+        factorize(n)
+        assert len(places._SPLITS) <= 3
+    assert list(places._SPLITS) == numbers[-3:]  # the oldest roots went first
 
 
 _W214 = TorusAction(1, ((-2,), (1,), (4,)))
@@ -323,6 +379,47 @@ def test_place_identity():
     assert not Place.finite(3).is_archimedean
     with pytest.raises(InputError):
         Place.finite(4)
+
+
+def test_logvalue_finite_is_read_only():
+    for v in (LogValue({2: 1}), LogValue.zero(), LogValue({2: 1}) - LogValue({2: 1})):
+        with pytest.raises(TypeError):
+            v.finite[3] = Fraction(1)
+        assert 3 not in v.finite
+
+
+def test_equal_values_share_one_object(monkeypatch):
+    monkeypatch.setattr(places, "_VALUES", {})
+    monkeypatch.setattr(places, "_VALUES_CAP", 3)
+    a = LogValue({2: Fraction(1, 2), 3: 1}, arch=0.25)
+    assert (a + a) is a.scaled(2)
+    assert (a - a) is LogValue.zero() is LogValue.from_arch(-0.0)
+    assert LogValue.neg_infinity() is LogValue.neg_infinity()
+    for k in range(1, 8):
+        assert a.scaled(k) == LogValue({2: Fraction(k, 2), 3: k}, arch=0.25 * k)
+        assert len(places._VALUES) <= 3
+
+
+logvalue_parts = st.tuples(
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 1000003]), st.fractions(max_denominator=12),
+                    max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(logvalue_parts)
+def test_logvalue_equality_hash_repr_and_json(parts):
+    finite, arch = parts
+    kept = sorted((p, q) for p, q in finite.items() if q != 0)
+    arch += 0.0
+    for v in (LogValue(finite, arch), LogValue._of_primes(dict(reversed(list(finite.items()))), arch)):
+        assert v == LogValue(dict(kept), arch) and hash(v) == hash((tuple(kept), arch, False))
+        assert dict(v.finite) == dict(kept) and list(v.finite) == [p for p, _ in kept]
+        assert repr(v) == "LogValue(finite={" + ", ".join(f"{p}: {q}" for p, q in kept) + f"}}, arch={arch!r})"
+        assert v.to_json_dict() == {"finite": {str(p): str(q) for p, q in kept}, "arch": arch,
+                                    "neg_inf": False}
+        assert LogValue.from_json_dict(json.loads(json.dumps(v.to_json_dict()))) == v
 
 
 def test_no_negative_zero_arch():
