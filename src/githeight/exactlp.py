@@ -12,7 +12,10 @@ each cost vector then runs phase 2 on a copy of that tableau.  The
 minimizer xi is the row multipliers of the optimal basis, so ties resolve
 to that basis, not to the lexicographically smallest minimizer.  When P is
 empty the phase-1 Farkas vector separates the slopes from 0 instead, which
-is the destabilizing direction.
+is the destabilizing direction.  The face of zero (the slopes some lam in P
+charges) is one more solve on a copy of the same tableau, with one column
+appended that shifts every candidate lam_j by a common s; its dual rules
+out the slopes off the face, so a full face costs one solve.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ class _Simplex:
 
     ``farkas`` is None when the system is feasible; the tableau then holds a
     feasible basis with every degenerate artificial that a real column can
-    replace driven out, and ``maximize`` runs phase 2 on a copy of it.
-    Otherwise ``farkas`` is a Farkas vector y: y . a_j >= 0 and y . b < 0.
+    replace driven out, and ``maximize`` and ``maximize_shift`` run phase 2
+    on a copy of it.  Otherwise ``farkas`` is a Farkas vector y:
+    y . a_j >= 0 and y . b < 0.
     """
 
     def __init__(self, a, b):
@@ -67,6 +71,28 @@ class _Simplex:
         x = {j: Fraction(phase2.t[i][-1], phase2.d) for i, j in enumerate(phase2.basis)}
         return [x.get(j, Fraction(0)) for j in range(self.n)], y
 
+    def maximize_shift(self, columns):
+        """max s such that some feasible x has x_j >= s on ``columns``; the
+        system must be feasible, and an unbounded s raises ValueError.
+
+        Phase 2 on a copy of the post-phase-1 tableau with one column s
+        appended, the sum of the tableau columns in ``columns``, so that
+        x_j = mu_j + s there with mu >= 0.  Only ``columns`` (ascending) and s
+        may enter.  Returns (s, x, y, drop): an optimal x (None when s = 0,
+        where only the dual is wanted), row multipliers y with y . a_j >= 0
+        on ``columns``, y . (sum of those a_j) >= 1 and y . b = s, and the
+        columns whose final reduced cost is negative, that is y . a_j > 0.
+        """
+        k = self.n + self.m  # the appended column, just before the right-hand side
+        shift = copy.copy(self)
+        shift.t = [[*row[:-1], sum(row[j] for j in columns), row[-1]] for row in self.t]
+        shift.basis = self.basis[:]
+        y = shift._run([0] * k + [1], [*columns, k])
+        mu = {j: shift.t[i][-1] for i, j in enumerate(shift.basis)}  # times d
+        s, on = mu.get(k, 0), set(columns)
+        x = [Fraction(mu.get(j, 0) + s * (j in on), shift.d) for j in range(self.n)] if s else None
+        return Fraction(s, shift.d), x, y, [j for j in columns if shift.reduced[j] < 0]
+
     def _pivot(self, i, j):
         p, pivot_row, d = self.t[i][j], self.t[i], self.d
         sign = 1 if p > 0 else -1
@@ -85,22 +111,32 @@ class _Simplex:
                 best = i
         return best
 
-    def _run(self, cost):
-        """Optimize cost . x from the current basis; the row multipliers."""
+    def _run(self, cost, entering=None):
+        """Optimize cost . x from the current basis; the row multipliers.
+
+        Only the ``entering`` columns, ascending, may enter the basis (every
+        real column by default).  The final objective row stays in
+        ``reduced``: each column's reduced cost c_j - y . a_j times a
+        positive scale.
+        """
         n, basis = self.n, self.basis
+        entering = range(n) if entering is None else entering
         # objective row: reduced costs, then -value, all times scale * d
         scale = _lcm_denominators(cost)
         ic = _scaled(cost, scale)
-        z = [self.d * cj - sum(ic[bi] * row[j] for bi, row in zip(basis, self.t))
-             for j, cj in enumerate(ic + [0])]
+        z = [self.d * cj for cj in ic + [0]]
+        for bi, row in zip(basis, self.t):
+            if ic[bi]:
+                z = [zj - ic[bi] * v for zj, v in zip(z, row)]
         self.t.append(z)
-        while (j := next((j for j in range(n) if self.t[-1][j] > 0), None)) is not None:
+        while (j := next((j for j in entering if self.t[-1][j] > 0), None)) is not None:
             i = self._leaving_row(j)
             if i is None:
                 raise ValueError("unbounded linear program")
             self._pivot(i, j)
-        z = self.t.pop()
-        return [si * (cost[n + k] - Fraction(z[n + k], scale * self.d)) for k, si in enumerate(self.s)]
+        self.reduced = z = self.t.pop()
+        # y_k = s_k (cost_(n+k) - z_(n+k) / (scale d)), one exact division each
+        return [Fraction(si * (ic[n + k] * self.d - z[n + k]), scale * self.d) for k, si in enumerate(self.s)]
 
 
 def _lcm_denominators(values) -> int:
@@ -154,18 +190,31 @@ class ZeroSumPolytope:
         """Indices i with lam_i > 0 for some lam in P, ascending.
 
         These are the slopes on the face of their hull whose relative
-        interior contains 0 (none when 0 is outside the hull).  Each phase 2
-        maximizes the mass outside the union of the supports found so far
-        and adds its support, until that mass is 0: at most |face| + 1
-        phase-2 solves.
+        interior contains 0 (none when 0 is outside the hull).  One exact
+        elimination (Freund, Roundy and Todd 1985): start from every index
+        as the candidate set J and maximize s over lam in P with lam_j >= s
+        on J.  If s > 0, J is the face.  If s = 0, the optimal dual is a xi
+        with <m_j, xi> >= 0 on J summing to at least 1; since
+        sum lam_j <m_j, xi> = 0 on P, every j with <m_j, xi> > 0 is off the
+        face (Goldman-Tucker), so drop those and solve again.  One solve for a
+        full face, at most (number of indices off the face) + 1 in all, none
+        when P is empty.
+
+        The certificates stay on the polytope: ``_interior`` is the exact
+        lam in P that is positive on the face, and ``_eliminated`` holds each
+        round's (xi, dropped indices).
         """
-        face: set[int] = set()
+        self._interior, self._eliminated = None, []
+        if self._program.farkas is not None:
+            return []
+        face = list(range(self._program.n))
         while True:
-            x, _ = self._program.maximize([int(i not in face) for i in range(self._program.n)])
-            support = {i for i, v in enumerate(x or ()) if v > 0}
-            if support <= face:
-                return sorted(face)
-            face |= support
+            s, lam, y, drop = self._program.maximize_shift(face)
+            if s > 0:
+                self._interior = tuple(lam)
+                return face
+            self._eliminated.append((tuple(-v for v in y[1:]), tuple(drop)))
+            face = [j for j in face if j not in drop]
 
 
 def minimize_max_affine(slopes: list[tuple[Fraction, ...]], offsets: list[Fraction]):

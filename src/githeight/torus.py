@@ -43,6 +43,12 @@ _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
 
 
+def _is_int(v) -> bool:
+    """An int and not a bool: a float or bool rank, weight or 1-PS entry is
+    refused, not truncated, since int(0.5) == 0 would change the input."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TorusAction:
     """Integer weight data of a diagonal torus action on P^(n).
@@ -56,8 +62,7 @@ class TorusAction:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # like the weights below, a float or bool rank is refused, not truncated
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+        if not _is_int(self.rank):
             raise InputError(f"torus rank {self.rank!r} is not an integer")
         if self.rank < 1:
             raise InputError("torus rank must be at least 1")
@@ -69,8 +74,7 @@ class TorusAction:
                 raise LengthMismatchError(
                     f"weight {row} does not have {self.rank} entries"
                 )
-            # a float or bool is refused, not truncated: int(0.5) == 0 would change the action
-            if not all(isinstance(w, int) and not isinstance(w, bool) for w in row):
+            if not all(_is_int(w) for w in row):
                 raise InputError(f"weight {row} has an entry that is not an integer")
         object.__setattr__(self, "weights", weights)
 
@@ -215,9 +219,11 @@ def instability_arch(
     sum x_i^2 m_i = 0 exactly, lam_i ~ x_i^2 is a relative-interior point of
     the weights' zero-sum polytope, so every weight is on the face, no LP
     runs and the measure is exactly 0.  Otherwise :func:`exactlp.face_of_zero`
-    gives the face, and a damped Newton iteration on an orthonormal basis of
-    its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
-    least squares, drives the gradient below tol.
+    gives the face: phase 1 alone when it is empty, one elimination solve
+    when every weight is on it, and at most one more per weight off it.  A
+    damped Newton iteration on an orthonormal basis of its span, started
+    where log x_i^2 + 2 <m_i, xi> are closest to equal in least squares,
+    drives the gradient below tol.
     """
     xs, ms = _active_weights(action, x)
     return _arch_report(action.rank, xs, ms, functools.partial(exactlp.face_of_zero, ms), tol)
@@ -372,8 +378,11 @@ def kempf_ness_profile(
     At the archimedean place this is s -> (1/2) log sum x_i^2
     exp(2 <m_i, lam> s); at a finite place the exact piecewise-linear
     s -> max_i (<m_i, lam> s - v_p(x_i) log p).  Both are convex in s.
+    A float or bool entry of ``one_ps`` is refused, not truncated.
     """
-    lam = [int(v) for v in one_ps]
+    lam = list(one_ps)
+    if not all(_is_int(v) for v in lam):
+        raise InputError(f"one-parameter subgroup {tuple(lam)} has an entry that is not an integer")
     if len(lam) != action.rank:
         raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
     xs, ms = _active_weights(action, x)

@@ -178,20 +178,90 @@ def test_simplex_certificates_on_random_programs():
     assert outcomes == {True, False}
 
 
+def _face_case(rng):
+    """Slopes whose face of zero is often partial: rank 1-4, half of them
+    pushed into the open half-space <m, h> > 0, the others random or moved
+    onto the hyperplane <m, h> = 0, plus repeated and zero slopes."""
+    rank = rng.randint(1, 4)
+    h = [rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(rank)]
+    hh = sum(v * v for v in h)
+    flat = rng.random() < 0.5
+    slopes = []
+    for i in range(rng.randint(1, 10)):
+        m = [Fraction(rng.randint(-3, 3)) for _ in range(rank)]
+        dot = sum(a * b for a, b in zip(m, h))
+        if i % 2:
+            m = [a + b for a, b in zip(m, h)] if dot == 0 else [a * (1 if dot > 0 else -1) for a in m]
+        elif flat:
+            m = [a - Fraction(dot, hh) * b for a, b in zip(m, h)]
+        slopes.append(tuple(m))
+    slopes += [rng.choice(slopes) for _ in range(rng.randint(0, 3))]
+    slopes += [(Fraction(0),) * rank] * rng.randint(0, 1)
+    rng.shuffle(slopes)
+    return slopes
+
+
+def _face_by_farkas_tests(slopes):
+    # m_j is off the face iff some xi has <m_i, xi> <= 0 for all i and <m_j, xi> < 0
+    return [j for j, mj in enumerate(slopes)
+            if not exactlp.feasible([(m, Fraction(0)) for m in slopes] + [(mj, Fraction(-1))],
+                                    len(mj))]
+
+
 def test_face_of_zero_matches_one_farkas_test_per_weight(monkeypatch):
-    solves = []  # phase-2 solves: phase 1 runs once per polytope
-    maximize = exactlp._Simplex.maximize
-    monkeypatch.setattr(exactlp._Simplex, "maximize", lambda *a, **k: solves.append(1) or maximize(*a, **k))
+    solves = []  # every simplex run after phase 1, whichever method starts it
+    run = exactlp._Simplex._run
     rng = random.Random(101)
-    for _ in range(60):
-        rank, slopes, _ = _random_program(rng)
-        del solves[:]
-        face = exactlp.face_of_zero(slopes)
-        assert len(solves) <= len(face) + 1
-        # m_j is off the face iff some xi has <m_i, xi> <= 0 for all i and <m_j, xi> < 0
-        expected = [j for j, mj in enumerate(slopes)
-                    if not exactlp.feasible([(m, Fraction(0)) for m in slopes] + [(mj, Fraction(-1))], rank)]
-        assert face == expected
+    kinds = {"empty": 0, "full": 0, "partial": 0}
+    cases = [_random_program(rng)[1] for _ in range(60)] + [_face_case(rng) for _ in range(150)]
+    for slopes in cases:
+        polytope = exactlp.ZeroSumPolytope(slopes)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactlp._Simplex, "_run", lambda *a, **k: solves.append(1) or run(*a, **k))
+            del solves[:]
+            face = polytope.face_of_zero()
+        assert face == _face_by_farkas_tests(slopes)
+        off = len(slopes) - len(face)
+        if not face:
+            kinds["empty"] += 1
+            assert len(solves) == 0  # phase 1 decided
+        elif off == 0:
+            kinds["full"] += 1
+            assert len(solves) == 1
+        else:
+            kinds["partial"] += 1
+            assert len(solves) <= off + 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_face_of_zero_keeps_its_certificates():
+    # the last solve's lam is an exact point of P positive exactly on the face;
+    # each round's xi pairs >= 0 with the candidates, summing to >= 1, and > 0
+    # with every index it drops (Hilbert-Mumford)
+    rng = random.Random(107)
+    partial = 0
+    for _ in range(150):
+        slopes = _face_case(rng)
+        rank = len(slopes[0])
+        polytope = exactlp.ZeroSumPolytope(slopes)
+        face = polytope.face_of_zero()
+        lam = polytope._interior
+        if not face:
+            assert lam is None and polytope._eliminated == []
+            continue
+        partial += len(face) < len(slopes)
+        assert sum(lam) == 1
+        assert all(sum(l * m[k] for l, m in zip(lam, slopes)) == 0 for k in range(rank))
+        assert [j for j, l in enumerate(lam) if l > 0] == face
+        assert all(l == 0 for j, l in enumerate(lam) if j not in face)
+        candidates = set(range(len(slopes)))
+        for xi, dropped in polytope._eliminated:
+            pairing = {j: sum(a * b for a, b in zip(slopes[j], xi)) for j in candidates}
+            assert all(v >= 0 for v in pairing.values()) and sum(pairing.values()) >= 1
+            assert dropped and all(pairing[j] > 0 for j in dropped)
+            candidates -= set(dropped)
+        assert sorted(candidates) == face
+    assert partial >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +538,14 @@ def test_profile_finite_place_piecewise_linear():
     for s, got in zip(grid, vals):
         want = max(-2 * s - ln2, s - ln2, 4 * s)
         assert abs(got - want) < 1e-12
+
+
+def test_profile_refuses_a_non_integer_subgroup():
+    # int(0.5) == 0 would profile the trivial subgroup, int(True) == 1 another one
+    for one_ps in ([0.5], [True], (1.0,)):
+        with pytest.raises(InputError):
+            kempf_ness_profile(W214, P221, one_ps, [1.0])
+    assert kempf_ness_profile(W214, P221, [0], [1.0]) == pytest.approx([0.5 * math.log(9)])
 
 
 def test_profile_discrete_convexity():
