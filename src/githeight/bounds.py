@@ -39,25 +39,33 @@ from .errors import (
     NonPositiveError,
     UnsupportedSizeError,
 )
-from .places import LogValue, RationalLike, as_fraction
+from .places import LogValue, RationalLike, _is_int, as_fraction
 
 MAX_TENSOR_DIM = 4096
 CONVEX_LEMMA_VARIANTS = ("log3", "log_sqrt3")
+# power iteration: the relative change of the Rayleigh quotient, and a step cap
+_POWER_TOL = 1e-10
+_POWER_MAX_ITERS = 500
+_EXACT_FACTORIAL_MAX = 170  # the largest n whose n! is a double
+_GRID_TOL = 1e-10  # golden-section bracket width: 55 steps from [-10, 10]
 
 
 def ell(n: int) -> float:
     """log(n!) / n, the per-rank archimedean defect.
 
-    Exact big-integer factorial, one float log; ell(2) is bit-identical to
-    0.5 * log(2).
+    Up to 170, where n! is a double, the exact factorial and one float log,
+    so ell(2) is bit-identical to 0.5 * log(2); beyond it lgamma(n + 1) / n,
+    since the exact n! grows to about n log10(n) digits.
 
     Examples:
         >>> ell(2) == 0.5 * math.log(2)
         True
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise NonPositiveError(f"ell needs a positive integer, got {n!r}")
-    return math.log(math.factorial(n)) / n
+    if n <= _EXACT_FACTORIAL_MAX:
+        return math.log(math.factorial(n)) / n
+    return math.lgamma(n + 1) / n
 
 
 def explicit_lower_bound(
@@ -81,7 +89,7 @@ def explicit_lower_bound(
     penalty = 0.0
     for b, mu, r in zip(multipliers, slopes, ranks):
         b = as_fraction(b)
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise NonPositiveError(f"rank must be a positive integer, got {r!r}")
         total = total - mu.scaled(b)
         if r >= 3 and b != 0:
@@ -156,7 +164,7 @@ class EpsilonNormResult:
     iterations: int
 
 
-def epsilon_norm_check(w: int, tol: float = 1e-10, max_iters: int = 500) -> EpsilonNormResult:
+def epsilon_norm_check(w: int) -> EpsilonNormResult:
     """Power iteration on the Gram matrix certifies the operator norm bound.
 
     The bound is sqrt(w!); the check passes when the computed norm is at
@@ -170,20 +178,15 @@ def epsilon_norm_check(w: int, tol: float = 1e-10, max_iters: int = 500) -> Epsi
     gram = np.asarray((m.T @ m).todense())
     v = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
     lam_prev = 0.0
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+    # the Gram matrix is a positive multiple of the identity, so u is never zero
+    for iterations in range(1, _POWER_MAX_ITERS + 1):
         u = gram @ v
         lam = float(v @ u)
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            lam = 0.0
-            break
-        v = u / nu
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            lam_prev = lam
+        v = u / float(np.linalg.norm(u))
+        if abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
             break
         lam_prev = lam
-    norm = math.sqrt(max(lam_prev, 0.0))
+    norm = math.sqrt(max(lam, 0.0))
     bound = math.sqrt(math.factorial(w))
     return EpsilonNormResult(w, norm, bound, norm <= bound + 1e-8, iterations)
 
@@ -401,17 +404,11 @@ def _lemma_profile(variant: str):
     raise InputError(f"variant must be one of {CONVEX_LEMMA_VARIANTS}, got {variant!r}")
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    if not 0 < tol < math.inf:
-        raise InputError("grid tolerance must be finite and positive")
+def _golden_section(f, a: float, b: float) -> tuple[float, float]:
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    # a tolerance below the float spacing is never reached: stop once the
-    # interval stops shrinking
-    width = math.inf
-    while tol < b - a < width:
-        width = b - a
+    while b - a > _GRID_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
@@ -424,7 +421,7 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def convex_lemma_min(variant: str, grid_tol: float = 1e-10) -> float:
+def convex_lemma_min(variant: str) -> float:
     """Global minimum of a named one-variable convex height profile.
 
     Both profiles take their minimum at 0: value log(3) for "log3" and
@@ -434,9 +431,9 @@ def convex_lemma_min(variant: str, grid_tol: float = 1e-10) -> float:
         >>> abs(convex_lemma_min("log3") - math.log(3)) < 1e-8
         True
     """
-    return _golden_section(_lemma_profile(variant), -10.0, 10.0, grid_tol)[1]
+    return _golden_section(_lemma_profile(variant), -10.0, 10.0)[1]
 
 
-def convex_lemma_argmin(variant: str, grid_tol: float = 1e-10) -> float:
+def convex_lemma_argmin(variant: str) -> float:
     """Location of the minimum (0 for both shipped profiles)."""
-    return _golden_section(_lemma_profile(variant), -10.0, 10.0, grid_tol)[0]
+    return _golden_section(_lemma_profile(variant), -10.0, 10.0)[0]

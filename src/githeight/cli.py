@@ -49,7 +49,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .heights import ProjectivePointQ, naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, as_fraction
+from .places import ARCHIMEDEAN, DEFAULT_COMPARE_TOL, LogValue, Place, as_fraction
 from .torus import (
     TorusAction,
     destabilizing_1ps,
@@ -218,13 +218,13 @@ def _cmd_instability(args) -> dict:
     subject = _parse_subject(inputs)
     if place is None:
         if isinstance(subject, MatrixQ):
-            values = instability_all_conj(subject, norm=args.norm, tol=args.tol)
+            values = instability_all_conj(subject, norm=args.norm)
         else:
             reports = instability_all(*subject, tol=args.arch_tol)
             values = {pl: r.value for pl, r in reports.items()}
         return {"instability": {str(pl): _logvalue_json(v, args.format) for pl, v in values.items()}}
     if isinstance(subject, MatrixQ):
-        value = instability_conj(subject, place, norm=args.norm, tol=args.tol)
+        value = instability_conj(subject, place, norm=args.norm)
         return {"place": str(place), "value": _logvalue_json(value, args.format)}
     if place.is_archimedean:
         report = instability_arch(*subject, tol=args.arch_tol)
@@ -241,7 +241,7 @@ def _cmd_instability(args) -> dict:
 def _cmd_quotient_height(args) -> dict:
     subject = _parse_subject(_inputs(args, _SUBJECT))
     if isinstance(subject, MatrixQ):
-        value = quotient_height_conj(subject, tol=args.tol)
+        value = quotient_height_conj(subject)
     else:
         value = quotient_height(*subject, tol=args.arch_tol)
     return _logvalue_json(value, args.format)
@@ -301,8 +301,8 @@ def _cmd_convex_lemma(args) -> dict:
     variant = _VARIANTS[key]
     return {
         "variant": variant,
-        "min": convex_lemma_min(variant, args.grid_tol),
-        "argmin": convex_lemma_argmin(variant, args.grid_tol),
+        "min": convex_lemma_min(variant),
+        "argmin": convex_lemma_argmin(variant),
     }
 
 
@@ -312,14 +312,13 @@ def _cmd_convex_lemma(args) -> dict:
 
 def _suite_checks(args):
     """Named end-to-end checks with frozen expected values."""
-    tol = args.tol
     action = TorusAction(rank=1, weights=((-2,), (1,), (4,)))
     point = ProjectivePointQ.parse("2:2:1")
     unipotent = MatrixQ.from_lists([[1, 1], [0, 1]])
     diag23 = MatrixQ.from_lists([[2, 0], [0, 3]])
 
-    def close(a, b, t=tol):
-        return abs(a - b) <= t
+    def close(a, b):
+        return abs(a - b) <= DEFAULT_COMPARE_TOL
 
     def c_height():
         v = naive_height(point).to_float()
@@ -378,18 +377,18 @@ def _suite_checks(args):
         return "True", str(got), got is True
 
     def c_quot_conj():
-        v = quotient_height_conj(unipotent, tol=tol)
+        v = quotient_height_conj(unipotent)
         ok = not v.finite and close(v.to_float(), 0.5 * LN2)
         return f"{0.5 * LN2:.9f}", f"{v.to_float():.9f}", ok
 
     def c_quot_diag():
-        v = quotient_height_conj(diag23, tol=tol)
+        v = quotient_height_conj(diag23)
         expect = 0.5 * math.log(13.0)
         ok = not v.finite and close(v.to_float(), expect)
         return f"{expect:.9f}", f"{v.to_float():.9f}", ok
 
     def c_sup_inst():
-        v = instability_conj(diag23, Place.finite(2), norm="sup", tol=tol)
+        v = instability_conj(diag23, Place.finite(2), norm="sup")
         return "exact 0", f"{v.to_float():.9f}", v.is_exact_zero
 
     def c_diag_minimal():
@@ -504,9 +503,6 @@ def _cmd_suite(args) -> int:
 
 # The global options.
 _OPTIONS = (
-    ("--tol", dict(type=float, default=None,
-                   help="comparison tolerance, and the root-refinement tolerance of "
-                        "every matrix command (default 1e-9; env GIT_HEIGHT_TOL)")),
     ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
     ("--format", dict(choices=("float", "exact"), default="float",
                       help="finite parts as floats or exact rational strings")),
@@ -569,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     slopes.add_argument("--slopes", help="comma-separated slopes (floats)")
     slopes.add_argument("--slopes-json", help="JSON list of exact slope values")
     command(bsub, "convex-lemma", _cmd_convex_lemma, "named one-variable convex minimum",
-            ("variant", dict(help="log3 or log_sqrt3")),
-            ("--grid-tol", dict(type=float, default=1e-10)))
+            ("variant", dict(help="log3 or log_sqrt3")))
 
     command(sub, "paper-suite", _cmd_suite,
             "run the bundled regression suite of worked examples")
@@ -580,12 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tol is None:
-            env = os.environ.get("GIT_HEIGHT_TOL")
-            args.tol = float(env) if env else 1e-9
         # the comparisons are false for nan, so nan is rejected too
-        if not all(0 < t < math.inf for t in (args.tol, args.arch_tol)):
-            raise InputError("tolerances must be finite and positive")
+        if not 0 < args.arch_tol < math.inf:
+            raise InputError("--arch-tol must be finite and positive")
         output = args.func(args)
         # paper-suite prints its own report and returns its exit code
         if not isinstance(output, int):

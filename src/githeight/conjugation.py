@@ -157,7 +157,7 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
     return k < phi.n
 
 
-def eigen_data(phi: MatrixQ, tol: float = 1e-9) -> EigenData:
+def eigen_data(phi: MatrixQ) -> EigenData:
     """All root data of the characteristic polynomial in one bundle: one
     charpoly, one valuation table of its coefficients and one root solve."""
     _require_nonzero(phi)
@@ -165,7 +165,7 @@ def eigen_data(phi: MatrixQ, tol: float = 1e-9) -> EigenData:
     reduced, k = cp.shift_out_zero_roots()
     polygons = tuple((p, NewtonPolygon.from_valuations(p, vals))
                      for p, vals in valuation_table(reduced.coeffs).items())
-    return EigenData(cp, k, polygons, complex_roots(cp, tol))
+    return EigenData(cp, k, polygons, complex_roots(cp))
 
 
 def _eigen_height(data: EigenData) -> LogValue:
@@ -192,7 +192,7 @@ def naive_matrix_height(phi: MatrixQ) -> LogValue:
     return naive_height_coords(phi.entries)
 
 
-def quotient_height_conj(phi: MatrixQ, tol: float = 1e-9) -> LogValue:
+def quotient_height_conj(phi: MatrixQ) -> LogValue:
     """Height of the image of [phi] in the conjugation quotient.
 
     Exact finite parts from the steepest Newton-polygon slopes, archimedean
@@ -204,15 +204,10 @@ def quotient_height_conj(phi: MatrixQ, tol: float = 1e-9) -> LogValue:
         >>> abs(h.to_float() - 0.5 * math.log(2)) < 1e-12
         True
     """
-    return _eigen_height(eigen_data(phi, tol))
+    return _eigen_height(eigen_data(phi))
 
 
-def instability_conj(
-    phi: MatrixQ,
-    place: Place,
-    norm: str = "frobenius",
-    tol: float = 1e-9,
-) -> LogValue:
+def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> LogValue:
     """Local instability measure of [phi]: log (inf conjugate norm / norm).
 
     The infimum of the norm over the conjugation orbit is the largest
@@ -234,7 +229,7 @@ def instability_conj(
     if k == phi.n:
         return LogValue.neg_infinity()
     if place.is_archimedean:
-        return _arch_term(phi, complex_roots(cp, tol), norm)
+        return _arch_term(phi, complex_roots(cp), norm)
     p = place.prime  # a Place holds a proven prime
     # exact log (largest |eigenvalue|_p / largest |entry|_p); k < n, so reduced has positive degree
     polygon = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs])
@@ -256,7 +251,7 @@ def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
     return LogValue.from_arch(eig - mat)
 
 
-def instability_all_conj(phi: MatrixQ, norm: str = "frobenius", tol: float = 1e-9) -> dict[Place, LogValue]:
+def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, LogValue]:
     """Instability measures at every place where they can be nonzero.
 
     The places are the primes of the entries and of the nonzero-root part
@@ -266,7 +261,7 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius", tol: float = 1e-
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
-    return _instability_terms(phi, eigen_data(phi, tol), valuation_table(phi.entries), norm)
+    return _instability_terms(phi, eigen_data(phi), valuation_table(phi.entries), norm)
 
 
 def _instability_terms(phi: MatrixQ, data: EigenData, table, norm: str) -> dict[Place, LogValue]:
@@ -382,13 +377,13 @@ def moment_map_conj(
     return (pairing / (2j * math.pi * norm2)).real
 
 
-def fundamental_formula_residual_conj(phi: MatrixQ, tol: float = 1e-9) -> float:
+def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     """naive height + sum of local measures - quotient height, as a float.
 
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    data = eigen_data(phi, tol)
+    data = eigen_data(phi)
     height = _eigen_height(data)
     table = valuation_table(phi.entries)
     total = _naive_height(phi.entries, table)

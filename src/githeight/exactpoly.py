@@ -34,6 +34,7 @@ from .errors import (
 from .places import RationalLike, _valuation, as_fraction, is_prime
 
 _ABERTH_MAX_SWEEPS = 200
+_ROOT_TOL = 1e-9  # Aberth stops once every root z has |f(z)| <= _ROOT_TOL * sum |c_i| |z|^i
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def _residual_scale(coeffs: list[float], z: complex) -> float:
     return scale or 1.0
 
 
-def _aberth(coeffs: list[float], tol: float) -> list[complex]:
+def _aberth(coeffs: list[float]) -> list[complex]:
     """All roots, closed under conjugation exactly; coeffs real, ascending,
     both end coefficients nonzero.
 
@@ -292,10 +293,10 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
     upper = {i for i in range(deg - 1) if z[i].imag > 0 and z[i + 1] == z[i].conjugate()}
     movers = sorted(upper | {i for i in range(deg) if z[i].imag == 0})
     sweeps = 0
-    while not all(abs(_horner(coeffs, zi)) <= tol * _residual_scale(coeffs, zi) for zi in z):
+    while not all(abs(_horner(coeffs, zi)) <= _ROOT_TOL * _residual_scale(coeffs, zi) for zi in z):
         if sweeps == _ABERTH_MAX_SWEEPS:
             raise NoConvergenceError(
-                f"root refinement did not reach tolerance {tol} in {_ABERTH_MAX_SWEEPS} sweeps")
+                f"root refinement did not reach tolerance {_ROOT_TOL} in {_ABERTH_MAX_SWEEPS} sweeps")
         sweeps += 1
         for i in movers:
             if any(z[j] == z[i] for j in range(deg) if j != i):
@@ -314,11 +315,11 @@ def _aberth(coeffs: list[float], tol: float) -> list[complex]:
     return z
 
 
-def complex_roots(f: PolyQ, tol: float = 1e-9) -> ComplexMultiset:
+def complex_roots(f: PolyQ) -> ComplexMultiset:
     """All complex roots, multiplicity-clustered, conjugation-closed.
 
     :func:`_aberth` takes the real coefficients, scaled to at most 1, and
-    runs until every residual satisfies |f(z)| <= tol * scale(z), with a
+    runs until every residual satisfies |f(z)| <= 1e-9 * scale(z), with a
     hard cap of 200 sweeps.  Roots are then clustered at a 1e-6 relative
     radius to recover multiplicities.  NoConvergenceError beyond the cap or
     the double range of the coefficients.
@@ -339,7 +340,7 @@ def complex_roots(f: PolyQ, tol: float = 1e-9) -> ComplexMultiset:
         if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(
                 math.isfinite(c / coeffs[-1]) for c in coeffs):
             raise NoConvergenceError("coefficient range exceeds double precision")
-        refined = _aberth(coeffs, tol)
+        refined = _aberth(coeffs)
         clusters: list[list[complex]] = []
         for z in sorted(refined, key=lambda w: (w.real, w.imag)):
             for cl in clusters:

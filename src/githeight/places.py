@@ -65,6 +65,12 @@ _SPLITS: dict[int, tuple[tuple[int, ...], int]] = {}
 _SPLITS_CAP = 4096
 
 
+def _is_int(v) -> bool:
+    """An int and not a bool: a float or bool prime, rank, weight or 1-PS
+    entry is refused, not truncated, since int(2.9) == 2 changes the input."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with proven witness set).
 
@@ -72,6 +78,8 @@ def is_prime(n: int) -> bool:
         >>> is_prime(2), is_prime(97), is_prime(1)
         (True, True, False)
     """
+    if not _is_int(n):
+        raise InputError(f"{n!r} is not an integer")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -182,18 +190,26 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(k, n / p^k) for the largest k with p^k | n != 0.  Past the first p,
+    the rest is stripped of p^2 recursively, then of at most one more p: k
+    takes O(log k) big divisions, not k."""
+    m, r = divmod(n, p)
+    if r:
+        return 0, n
+    k, m = _strip(m, p * p)
+    rest, r = divmod(m, p)
+    return (2 * k + 1, m) if r else (2 * k + 2, rest)
+
+
 def _divide_out(n: int, primes: list[int], exponents: dict[int, int]) -> int:
     """Divide n by each prime as often as it goes, record the exponents, and
     return what is left."""
     for p in primes:
         if n == 1:
             break
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            exponents[p] = k
+        if n % p == 0:
+            exponents[p], n = (1, n // p) if n // p % p else _strip(n, p)
     return n
 
 
@@ -272,8 +288,8 @@ def factorize(n: int) -> dict[int, int]:
         >>> factorize(12 * 1000003 ** 3)  # the cofactor is a cube: no Pollard-Brent
         {2: 2, 3: 1, 1000003: 3}
     """
-    if n <= 0:
-        raise InputError(f"can only factor positive integers, got {n}")
+    if not _is_int(n) or n <= 0:
+        raise InputError(f"can only factor positive integers, got {n!r}")
     return _factor_all([n])[0]
 
 
@@ -322,16 +338,14 @@ def _valuation(x: RationalLike, p: int) -> int | float:
     q = as_fraction(x)
     if q == 0:
         return math.inf
-    v = 0
+    # in lowest terms p divides one part at most; beyond +-1 _strip counts
     n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p == 0:
+        return 1 if n // p % p else _strip(n, p)[0]
     d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    if d % p == 0:
+        return -1 if d // p % p else -_strip(d, p)[0]
+    return 0
 
 
 def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
@@ -405,7 +419,7 @@ class Place:
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        return cls(int(p))
+        return cls(p)
 
     @property
     def is_archimedean(self) -> bool:
@@ -467,7 +481,6 @@ class LogValue:
         if finite is not None and not neg_inf:
             items = finite.items() if isinstance(finite, Mapping) else finite
             for p, q in items:
-                p = int(p)
                 if not is_prime(p):
                     raise InputError(f"finite part keyed by non-prime {p}")
                 q = as_fraction(q)
@@ -618,7 +631,8 @@ class LogValue:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LogValue":
         try:
-            finite = {int(p): as_fraction(q) for p, q in dict(d.get("finite", {})).items()}
+            finite = {int(p) if isinstance(p, str) else p: as_fraction(q)
+                      for p, q in dict(d.get("finite", {})).items()}
             return cls(finite, float(d.get("arch", 0.0)), bool(d.get("neg_inf", False)))
         except (TypeError, AttributeError) as exc:
             raise InputError(f"malformed LogValue payload: {d!r}") from exc

@@ -37,16 +37,10 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, _naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, _valuation, log_abs, valuation_table
+from .places import ARCHIMEDEAN, LogValue, Place, _is_int, _valuation, log_abs, valuation_table
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
-
-
-def _is_int(v) -> bool:
-    """An int and not a bool: a float or bool rank, weight or 1-PS entry is
-    refused, not truncated, since int(0.5) == 0 would change the input."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

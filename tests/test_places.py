@@ -11,6 +11,7 @@ from githeight import MatrixQ, PolyQ, ProjectivePointQ, TorusAction, places
 from githeight.conjugation import is_minimal_nonarch
 from githeight.errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
 from githeight.exactpoly import newton_polygon
+from githeight.heights import naive_height
 from githeight.places import (
     ARCHIMEDEAN,
     LogValue,
@@ -40,6 +41,26 @@ def test_valuation_examples():
     assert valuation(0, 5) == math.inf
     assert valuation(Fraction(50, 9), 3) == -2
     assert valuation(7, 5) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009])
+def test_valuations_and_exponents_past_one(p):
+    # the divisor is squared while it divides, then the powers are tried back down
+    for k in range(70):
+        for unit in (1, -1, p + 1, Fraction(1, p + 1)):
+            assert valuation(unit * p ** k, p) == k
+            assert valuation(unit / Fraction(p) ** k, p) == -k
+        want = {q: e for q, e in ((p, k), (1013, k % 5)) if e}
+        assert factorize(p ** k * 1013 ** (k % 5)) == want
+
+
+def test_huge_valuations_return_quickly(time_limit):
+    # one big division per unit of valuation took 21 s for 10^100000
+    with time_limit(5):
+        h = naive_height(ProjectivePointQ.parse("1e100000:1"))
+        assert valuation(Fraction(3, 10 ** 100000), 5) == -100000
+        assert factorize(2 ** 100000 * 3 ** 70001) == {2: 100000, 3: 70001}
+    assert not h.finite and abs(h.arch - 100000 * math.log(10)) < 1e-6
 
 
 def test_as_fraction_parses_strings():
@@ -280,6 +301,27 @@ def test_public_entry_points_refuse_non_primes(call, p):
     # a user's p is tested once at the entry point; later valuations trust it
     with pytest.raises(InputError):
         call(p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Place.finite(2.9),
+    lambda: instability_nonarch(_W214, _P221, 2.9),
+    lambda: residually_semistable_direct(_W214, _P221, 2.9),
+    lambda: LogValue({2.9: 1}),
+    lambda: LogValue.from_json_dict({"finite": {2.9: 1}}),
+    lambda: valuation(4, 2.5),
+    lambda: is_prime(2.5),
+    lambda: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), 2.5),
+    lambda: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), 2.9),
+    lambda: factorize(True),
+    lambda: factorize(12.0),
+], ids=["place", "instability_nonarch", "residually_semistable_direct", "logvalue",
+        "logvalue_from_json", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
+        "factorize_bool", "factorize_float"])
+def test_non_integer_primes_are_refused(call):
+    # int(2.9) == 2 would silently compute at another prime
+    with pytest.raises(InputError):
+        call()
 
 
 def test_logvalue_arithmetic():
