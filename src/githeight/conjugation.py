@@ -39,6 +39,7 @@ from .heights import _naive_height, naive_height_coords
 from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, _valuation, as_fraction, log_abs, valuation_table
 
 NORM_CHOICES = ("frobenius", "sup")
+_SKEW_TOL = 1e-12  # how far from skew-hermitian a moment-map direction may be, relative to its norm
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,6 @@ class MatrixQ:
     def scaled(self, c: RationalLike) -> "MatrixQ":
         c = as_fraction(c)
         return MatrixQ(tuple(tuple(c * x for x in row) for row in self.rows))
-
-    def to_complex_array(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.rows])
 
 
 @dataclass(frozen=True)
@@ -243,12 +241,16 @@ def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
         mat = 0.5 * log_abs(sum(x * x for x in phi.entries), ARCHIMEDEAN).arch
     else:
         eig = math.log(roots.max_abs())
-        # scaled exactly by 2^-k so the largest entry lies near 1, since
-        # entries may lie beyond the double range
-        k = max(abs(x.numerator).bit_length() - x.denominator.bit_length() for x in phi.entries if x)
-        scaled = [[float(x * Fraction(2) ** -k) for x in row] for row in phi.rows]
+        scaled, k = _float_rows(phi)
         mat = math.log(float(np.linalg.norm(scaled, 2))) + k * math.log(2)
     return LogValue.from_arch(eig - mat)
+
+
+def _float_rows(phi: MatrixQ) -> tuple[list[list[float]], int]:
+    """(the rows of 2^-k phi as floats, k): the largest entry lies near 1, though
+    phi's entries may lie beyond the double range, and a power-of-two scale is exact."""
+    k = max((x.numerator.bit_length() - x.denominator.bit_length() for x in phi.entries if x), default=0)
+    return [[float(x * Fraction(2) ** -k) for x in row] for row in phi.rows], k
 
 
 def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, LogValue]:
@@ -352,22 +354,19 @@ def skew_hermitian_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def moment_map_conj(
-    phi: Union[MatrixQ, np.ndarray],
-    direction: np.ndarray,
-    tol: float = 1e-12,
-) -> float:
+def moment_map_conj(phi: Union[MatrixQ, np.ndarray], direction: np.ndarray) -> float:
     """Moment-map pairing <[A, phi], phi> / (2 i pi ||phi||^2), a real number.
 
-    ``direction`` must be skew-hermitian within tol.  The pairing vanishes
-    for every direction iff phi is normal, i.e. minimal in its orbit.
+    ``direction`` must be skew-hermitian within 1e-12 times max(1, its norm).
+    The pairing vanishes for every direction iff phi is normal, i.e. minimal
+    in its orbit.  It is homogeneous of degree 0, so a MatrixQ enters as :func:`_float_rows`.
     """
     a = np.asarray(direction, dtype=complex)
-    m = phi.to_complex_array() if isinstance(phi, MatrixQ) else np.asarray(phi, dtype=complex)
+    m = np.asarray(_float_rows(phi)[0] if isinstance(phi, MatrixQ) else phi, dtype=complex)
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError("direction and matrix must be square and same size")
     scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.linalg.norm(a + a.conj().T)) > tol * scale:
+    if float(np.linalg.norm(a + a.conj().T)) > _SKEW_TOL * scale:
         raise NotSkewHermitianError("direction is not skew-hermitian within tolerance")
     norm2 = float(np.vdot(m, m).real)
     if norm2 == 0.0:
@@ -397,9 +396,10 @@ def orbit_sampling_bound(phi: MatrixQ, samples: int = 200, seed: int = 0) -> Log
 
     Sample 0 is the identity; later samples conjugate by products of 1 to 4
     elementary shears I + c E_ij with small rational c, seeded and
-    deterministic.  The inverse is accumulated as the reversed product of
-    negated shears, so conjugation is exact.  The result can never drop
-    below the quotient height.
+    deterministic, applied last shear first as exact row and column
+    operations (row i += c row j, then column j -= c column i).  The result
+    can never drop below the quotient height; SL_1 is trivial, so a 1 x 1
+    matrix gives its naive height.
 
     Examples:
         >>> v = orbit_sampling_bound(MatrixQ.identity(2), samples=5, seed=1)
@@ -412,22 +412,22 @@ def orbit_sampling_bound(phi: MatrixQ, samples: int = 200, seed: int = 0) -> Log
     rng = random.Random(seed)
     n = phi.n
     best = naive_matrix_height(phi)
+    if n == 1:
+        return best
     for _ in range(samples - 1):
-        g = MatrixQ.identity(n)
-        ginv = MatrixQ.identity(n)
+        shears = []
         for _ in range(rng.randint(1, 4)):
             i = rng.randrange(n)
             j = rng.randrange(n)
             while j == i:
                 j = rng.randrange(n)
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            shear_rows = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
-            shear_rows[i][j] = c
-            shear = MatrixQ.from_lists(shear_rows)
-            shear_rows[i][j] = -c
-            g = g.mul(shear)
-            ginv = MatrixQ.from_lists(shear_rows).mul(ginv)
-        h = naive_matrix_height(g.mul(phi).mul(ginv))
+            shears.append((i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+        m = [list(row) for row in phi.rows]
+        for i, j, c in reversed(shears):
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= c * row[i]
+        h = naive_height_coords([x for row in m for x in row])
         if h.to_float() < best.to_float():
             best = h
     return best

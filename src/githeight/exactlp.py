@@ -7,12 +7,12 @@ max_i (m_i . xi + c_i) = max over lam in P of sum_i lam_i c_i, the left side
 unbounded below exactly when P is empty.  ``_Simplex`` solves the right side
 exactly by integer pivoting with Bland's smallest-index rule (Bland 1977),
 which cannot cycle.  Phase 1 depends only on the slopes, so it runs once per
-polytope (``ZeroSumPolytope``) and keeps the feasible tableau it reaches;
-each cost vector then runs phase 2 on a copy of that tableau.  The
-minimizer xi is the row multipliers of the optimal basis, so ties resolve
-to that basis, not to the lexicographically smallest minimizer.  When P is
-empty the phase-1 Farkas vector separates the slopes from 0 instead, which
-is the destabilizing direction.  The face of zero (the slopes some lam in P
+polytope (``ZeroSumPolytope``), on first use, and keeps the feasible
+tableau it reaches; each cost vector then runs phase 2 on a copy of that
+tableau.  The minimizer xi is the row multipliers of the optimal basis, so
+ties resolve to that basis, not to the lexicographically smallest
+minimizer.  When P is empty the phase-1 Farkas vector separates the slopes
+from 0 instead, which is the destabilizing direction.  The face of zero (the slopes some lam in P
 charges) is one more solve on a copy of the same tableau, with one column
 appended that shifts every candidate lam_j by a common s; its dual rules
 out the slopes off the face, so a full face costs one solve.
@@ -21,6 +21,7 @@ out the slopes off the face, so a full face costs one solve.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from fractions import Fraction
 
@@ -148,11 +149,11 @@ def _scaled(values, scale: int) -> list[int]:
 
 
 class ZeroSumPolytope:
-    """The zero-sum polytope P of the slopes, after one phase 1.
+    """The zero-sum polytope P of the slopes, with one phase 1.
 
     Row 0 is sum lam = 1 and row 1 + k is -sum lam_i m_ik = 0, so the row
     multipliers of every solve are (value, xi).  Each method reads the
-    phase-1 result or runs phase 2 on a copy of its feasible tableau.
+    phase-1 result, run on first use, or runs phase 2 on a copy of its feasible tableau.
 
     Examples:
         >>> P = ZeroSumPolytope([(-2,), (1,), (4,)])
@@ -163,9 +164,13 @@ class ZeroSumPolytope:
     """
 
     def __init__(self, slopes):
-        rank = len(slopes[0]) if slopes else 0
-        a = [[1] * len(slopes), *([-m[k] for m in slopes] for k in range(rank))]
-        self._program = _Simplex(a, [1] + [0] * rank)
+        self.slopes = slopes
+
+    @functools.cached_property
+    def _program(self) -> _Simplex:
+        rank = len(self.slopes[0]) if self.slopes else 0
+        a = [[1] * len(self.slopes), *([-m[k] for m in self.slopes] for k in range(rank))]
+        return _Simplex(a, [1] + [0] * rank)
 
     def minimize_max_affine(self, offsets):
         """min over xi of max_i (slopes[i] . xi + offsets[i]), exactly.
@@ -220,16 +225,6 @@ class ZeroSumPolytope:
 def minimize_max_affine(slopes: list[tuple[Fraction, ...]], offsets: list[Fraction]):
     """:meth:`ZeroSumPolytope.minimize_max_affine` of one cost vector."""
     return ZeroSumPolytope(slopes).minimize_max_affine(offsets)
-
-
-def separating_direction(slopes: list[tuple[Fraction, ...]]):
-    """:meth:`ZeroSumPolytope.separating_direction`: phase 1 alone."""
-    return ZeroSumPolytope(slopes).separating_direction()
-
-
-def face_of_zero(slopes: list[tuple[Fraction, ...]]) -> list[int]:
-    """:meth:`ZeroSumPolytope.face_of_zero` of the slopes."""
-    return ZeroSumPolytope(slopes).face_of_zero()
 
 
 def feasible(rows: list[Row], nvars: int) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -30,6 +31,9 @@ RationalLike = Union[Fraction, int, str]
 
 #: Default absolute tolerance for comparing float images of values.
 DEFAULT_COMPARE_TOL = 1e-9
+
+# Fraction("1e10000000") takes seconds: Python's 4300-digit limit does not bound the exponent
+_MAX_EXPONENT = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,8 @@ def factorize(n: int) -> dict[int, int]:
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string "a/b" / "a" to an exact Fraction.
 
+    A decimal string's exponent may not exceed 100000 in absolute value.
+
     Examples:
         >>> as_fraction("-2/3")
         Fraction(-2, 3)
@@ -310,10 +316,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
+        exponent = re.search(r"[eE]([-+]?[\d_]+)\Z", text)
         try:
-            return Fraction(x.strip())
+            if not (exponent and abs(int(exponent[1])) > _MAX_EXPONENT):
+                return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {x!r}") from exc
+        raise InputError(f"decimal exponent beyond {_MAX_EXPONENT} in absolute value: {x!r}")
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 

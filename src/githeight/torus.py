@@ -22,7 +22,6 @@ in the quotient; unstable points have iota = -infinity and no image.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -131,7 +130,7 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         >>> is_semistable(act, ProjectivePointQ.parse("0:0:1"))
         False
     """
-    return exactlp.separating_direction(_active_weights(action, x)[1]) is None
+    return exactlp.ZeroSumPolytope(_active_weights(action, x)[1]).separating_direction() is None
 
 
 def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
@@ -147,7 +146,7 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
         >>> destabilizing_1ps(act, ProjectivePointQ.parse("1:1:0"))
         (1, 1)
     """
-    xi = exactlp.separating_direction(_active_weights(action, x)[1])
+    xi = exactlp.ZeroSumPolytope(_active_weights(action, x)[1]).separating_direction()
     if xi is None:
         return None
     scale = math.lcm(*(c.denominator for c in xi))
@@ -167,7 +166,8 @@ def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: in
     xs, ms = _active_weights(action, x)
     vals = [_valuation(c, place.prime) for c in xs]
     vmin = min(vals)
-    return exactlp.separating_direction([m for m, v in zip(ms, vals) if v == vmin]) is None
+    reduced = exactlp.ZeroSumPolytope([m for m, v in zip(ms, vals) if v == vmin])
+    return reduced.separating_direction() is None
 
 
 def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> InstabilityReport:
@@ -186,15 +186,13 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
     """
     place = Place.finite(p)
     xs, ms = _active_weights(action, x)
-    return _nonarch_report(functools.partial(exactlp.minimize_max_affine, ms),
-                           [_valuation(c, place.prime) for c in xs], place)
+    return _nonarch_report(exactlp.ZeroSumPolytope(ms), [_valuation(c, place.prime) for c in xs], place)
 
 
-def _nonarch_report(minimize, vals, place: Place) -> InstabilityReport:
-    """Measure at a finite place from the valuations of the active coordinates;
-    minimize(offsets) is min over xi of max_i (<m_i, xi> + offsets_i)."""
+def _nonarch_report(polytope: exactlp.ZeroSumPolytope, vals, place: Place) -> InstabilityReport:
+    """Measure at a finite place from the active weights' polytope and the active valuations."""
     offsets = [-v for v in vals]
-    value, argmin = minimize(offsets)
+    value, argmin = polytope.minimize_max_affine(offsets)
     if value is None:
         return _unstable_report(place)
     measure = value - max(offsets)
@@ -212,32 +210,32 @@ def instability_arch(
     contains 0; the point is unstable iff that face is empty.  If
     sum x_i^2 m_i = 0 exactly, lam_i ~ x_i^2 is a relative-interior point of
     the weights' zero-sum polytope, so every weight is on the face, no LP
-    runs and the measure is exactly 0.  Otherwise :func:`exactlp.face_of_zero`
-    gives the face: phase 1 alone when it is empty, one elimination solve
-    when every weight is on it, and at most one more per weight off it.  A
-    damped Newton iteration on an orthonormal basis of its span, started
-    where log x_i^2 + 2 <m_i, xi> are closest to equal in least squares,
-    drives the gradient below tol.
+    runs and the measure is exactly 0.  Otherwise the polytope's
+    ``face_of_zero`` gives the face: phase 1 alone when it is empty, one
+    elimination solve when every weight is on it, and at most one more per
+    weight off it.  A damped Newton iteration on an orthonormal basis of
+    its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
+    least squares, drives the gradient below tol.
     """
     xs, ms = _active_weights(action, x)
-    return _arch_report(action.rank, xs, ms, functools.partial(exactlp.face_of_zero, ms), tol)
+    return _arch_report(action.rank, xs, exactlp.ZeroSumPolytope(ms), tol)
 
 
-def _arch_report(rank: int, xs, ms, face_of_zero, tol: float) -> InstabilityReport:
+def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -> InstabilityReport:
     """The archimedean report; -infinity when the face of zero is empty.
-    face_of_zero() is called only when the exact balance test fails."""
-    xs2 = [c ** 2 for c in xs]
+    The polytope runs an LP only when the exact balance test fails."""
+    ms, xs2 = polytope.slopes, [c ** 2 for c in xs]
     grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
     if all(g == 0 for g in grad0):
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
-    face = face_of_zero()
+    face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
     log_xs2 = np.array([log_abs(xs2[j], ARCHIMEDEAN).arch for j in face])
     log_total = log_abs(sum(xs2), ARCHIMEDEAN).arch
-    xi = _newton_minimize(weights_f, log_xs2, tol)
-    best = 0.5 * _logsumexp(log_xs2 + 2.0 * (weights_f @ xi)) - 0.5 * log_total
+    xi, value = _newton_minimize(weights_f, log_xs2, tol)
+    best = value - 0.5 * log_total
     return InstabilityReport(
         ARCHIMEDEAN,
         LogValue.from_arch(min(best, 0.0)),
@@ -253,8 +251,8 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     The places are the support primes of the coordinates, ascending, then
     oo, all read off one valuation table.  Every LP runs on one
     :class:`exactlp.ZeroSumPolytope` of the active weights, so phase 1 runs
-    once per input.  Its face of zero decides semistability for all places:
-    an unstable point gets -infinity everywhere before any per-prime LP runs.
+    once per input.  An unstable point gets -infinity everywhere from phase
+    1 alone: its empty polytope runs no phase 2.
     """
     xs, ms = _active_weights(action, x)
     return _reports(action.rank, xs, ms, valuation_table(xs), tol)
@@ -262,14 +260,9 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
 
 def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
     polytope = exactlp.ZeroSumPolytope(ms)
-    arch = _arch_report(rank, xs, ms, polytope.face_of_zero, tol)
-    places = [Place._of_prime(p) for p in table]  # the table's keys are proven primes
-    if arch.value.neg_inf:
-        reports = {place: _unstable_report(place) for place in places}
-    else:
-        reports = {place: _nonarch_report(polytope.minimize_max_affine, vals, place)
-                   for place, vals in zip(places, table.values())}
-    reports[ARCHIMEDEAN] = arch
+    reports = {place: _nonarch_report(polytope, vals, place)  # the table's keys are proven primes
+               for place, vals in zip(map(Place._of_prime, table), table.values())}
+    reports[ARCHIMEDEAN] = _arch_report(rank, xs, polytope, tol)
     return reports
 
 
@@ -278,8 +271,8 @@ def _logsumexp(a) -> float:
     return amax + math.log(float(np.sum(np.exp(a - amax))))
 
 
-def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float) -> np.ndarray:
-    """Minimize (1/2) log sum exp(log_xs2_i + 2 w_i . xi) over span of the rows."""
+def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float):
+    """Minimize (1/2) log sum exp(log_xs2_i + 2 w_i . xi) over the row span: (xi, the minimum)."""
     # orthonormal basis of the row span; flat directions are projected out,
     # so all-zero weights leave xi = 0
     _, svals, vt = np.linalg.svd(weights, full_matrices=False)
@@ -333,7 +326,7 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float) -> np
         raise NoConvergenceError(
             f"archimedean minimization hit {_NEWTON_MAX_ITERS} iterations"
         )
-    return basis @ y
+    return basis @ y, fy
 
 
 def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12) -> LogValue:

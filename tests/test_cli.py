@@ -288,6 +288,29 @@ def test_height_of_huge_coordinates(capsys, argv):
     assert abs(data["arch"] - 200 * math.log(10)) < 1e-9
 
 
+# The torus point of tests/test_torus.py on which the archimedean Newton iteration stalls
+STALL_ARGV = ("--weights=[[0,-2,-1],[-3,3,-2],[3,0,-3],[0,1,1],[-1,-2,0],[3,-3,-2]]",
+              "--point=1267510573636933989563929/11:1/11712089809763281:11712089809763281"
+              ":-1/108222409:7/108222409:7")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("quotient-height", "--weights=-1,1", "--point", "1:0"), 1),
+    (("height", "1e100000000:1"), 2),
+    (("height", "--matrix", '[["1e100000000","1"],["0","1"]]'), 2),
+    (("quotient-height", *STALL_ARGV), 3),
+])
+def test_exit_codes_as_a_process(argv, code):
+    # Fraction("1e100000000") alone was still parsing after 110 s
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "githeight.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
 def run_stdin(capsys, monkeypatch, payload, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     return run(capsys, *argv)

@@ -193,6 +193,18 @@ def test_moment_map_examples():
         moment_map_conj(UNIPOTENT, ((1j,),))
 
 
+def test_moment_map_of_entries_beyond_the_double_range():
+    # the pairing is homogeneous of degree 0, so the matrix enters scaled by a power of two
+    for big in ("1e400", "1e-400"):
+        scaled = MatrixQ.from_lists([[big, big], [0, big]])
+        for a in skew_hermitian_basis(2):
+            assert abs(moment_map_conj(scaled, a) - moment_map_conj(UNIPOTENT, a)) < 1e-15
+    tiny = MatrixQ.from_lists([["1e-400", 0], [0, "1e-400"]])  # normal, and not the zero matrix
+    assert all(moment_map_conj(tiny, a) == 0.0 for a in skew_hermitian_basis(2))
+    with pytest.raises(ZeroMatrixError):
+        moment_map_conj(MatrixQ.from_lists([[0, 0], [0, 0]]), skew_hermitian_basis(2)[0])
+
+
 def test_skew_basis_spans():
     basis = skew_hermitian_basis(3)
     assert len(basis) == 9
@@ -281,6 +293,49 @@ def test_orbit_sampling_bound():
     assert d.to_float() >= 0.5 * math.log(13) - 1e-9
     with pytest.raises(InputError):
         orbit_sampling_bound(UNIPOTENT, samples=0, seed=0)
+
+
+def _orbit_bound_by_products(phi, samples, seed):
+    """orbit_sampling_bound's draws, conjugating by the dense product g of
+    the shears and the reversed product g^-1 of the negated shears."""
+    rng = random.Random(seed)
+    n = phi.n
+    best = naive_matrix_height(phi)
+    for _ in range(samples - 1):
+        g = ginv = MatrixQ.identity(n)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            while j == i:
+                j = rng.randrange(n)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            shear_rows = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+            shear_rows[i][j] = c
+            g = g.mul(MatrixQ.from_lists(shear_rows))
+            shear_rows[i][j] = -c
+            ginv = MatrixQ.from_lists(shear_rows).mul(ginv)
+        h = naive_matrix_height(g.mul(phi).mul(ginv))
+        if h.to_float() < best.to_float():
+            best = h
+    return best
+
+
+def test_orbit_sampling_bound_matches_shear_products():
+    rng = random.Random(211)
+    for k in range(12):
+        n = 2 + k % 3
+        phi = MatrixQ.from_lists([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                                  for _ in range(n)])
+        if phi.is_zero:
+            continue
+        assert orbit_sampling_bound(phi, samples=15, seed=k) == _orbit_bound_by_products(phi, 15, k)
+
+
+def test_orbit_sampling_bound_of_a_one_by_one_matrix(time_limit):
+    # SL_1 is trivial; drawing a shear with i != j from one index never ended
+    with time_limit(5):
+        bound = orbit_sampling_bound(MatrixQ.from_lists([[5]]), samples=2)
+    assert bound == naive_matrix_height(MatrixQ.from_lists([[5]]))
 
 
 def test_quotient_height_of_repeated_eigenvalues():

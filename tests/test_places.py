@@ -63,6 +63,13 @@ def test_huge_valuations_return_quickly(time_limit):
     assert not h.finite and abs(h.arch - 100000 * math.log(10)) < 1e-6
 
 
+@pytest.mark.parametrize("text", ["1e100001", "1e-100000000", "-2.5E+1_000_000", "1e" + "9" * 5000])
+def test_as_fraction_refuses_huge_decimal_exponents(time_limit, text):
+    # the exponent, not the digit count, set the parse time: 10.2 s for 1e10000000
+    with time_limit(1), pytest.raises(InputError):
+        as_fraction(text)
+
+
 def test_as_fraction_parses_strings():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction("-2") == Fraction(-2)

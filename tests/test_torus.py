@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from githeight import exactlp
-from githeight.errors import InputError, LengthMismatchError, UnstableError
+from githeight.errors import InputError, LengthMismatchError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import ARCHIMEDEAN, Place, support_primes, valuation
 from githeight.torus import (
@@ -129,7 +129,7 @@ def test_separating_direction_matches_highs():
                       A_eq=[[1.0] * len(slopes)] + [[float(m[k]) for m in slopes] for k in range(rank)],
                       b_eq=[1.0] + [0.0] * rank, bounds=[(0, None)] * len(slopes), method="highs")
         assert res.status in (0, 2)
-        xi = exactlp.separating_direction(slopes)
+        xi = exactlp.ZeroSumPolytope(slopes).separating_direction()
         assert (xi is None) == (res.status == 0)
         if xi is not None:
             assert len(xi) == rank
@@ -216,6 +216,7 @@ def test_face_of_zero_matches_one_farkas_test_per_weight(monkeypatch):
     cases = [_random_program(rng)[1] for _ in range(60)] + [_face_case(rng) for _ in range(150)]
     for slopes in cases:
         polytope = exactlp.ZeroSumPolytope(slopes)
+        polytope.separating_direction()  # phase 1 runs on first use, before the count
         with monkeypatch.context() as patch:
             patch.setattr(exactlp._Simplex, "_run", lambda *a, **k: solves.append(1) or run(*a, **k))
             del solves[:]
@@ -405,6 +406,23 @@ def test_instability_arch_at_tight_tolerances(tol):
          for c, w in zip(x.coords, weights)]
     p = [math.exp(v - max(a)) for v in a]
     assert abs(sum(w * q for w, q in zip(weights, p)) / sum(p)) <= tol
+
+
+# A semistable rank-3 point whose coordinates span about 10^32.  At the
+# least-squares start one term dominates the others by about 60 nats, the
+# Hessian is singular to about e^-60, and every damped Newton step overshoots.
+# It stays a convergence failure until the archimedean term is solved through
+# Kempf-Ness duality on the face of zero, which would turn it into a value.
+STALL_WEIGHTS = ((0, -2, -1), (-3, 3, -2), (3, 0, -3), (0, 1, 1), (-1, -2, 0), (3, -3, -2))
+STALL_POINT = ("1267510573636933989563929/11:1/11712089809763281:11712089809763281"
+               ":-1/108222409:7/108222409:7")
+
+
+def test_newton_stall_is_a_convergence_failure():
+    action = act(*STALL_WEIGHTS)
+    assert is_semistable(action, pt(STALL_POINT))
+    with pytest.raises(NoConvergenceError, match="stalled at gradient norm"):
+        quotient_height(action, pt(STALL_POINT))
 
 
 def test_instability_is_nonpositive():
