@@ -68,6 +68,16 @@ def ell(n: int) -> float:
     return math.lgamma(n + 1) / n
 
 
+def _require_finite(name: str, value) -> None:
+    """Refuse a number or LogValue whose double is infinite or nan."""
+    try:
+        ok = math.isfinite(value.to_float() if isinstance(value, LogValue) else float(value))
+    except (OverflowError, ValueError):  # float(10**400), fsum([inf, -inf])
+        ok = False
+    if not ok:
+        raise InputError(f"{name} is not finite as a double")
+
+
 def explicit_lower_bound(
     multipliers: Sequence[RationalLike],
     slopes: Sequence[LogValue],
@@ -77,7 +87,8 @@ def explicit_lower_bound(
 
     multipliers are the twisting exponents b_i, slopes the factor slopes
     mu_i (exact LogValues), ranks the factor ranks.  The bound is an
-    equality when all multipliers vanish.
+    equality when all multipliers vanish.  A multiplier, slope or bound
+    whose double is not finite raises InputError.
 
     Examples:
         >>> explicit_lower_bound([0], [LogValue({2: 1})], [2]).is_exact_zero
@@ -87,39 +98,23 @@ def explicit_lower_bound(
         raise LengthMismatchError("multipliers, slopes and ranks must align")
     total = LogValue.zero()
     penalty = 0.0
-    for b, mu, r in zip(multipliers, slopes, ranks):
+    for i, (b, mu, r) in enumerate(zip(multipliers, slopes, ranks)):
         b = as_fraction(b)
         if not _is_int(r) or r < 1:
             raise NonPositiveError(f"rank must be a positive integer, got {r!r}")
+        _require_finite(f"multiplier {i}", b)
+        _require_finite(f"slope {i}", mu)
         total = total - mu.scaled(b)
         if r >= 3 and b != 0:
             penalty += abs(float(b)) / 2.0 * ell(r)
-    return total + LogValue.from_arch(-penalty)
+    total = total + LogValue.from_arch(-penalty)
+    _require_finite("the bound", total)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # antisymmetrization maps
 # ---------------------------------------------------------------------------
-
-def _multi_indices(w: int):
-    return itertools.product(range(w), repeat=w)
-
-
-def _pack(digits: Sequence[int], base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
 
 def epsilon_map(w: int) -> sp.csr_matrix:
     """Matrix of the antisymmetrization map on a rank-w space.
@@ -144,14 +139,12 @@ def epsilon_map(w: int) -> sp.csr_matrix:
         vals = [1, -1, 1, -1]
         return sp.csr_matrix((vals, (rows, cols)), shape=(4, 4), dtype=np.int8)
     size = w ** w
-    rows, cols, vals = [], [], []
-    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(w))]
-    for r_digits in _multi_indices(w):
-        col = _pack(r_digits, w)
-        for p, sign in perms:
-            rows.append(col * size + _pack(p, w))
-            cols.append(col)
-            vals.append(sign)
+    perms = np.array(list(itertools.permutations(range(w))))
+    # a permutation's sign is -1 to the number of its inversions
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    cols = np.repeat(np.arange(size), len(perms))
+    rows = cols * size + np.tile(np.ravel_multi_index(perms.T, (w,) * w), size)
+    vals = np.tile((-1) ** inversions, size)
     return sp.csr_matrix((vals, (rows, cols)), shape=(size * size, size), dtype=np.int8)
 
 
@@ -213,29 +206,26 @@ class PermSpec:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        arities = tuple(int(a) for a in self.arities)
-        perms = tuple(tuple(int(s) for s in p) for p in self.perms)
+        arities, perms = tuple(self.arities), tuple(tuple(p) for p in self.perms)
         if len(arities) != len(perms):
             raise LengthMismatchError("arities and perms must align")
         if not arities:
             raise InputError("need at least one tensor factor")
         for a, p in zip(arities, perms):
-            if a < 1:
-                raise NonPositiveError("arities must be positive")
-            if sorted(p) != list(range(a)):
+            if not _is_int(a) or a < 1:
+                raise NonPositiveError(f"arities must be positive integers, got {a!r}")
+            # the length first, so a huge arity builds no range to compare with
+            if len(p) != a or not all(_is_int(s) for s in p) or sorted(p) != list(range(a)):
                 raise InputError(f"{p} is not a permutation of 0..{a - 1}")
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "perms", perms)
 
     def dim(self, dims: Sequence[int]) -> int:
-        dims = tuple(int(d) for d in dims)
         if len(dims) != len(self.arities):
             raise LengthMismatchError("one dimension per tensor factor")
-        if any(d < 1 for d in dims):
-            raise NonPositiveError("dimensions must be positive")
-        out = 1
-        for d, a in zip(dims, self.arities):
-            out *= d ** a
+        if not all(_is_int(d) and d >= 1 for d in dims):
+            raise NonPositiveError(f"dimensions must be positive integers, got {dims!r}")
+        out = math.prod(d ** a for d, a in zip(dims, self.arities))
         if out > MAX_TENSOR_DIM:
             raise DimensionTooLargeError(
                 f"tensor dimension {out} exceeds {MAX_TENSOR_DIM}"
@@ -243,29 +233,17 @@ class PermSpec:
         return out
 
 
-def _slot_index_map(dim: int, arity: int, perm: Sequence[int]) -> list[int]:
-    """Basis index map of the operator permuting slots by perm.
-
-    Sends e_t to e_u with u[s] = t[perm_inverse(s)]; indices packed base
-    dim, slot 0 most significant.
-    """
-    inv = [0] * arity
-    for s, img in enumerate(perm):
-        inv[img] = s
-    out = []
-    for t in itertools.product(range(dim), repeat=arity):
-        u = tuple(t[inv[s]] for s in range(arity))
-        out.append(_pack(u, dim))
-    return out
-
-
 def permutation_operator(spec: PermSpec, dims: Sequence[int]) -> np.ndarray:
-    """Dense 0/1 matrix of the tensor-product permutation operator."""
-    dim = spec.dim(dims)
+    """Dense 0/1 matrix of the tensor-product permutation operator.
+
+    Basis tensors are indexed by their slot digits packed in mixed radix,
+    factor 0 first and slot 0 most significant within each factor.  The
+    operator sends e_t to e_u, where slot s of factor i moves to slot
+    perms[i][s]: u[perms[i][s]] = t[s].
+    """
     full_map = _full_index_map(spec, dims)
-    op = np.zeros((dim, dim), dtype=np.int8)
-    for col, row in enumerate(full_map):
-        op[row, col] = 1
+    op = np.zeros((full_map.size, full_map.size), dtype=np.int8)
+    op[full_map, np.arange(full_map.size)] = 1
     return op
 
 
@@ -300,17 +278,16 @@ def perm_invariant_check(
     inverse operator, and the trace of the composition with a second random
     slot permutation equals the product of dims^cycles closed form.
     """
-    dims = tuple(int(d) for d in dims)
     dim = spec.dim(dims)
+    if not _is_int(trials) or trials < 1:
+        raise NonPositiveError(f"trials must be a positive integer, got {trials!r}")
     rng = random.Random(seed)
     for _ in range(trials):
         for d, a, p in zip(dims, spec.arities, spec.perms):
             g = _random_sl(d, rng)
             size = d ** a
-            mp = _slot_index_map(d, a, p)
-            inv_mp = [0] * size
-            for t, u in enumerate(mp):
-                inv_mp[u] = t
+            mp = _full_index_map(PermSpec((a,), (p,)), (d,))
+            mp, inv_mp = mp.tolist(), np.argsort(mp).tolist()
             tuples = list(itertools.product(range(d), repeat=a))
 
             def kron_entry(u: int, t: int) -> Fraction:
@@ -327,9 +304,7 @@ def perm_invariant_check(
                         return False
         # trace pairing on a random sparse rational matrix, two routes
         full_map = _full_index_map(spec, dims)
-        inv_full = [0] * dim
-        for t, u in enumerate(full_map):
-            inv_full[u] = t
+        full_map, inv_full = full_map.tolist(), np.argsort(full_map).tolist()
         phi = {}
         for _ in range(min(64, dim * dim)):
             phi[(rng.randrange(dim), rng.randrange(dim))] = Fraction(
@@ -347,14 +322,11 @@ def perm_invariant_check(
         other = tuple(
             tuple(rng.sample(range(a), a)) for a in spec.arities
         )
-        other_map = _full_index_map(PermSpec(spec.arities, other), dims)
+        other_map = _full_index_map(PermSpec(spec.arities, other), dims).tolist()
         computed = sum(1 for t in range(dim) if other_map[inv_full[t]] == t)
         closed = 1
         for d, a, p, q in zip(dims, spec.arities, spec.perms, other):
-            inv_p = [0] * a
-            for s, img in enumerate(p):
-                inv_p[img] = s
-            composite = [q[inv_p[s]] for s in range(a)]
+            composite = [q[s] for s in np.argsort(p)]
             seen = [False] * a
             cycles = 0
             for s in range(a):
@@ -369,25 +341,15 @@ def perm_invariant_check(
     return True
 
 
-def _full_index_map(spec: PermSpec, dims: Sequence[int]) -> list[int]:
-    dims = tuple(int(d) for d in dims)
-    maps = [
-        _slot_index_map(d, a, p)
-        for d, a, p in zip(dims, spec.arities, spec.perms)
-    ]
-    sizes = [d ** a for d, a in zip(dims, spec.arities)]
-    out = []
-    for col in range(spec.dim(dims)):
-        rest, parts = col, []
-        for size in reversed(sizes):
-            parts.append(rest % size)
-            rest //= size
-        parts.reverse()
-        row = 0
-        for size, part, mp in zip(sizes, parts, maps):
-            row = row * size + mp[part]
-        out.append(row)
-    return out
+def _full_index_map(spec: PermSpec, dims: Sequence[int]) -> np.ndarray:
+    """Row index of the image of each basis column (see permutation_operator):
+    one axis transpose of the packed index array."""
+    dim = spec.dim(dims)
+    shape, axes = [], []
+    for d, a, p in zip(dims, spec.arities, spec.perms):
+        axes += [len(shape) + s for s in p]
+        shape += [d] * a
+    return np.arange(dim).reshape(shape).transpose(axes).ravel()
 
 
 # ---------------------------------------------------------------------------

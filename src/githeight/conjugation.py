@@ -161,7 +161,7 @@ def eigen_data(phi: MatrixQ) -> EigenData:
     _require_nonzero(phi)
     cp = charpoly_of(phi)
     reduced, k = cp.shift_out_zero_roots()
-    polygons = tuple((p, NewtonPolygon.from_valuations(p, vals))
+    polygons = tuple((p, NewtonPolygon.from_valuations(p, vals, k))
                      for p, vals in valuation_table(reduced.coeffs).items())
     return EigenData(cp, k, polygons, complex_roots(cp))
 
@@ -338,19 +338,12 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
 
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:
     """Standard real basis of the skew-hermitian n x n matrices."""
-    out = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1j
-        out.append(m)
+    e = np.eye(n, dtype=complex)
+    out = [1j * np.outer(e[k], e[k]) for k in range(n)]
     for k in range(n):
         for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l], m[l, k] = 1.0, -1.0
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l], m[l, k] = 1j, 1j
-            out.append(m)
+            kl, lk = np.outer(e[k], e[l]), np.outer(e[l], e[k])
+            out += [kl - lk, 1j * (kl + lk)]
     return out
 
 

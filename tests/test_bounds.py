@@ -82,6 +82,20 @@ def test_explicit_lower_bound_examples():
             explicit_lower_bound([1], [LogValue.zero()], [bad])
 
 
+@pytest.mark.parametrize("multipliers, slopes, ranks", [
+    (["1e400"], [LogValue.zero()], [2]),
+    (["1e400"], [LogValue.zero()], [3]),
+    ([1], [LogValue.from_arch(math.nan)], [2]),
+    ([1], [LogValue.from_arch(math.inf)], [3]),
+    ([1], [LogValue.neg_infinity()], [2]),
+    (["1e300"], [LogValue.from_arch(1e300)], [2]),  # the product overflows
+    (["1.7e308"], [LogValue.zero()], [100]),  # the rank penalty overflows
+])
+def test_explicit_lower_bound_refuses_values_beyond_doubles(multipliers, slopes, ranks):
+    with pytest.raises(InputError):
+        explicit_lower_bound(multipliers, slopes, ranks)
+
+
 def test_explicit_lower_bound_rank_two_has_no_penalty():
     got = explicit_lower_bound(
         [3, -2],
@@ -157,6 +171,20 @@ def test_perm_spec_validation():
     with pytest.raises(DimensionTooLargeError):
         spec.dim((2,))  # 2^13 > 4096
     assert PermSpec((2,), ((1, 0),)).dim((3,)) == 9
+    # a float, bool or string is refused, not truncated by int()
+    for arities, perms in (((2.7,), ((1.2, 0.9),)), ((2,), ((1.0, 0),)), ((True,), ((0,),)),
+                           (("2",), ((1, 0),)), ((2,), ((True, False),)), ((2,), (("1", "0"),))):
+        with pytest.raises(InputError):
+            PermSpec(arities, perms)
+    swap = PermSpec((2,), ((1, 0),))
+    for dims in ((2.9,), (True,), ("3",), (0,), (-1,)):
+        with pytest.raises(InputError):
+            swap.dim(dims)
+        with pytest.raises(InputError):
+            permutation_operator(swap, dims)
+    for trials in (0, -1, 2.5, True, "3"):
+        with pytest.raises(InputError):
+            perm_invariant_check(swap, (2,), trials=trials)
 
 
 def test_permutation_operator_explicit():
@@ -170,6 +198,27 @@ def test_permutation_operator_explicit():
     # permutation operators are orthogonal: composition with inverse is identity
     assert (swap @ swap == np.eye(4, dtype=np.int8)).all()
     assert int(np.trace(swap.T @ swap)) == 4  # trace pairing at sigma = tau
+
+
+def test_index_map_moves_slot_s_of_factor_i_to_perms_i_s():
+    from githeight.bounds import _full_index_map
+
+    # loop reference: unpack each column's slot digits, move them, pack again
+    for arities, perms, dims in (((3,), ((1, 2, 0),), (3,)), ((2, 3), ((1, 0), (2, 0, 1)), (3, 2)),
+                                 ((1, 2), ((0,), (1, 0)), (2, 1)), ((4,), ((2, 0, 3, 1),), (2,))):
+        radices, targets = [], []
+        for d, a, p in zip(dims, arities, perms):
+            targets += [len(radices) + s for s in p]
+            radices += [d] * a
+        full_map = _full_index_map(PermSpec(arities, perms), dims)
+        for col, t in enumerate(itertools.product(*map(range, radices))):
+            u = [0] * len(t)
+            for s, digit in enumerate(t):
+                u[targets[s]] = digit
+            row = 0
+            for r, digit in zip(radices, u):
+                row = row * r + digit
+            assert full_map[col] == row
 
 
 def test_perm_invariant_check_all_small_symmetric_groups():

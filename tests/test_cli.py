@@ -299,6 +299,11 @@ STALL_ARGV = ("--weights=[[0,-2,-1],[-3,3,-2],[3,0,-3],[0,1,1],[-1,-2,0],[3,-3,-
     (("height", "1e100000000:1"), 2),
     (("height", "--matrix", '[["1e100000000","1"],["0","1"]]'), 2),
     (("quotient-height", *STALL_ARGV), 3),
+    # a multiplier, slope or bound that is no finite double, never a traceback or bare NaN
+    (("bounds", "lower", "--b", "1e400", "--ranks", "2", "--slopes", "0"), 2),
+    (("bounds", "lower", "--b", "1e400", "--ranks", "3", "--slopes", "0"), 2),
+    (("bounds", "lower", "--b", "1", "--ranks", "2", "--slopes", "nan"), 2),
+    (("bounds", "lower", "--b", "1", "--ranks", "3", "--slopes", "1e400"), 2),
 ])
 def test_exit_codes_as_a_process(argv, code):
     # Fraction("1e100000000") alone was still parsing after 110 s

@@ -25,6 +25,7 @@ from githeight.errors import (
     NotSkewHermitianError,
     ZeroMatrixError,
 )
+from githeight.exactpoly import newton_polygon
 from githeight.places import ARCHIMEDEAN, Place
 
 UNIPOTENT = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -109,6 +110,26 @@ def test_eigen_data_structure():
             assert data.zero_multiplicity + sum(
                 length for _, length in polygon.segments
             ) == n
+
+
+def test_eigen_data_polygons_match_newton_polygon():
+    # each polygon is the charpoly's own, zero roots counted in
+    rng = random.Random(53)
+    matrices = [MatrixQ.from_lists([[0, 0, 0], [0, 2, 1], [0, 0, 6]])]
+    for _ in range(30):
+        rows = [list(row) for row in random_matrix(rng, rng.randint(2, 4), -6, 6).rows]
+        if rng.random() < 0.5:  # a zero row: at least one zero eigenvalue
+            rows[rng.randrange(len(rows))] = [0] * len(rows)
+        matrices.append(MatrixQ.from_lists(rows))
+    zero_counts = set()
+    for m in matrices:
+        if m.is_zero:
+            continue
+        data = eigen_data(m)
+        zero_counts.add(data.zero_multiplicity > 0)
+        for p, polygon in data.polygons:
+            assert polygon == newton_polygon(data.charpoly, p)
+    assert zero_counts == {False, True}
 
 
 def test_instability_examples():

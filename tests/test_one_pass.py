@@ -51,7 +51,9 @@ def calls(monkeypatch):
 
     count("charpoly", conjugation, "charpoly")
     count("roots", conjugation, "complex_roots")
-    # the module functions go through the polytope's methods, so these count both
+    # the module functions minimize_max_affine and feasible solve through the
+    # polytope's method, so "lp" counts their solves too; separating_direction
+    # is a method only
     count("lp", exactlp.ZeroSumPolytope, "minimize_max_affine")
     count("hull lp", exactlp.ZeroSumPolytope, "separating_direction")
     count("feasible", exactlp, "feasible")
@@ -84,7 +86,7 @@ def test_torus_quotient_height_runs_no_hull_lp(calls):
     assert calls["hull lp"] == 0
     # one LP on the input's polytope per support prime (2, 3, 5, 7)
     assert calls["lp"] == 4
-    # the face of zero comes from exactlp.face_of_zero, not one Farkas test per weight
+    # the face of zero comes from ZeroSumPolytope.face_of_zero, not one Farkas test per weight
     assert calls["feasible"] == 0
     # one valuation table serves the places, the offsets and the naive height
     assert calls["factorize"] <= 2 * 5
