@@ -107,6 +107,7 @@ def explicit_lower_bound(
         total = total - mu.scaled(b)
         if r >= 3 and b != 0:
             penalty += abs(float(b)) / 2.0 * ell(r)
+    _require_finite("the bound", penalty)  # the bound is at most -penalty
     total = total + LogValue.from_arch(-penalty)
     _require_finite("the bound", total)
     return total

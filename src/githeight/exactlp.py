@@ -9,13 +9,15 @@ exactly by integer pivoting with Bland's smallest-index rule (Bland 1977),
 which cannot cycle.  Phase 1 depends only on the slopes, so it runs once per
 polytope (``ZeroSumPolytope``), on first use, and keeps the feasible
 tableau it reaches; each cost vector then runs phase 2 on a copy of that
-tableau.  The minimizer xi is the row multipliers of the optimal basis, so
-ties resolve to that basis, not to the lexicographically smallest
-minimizer.  When P is empty the phase-1 Farkas vector separates the slopes
+tableau, so no method changes the polytope and one polytope may be shared.
+The minimizer xi is the row multipliers of the optimal basis, so ties
+resolve to that basis, not to the lexicographically smallest minimizer.
+When P is empty the phase-1 Farkas vector separates the slopes
 from 0 instead, which is the destabilizing direction.  The face of zero (the slopes some lam in P
 charges) is one more solve on a copy of the same tableau, with one column
 appended that shifts every candidate lam_j by a common s; its dual rules
-out the slopes off the face, so a full face costs one solve.
+out the slopes off the face, so a full face costs one solve, and the
+polytope stores the face it finds.
 """
 
 from __future__ import annotations
@@ -56,21 +58,18 @@ class _Simplex:
                 self._pivot(i, j)
 
     def maximize(self, c):
-        """max c . x, as (x, y): an optimal vertex x and row multipliers y with
-        y . a_j >= c_j for every column j and y . b = c . x; or (None, farkas)
-        when the system is empty.  An unbounded program raises ValueError.
+        """max c . x on a feasible system, as (tableau, y): the optimal
+        tableau, whose basic column basis[i] takes t[i][-1] / d, and row
+        multipliers y with y . a_j >= c_j for every column j and
+        y . b = c . x.  An unbounded program raises ValueError.
 
         Each call starts from the post-phase-1 tableau, never from an earlier
         optimum, so on ties the vertex does not depend on the calls before.
         """
-        if self.farkas is not None:
-            return None, self.farkas
         # pivots replace rows, never edit them, so the copy may share the row lists
         phase2 = copy.copy(self)
         phase2.t, phase2.basis = self.t[:], self.basis[:]
-        y = phase2._run([*c, *[0] * self.m])
-        x = {j: Fraction(phase2.t[i][-1], phase2.d) for i, j in enumerate(phase2.basis)}
-        return [x.get(j, Fraction(0)) for j in range(self.n)], y
+        return phase2, phase2._run([*c, *[0] * self.m])
 
     def maximize_shift(self, columns):
         """max s such that some feasible x has x_j >= s on ``columns``; the
@@ -153,7 +152,9 @@ class ZeroSumPolytope:
 
     Row 0 is sum lam = 1 and row 1 + k is -sum lam_i m_ik = 0, so the row
     multipliers of every solve are (value, xi).  Each method reads the
-    phase-1 result, run on first use, or runs phase 2 on a copy of its feasible tableau.
+    phase-1 result, run on first use, or runs phase 2 on a copy of its
+    feasible tableau; the face of zero is solved once and stored.  No
+    method changes the tableau, so one polytope may be shared.
 
     Examples:
         >>> P = ZeroSumPolytope([(-2,), (1,), (4,)])
@@ -178,8 +179,10 @@ class ZeroSumPolytope:
         Returns (value, argmin) as Fractions, or (None, None) when unbounded
         below.
         """
-        x, y = self._program.maximize(offsets)
-        return (None, None) if x is None else (y[0], tuple(y[1:]))
+        if self._program.farkas is not None:
+            return None, None
+        _, y = self._program.maximize(offsets)  # only the dual is read
+        return y[0], tuple(y[1:])
 
     def separating_direction(self):
         """A direction xi with m_i . xi > 0 for every slope, or None when 0 is in their hull.
@@ -203,21 +206,26 @@ class ZeroSumPolytope:
         sum lam_j <m_j, xi> = 0 on P, every j with <m_j, xi> > 0 is off the
         face (Goldman-Tucker), so drop those and solve again.  One solve for a
         full face, at most (number of indices off the face) + 1 in all, none
-        when P is empty.
+        when P is empty.  The elimination runs on the first call only; each
+        later call returns a copy of the stored face.
 
         The certificates stay on the polytope: ``_interior`` is the exact
         lam in P that is positive on the face, and ``_eliminated`` holds each
         round's (xi, dropped indices).
         """
+        return list(self._face)
+
+    @functools.cached_property
+    def _face(self) -> tuple[int, ...]:
         self._interior, self._eliminated = None, []
         if self._program.farkas is not None:
-            return []
+            return ()
         face = list(range(self._program.n))
         while True:
             s, lam, y, drop = self._program.maximize_shift(face)
             if s > 0:
                 self._interior = tuple(lam)
-                return face
+                return tuple(face)
             self._eliminated.append((tuple(-v for v in y[1:]), tuple(drop)))
             face = [j for j in face if j not in drop]
 

@@ -460,15 +460,26 @@ def _plain(arch: float) -> float:
     return float(arch) + 0.0 or 0.0
 
 
+def _finite_arch(arch: float) -> float:
+    """:func:`_plain`, refusing nan and +-inf: -infinity is ``neg_inf``."""
+    arch = _plain(arch)
+    if not math.isfinite(arch):
+        raise InputError(f"archimedean part {arch!r} is not finite")
+    return arch
+
+
 class LogValue:
     """A real number written as  sum_p q_p log(p) + arch,  or -infinity.
 
     ``finite`` maps primes to exact rational coefficients (zeros dropped),
-    ``arch`` is a float, ``neg_inf`` flags the value -infinity.  Instances
-    are immutable; arithmetic returns new values and keeps the finite
-    coefficients exact.  The finite part is stored as one flat tuple
-    p1, q1, p2, q2, ... ascending in p, and ``finite`` is a read-only view
-    of it built on access.
+    ``arch`` is a float, ``neg_inf`` flags the value -infinity.  The
+    constructors (``LogValue(...)``, ``from_arch``, ``from_json_dict``)
+    refuse a nan or infinite arch part with InputError; arithmetic does not
+    check, so a sum or multiple past the double range has an infinite or
+    nan arch part.  Instances are immutable; arithmetic returns new values
+    and keeps the finite coefficients exact.  The finite part is stored as
+    one flat tuple p1, q1, p2, q2, ... ascending in p, and ``finite`` is a
+    read-only view of it built on access.
 
     Examples:
         >>> v = LogValue({2: Fraction(-2, 3)})
@@ -496,7 +507,7 @@ class LogValue:
                 q = as_fraction(q)
                 if q != 0:
                     clean[p] = clean.get(p, Fraction(0)) + q
-        self._fill(self._flat_items(clean), 0.0 if neg_inf else _plain(arch), bool(neg_inf))
+        self._fill(self._flat_items(clean), 0.0 if neg_inf else _finite_arch(arch), bool(neg_inf))
 
     def _fill(self, items: tuple, arch: float, neg_inf: bool) -> None:
         object.__setattr__(self, "_items", items)
@@ -548,7 +559,7 @@ class LogValue:
 
     @classmethod
     def from_arch(cls, t: float) -> "LogValue":
-        return cls._of_primes({}, t)
+        return cls._of_primes({}, _finite_arch(t))
 
     @classmethod
     def neg_infinity(cls) -> "LogValue":

@@ -22,8 +22,10 @@ in the quotient; unstable points have iota = -infinity and no image.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,6 +42,11 @@ from .places import ARCHIMEDEAN, LogValue, Place, _is_int, _valuation, log_abs, 
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
+# Active-weight sets whose solved polytope stays in memory.  The last one
+# serves the calls made on one point, nearly all of the reuse; a 64-entry
+# memo also served points of one action that share a zero pattern, but a
+# CLI sweep of rank-1 points ran about 3% slower with it.
+_POLYTOPES = 1
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,25 @@ def _active_weights(action: TorusAction, x: ProjectivePointQ):
             f"point has {len(x.coords)} coordinates, action expects {action.ambient_dim}"
         )
     active = [(c, w) for c, w in zip(x.coords, action.weights) if c != 0]
-    return [c for c, _ in active], [w for _, w in active]
+    return [c for c, _ in active], tuple(w for _, w in active)
+
+
+@functools.lru_cache(maxsize=_POLYTOPES)
+def _polytope(ms: tuple) -> exactlp.ZeroSumPolytope:
+    """The zero-sum polytope of the active weights ``ms``, kept in a memo of
+    the last ``_POLYTOPES`` weight sets, so phase 1 and the face of zero
+    run once per weight set while it stays there.
+
+    The reuse comes from several public calls on one point (each place of
+    an ``instability_nonarch`` sweep, ``instability_arch``,
+    ``destabilizing_1ps`` and ``quotient_height`` all ask for the same
+    polytope) and from consecutive points of one action with the same zero
+    pattern.
+    Phase 1 and the face of zero depend on the weights alone, and every
+    phase-2 solve runs on a copy of the post-phase-1 tableau, so a shared
+    polytope answers as a fresh one would, whatever ran on it before.
+    """
+    return exactlp.ZeroSumPolytope(ms)
 
 
 def _unstable_report(place: Place) -> InstabilityReport:
@@ -130,7 +155,7 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         >>> is_semistable(act, ProjectivePointQ.parse("0:0:1"))
         False
     """
-    return exactlp.ZeroSumPolytope(_active_weights(action, x)[1]).separating_direction() is None
+    return _polytope(_active_weights(action, x)[1]).separating_direction() is None
 
 
 def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
@@ -146,7 +171,7 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
         >>> destabilizing_1ps(act, ProjectivePointQ.parse("1:1:0"))
         (1, 1)
     """
-    xi = exactlp.ZeroSumPolytope(_active_weights(action, x)[1]).separating_direction()
+    xi = _polytope(_active_weights(action, x)[1]).separating_direction()
     if xi is None:
         return None
     scale = math.lcm(*(c.denominator for c in xi))
@@ -186,7 +211,7 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
     """
     place = Place.finite(p)
     xs, ms = _active_weights(action, x)
-    return _nonarch_report(exactlp.ZeroSumPolytope(ms), [_valuation(c, place.prime) for c in xs], place)
+    return _nonarch_report(_polytope(ms), [_valuation(c, place.prime) for c in xs], place)
 
 
 def _nonarch_report(polytope: exactlp.ZeroSumPolytope, vals, place: Place) -> InstabilityReport:
@@ -218,22 +243,24 @@ def instability_arch(
     least squares, drives the gradient below tol.
     """
     xs, ms = _active_weights(action, x)
-    return _arch_report(action.rank, xs, exactlp.ZeroSumPolytope(ms), tol)
+    return _arch_report(action.rank, xs, _polytope(ms), tol)
 
 
 def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -> InstabilityReport:
     """The archimedean report; -infinity when the face of zero is empty.
-    The polytope runs an LP only when the exact balance test fails."""
-    ms, xs2 = polytope.slopes, [c ** 2 for c in xs]
-    grad0 = [sum(m[k] * w for m, w in zip(ms, xs2)) for k in range(rank)]
-    if all(g == 0 for g in grad0):
+    The polytope runs an LP only when the exact balance test fails.  The test
+    reads sum x_i^2 m_i = 0 on the integers D x_i, D the lcm of the
+    denominators."""
+    ms, scale = polytope.slopes, math.lcm(*(c.denominator for c in xs))
+    ints2 = [(c.numerator * (scale // c.denominator)) ** 2 for c in xs]
+    if not any(sum(m[k] * w for m, w in zip(ms, ints2)) for k in range(rank)):
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
     face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
     weights_f = np.array([[float(w) for w in ms[j]] for j in face])
-    log_xs2 = np.array([log_abs(xs2[j], ARCHIMEDEAN).arch for j in face])
-    log_total = log_abs(sum(xs2), ARCHIMEDEAN).arch
+    log_xs2 = np.array([log_abs(xs[j] ** 2, ARCHIMEDEAN).arch for j in face])
+    log_total = log_abs(Fraction(sum(ints2), scale * scale), ARCHIMEDEAN).arch
     xi, value = _newton_minimize(weights_f, log_xs2, tol)
     best = value - 0.5 * log_total
     return InstabilityReport(
@@ -251,15 +278,15 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     The places are the support primes of the coordinates, ascending, then
     oo, all read off one valuation table.  Every LP runs on one
     :class:`exactlp.ZeroSumPolytope` of the active weights, so phase 1 runs
-    once per input.  An unstable point gets -infinity everywhere from phase
-    1 alone: its empty polytope runs no phase 2.
+    at most once per input.  An unstable point gets -infinity everywhere
+    from phase 1 alone: its empty polytope runs no phase 2.
     """
     xs, ms = _active_weights(action, x)
     return _reports(action.rank, xs, ms, valuation_table(xs), tol)
 
 
 def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
-    polytope = exactlp.ZeroSumPolytope(ms)
+    polytope = _polytope(ms)
     reports = {place: _nonarch_report(polytope, vals, place)  # the table's keys are proven primes
                for place, vals in zip(map(Place._of_prime, table), table.values())}
     reports[ARCHIMEDEAN] = _arch_report(rank, xs, polytope, tol)
@@ -278,19 +305,18 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float):
     _, svals, vt = np.linalg.svd(weights, full_matrices=False)
     keep = svals > 1e-12 * svals[0]
     basis = vt[keep].T  # rank x d
-
-    def objective(y):
-        return 0.5 * _logsumexp(log_xs2 + 2.0 * (weights @ (basis @ y)))
-
     # least-squares start: balance the exponents log_xs2_i + 2 w_i . xi up to
     # a common constant, so the Hessian does not underflow when they are far apart
     wb = 2.0 * (weights @ basis)
     fit = np.linalg.lstsq(np.hstack([wb, -np.ones((len(log_xs2), 1))]), -log_xs2, rcond=None)[0]
     y = fit[:-1]
-    fy = objective(y)
+    # the exponents at y and their logsumexp carry over from the accepted
+    # line-search point; the objective is half the logsumexp
+    a = log_xs2 + 2.0 * (weights @ (basis @ y))
+    lse = _logsumexp(a)
     for _ in range(_NEWTON_MAX_ITERS):
-        a = log_xs2 + 2.0 * (weights @ (basis @ y))
-        p = np.exp(a - _logsumexp(a))
+        fy = 0.5 * lse
+        p = np.exp(a - lse)
         grad_xi = weights.T @ p
         grad = basis.T @ grad_xi
         gnorm = float(np.linalg.norm(grad))
@@ -311,9 +337,10 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float):
                 and float(np.linalg.norm(step)) <= 1e-6 * (1.0 + float(np.linalg.norm(y))))
         while alpha > 1e-18:
             cand = y + alpha * step
-            fc = objective(cand)
-            if flat or fc <= fy + 1e-4 * alpha * armijo:
-                y, fy = cand, fc
+            a_cand = log_xs2 + 2.0 * (weights @ (basis @ cand))
+            lse_cand = _logsumexp(a_cand)
+            if flat or 0.5 * lse_cand <= fy + 1e-4 * alpha * armijo:
+                y, a, lse = cand, a_cand, lse_cand
                 break
             alpha *= 0.5
         else:
@@ -326,7 +353,7 @@ def _newton_minimize(weights: np.ndarray, log_xs2: np.ndarray, tol: float):
         raise NoConvergenceError(
             f"archimedean minimization hit {_NEWTON_MAX_ITERS} iterations"
         )
-    return basis @ y, fy
+    return basis @ y, 0.5 * lse
 
 
 def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12) -> LogValue:

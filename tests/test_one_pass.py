@@ -22,6 +22,7 @@ from githeight import (
     places,
     quotient_height,
     quotient_height_conj,
+    torus,
 )
 from githeight.places import ARCHIMEDEAN, Place
 
@@ -33,6 +34,8 @@ DENSE8 = MatrixQ.from_lists(
 
 @pytest.fixture
 def calls(monkeypatch):
+    # a polytope an earlier call left in the memo would run no phase 1 here
+    torus._polytope.cache_clear()
     counts = Counter()
 
     def count(name, module, attr):
@@ -58,6 +61,7 @@ def calls(monkeypatch):
     count("hull lp", exactlp.ZeroSumPolytope, "separating_direction")
     count("feasible", exactlp, "feasible")
     count("phase 1", exactlp._Simplex, "__init__")
+    count("shift", exactlp._Simplex, "maximize_shift")
     count("factorize", places, "factorize")
     count("valuation", places, "valuation")
     count("is_prime", places, "is_prime")
@@ -124,6 +128,20 @@ def test_one_phase_one_per_input(calls, whole_input):
     # the face of zero and the four per-prime LPs share one feasible tableau
     assert calls["phase 1"] == 1
     assert calls["lp"] == 4
+
+
+def test_same_active_weights_reuse_phase_one_and_the_face(calls):
+    action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1)))
+    quotient_height(action, ProjectivePointQ.parse("12:5:7:10:3:0"))
+    assert calls["phase 1"] == 1
+    assert calls["shift"] >= 1  # the point is not balanced, so the face of zero was solved
+    calls.clear()
+    # another point with the same zero pattern, so the same active weights
+    reports = instability_all(action, ProjectivePointQ.parse("6:35:9:2:11:0"))
+    assert not reports[ARCHIMEDEAN].value.is_exact_zero
+    assert calls["phase 1"] == 0
+    assert calls["shift"] == 0
+    assert calls["lp"] == 5  # one phase 2 per support prime: 2, 3, 5, 7, 11
 
 
 def _degenerate_input(rng):

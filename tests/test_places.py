@@ -331,6 +331,25 @@ def test_non_integer_primes_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("arch", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda a: LogValue(arch=a),
+    lambda a: LogValue({2: 1}, a),
+    LogValue.from_arch,
+    lambda a: LogValue.from_json_dict({"arch": a}),
+    lambda a: LogValue.from_json_dict(json.loads(json.dumps({"finite": {"2": "1/3"}, "arch": a}))),
+], ids=["init", "init_finite", "from_arch", "from_json", "from_json_text"])
+def test_logvalue_refuses_a_non_finite_arch_part(build, arch):
+    # a nan arch part would build a value unequal to itself; -infinity is neg_inf
+    with pytest.raises(InputError):
+        build(arch)
+
+
+def test_logvalue_neg_infinity_ignores_its_arch_part():
+    assert LogValue(arch=math.nan, neg_inf=True) == LogValue.neg_infinity()
+    assert LogValue.from_json_dict({"arch": math.inf, "neg_inf": True}).neg_inf
+
+
 def test_logvalue_arithmetic():
     a = LogValue({2: Fraction(1, 2)}, arch=0.25)
     b = LogValue({2: Fraction(-1, 2), 3: Fraction(1)}, arch=0.5)

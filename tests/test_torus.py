@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from githeight import exactlp
+from githeight import exactlp, torus
 from githeight.errors import InputError, LengthMismatchError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import ARCHIMEDEAN, Place, support_primes, valuation
 from githeight.torus import (
     TorusAction,
     destabilizing_1ps,
+    instability_all,
     instability_arch,
     instability_nonarch,
     is_semistable,
@@ -164,13 +166,18 @@ def test_simplex_certificates_on_random_programs():
              for _ in range(m)] + [[1] * (n + 1)]
         b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)] + [10]
         c = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] + [0]
-        x, y = exactlp._Simplex(a, b).maximize(c)
-        outcomes.add(x is None)
+        program = exactlp._Simplex(a, b)
+        outcomes.add(program.farkas is None)
+        if program.farkas is not None:
+            y = program.farkas
+            assert all(sum(y_i * row[j] for y_i, row in zip(y, a)) >= 0 for j in range(n + 1))
+            assert sum(y_i * b_i for y_i, b_i in zip(y, b)) < 0
+            continue
+        tableau, y = program.maximize(c)
+        vertex = {j: Fraction(row[-1], tableau.d) for row, j in zip(tableau.t, tableau.basis)}
+        x = [vertex.get(j, Fraction(0)) for j in range(n + 1)]
         duals = [sum(y_i * row[j] for y_i, row in zip(y, a)) for j in range(n + 1)]
         y_b = sum(y_i * b_i for y_i, b_i in zip(y, b))
-        if x is None:
-            assert all(v >= 0 for v in duals) and y_b < 0
-            continue
         assert all(v >= 0 for v in x)
         assert all(sum(r * v for r, v in zip(row, x)) == b_i for row, b_i in zip(a, b))
         assert all(v >= c_j for v, c_j in zip(duals, c))
@@ -263,6 +270,81 @@ def test_face_of_zero_keeps_its_certificates():
             candidates -= set(dropped)
         assert sorted(candidates) == face
     assert partial >= 30
+
+
+def test_solves_leave_a_shared_polytope_unchanged():
+    # the torus memo hands one polytope to every call on the same weights, so
+    # no solve may change the post-phase-1 tableau the next one starts from
+    rng = random.Random(109)
+    for _ in range(150):
+        slopes = _face_case(rng)
+        polytope = exactlp.ZeroSumPolytope(slopes)
+        program = polytope._program
+        before = copy.deepcopy((program.t, program.basis, program.d, program.farkas))
+        for _ in range(rng.randint(1, 6)):
+            call = rng.choice(("lp", "face", "separate"))
+            if call == "lp":
+                polytope.minimize_max_affine([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                              for _ in slopes])
+            elif call == "face":
+                polytope.face_of_zero().append(-1)  # the caller's copy, not the stored face
+            else:
+                polytope.separating_direction()
+        assert (program.t, program.basis, program.d, program.farkas) == before
+        assert polytope.face_of_zero() == _face_by_farkas_tests(slopes)
+
+
+def _memo_cases(rng):
+    """Points of rank 1-4 actions, three per action with coordinates that
+    often vanish together, so that calls share active-weight sets."""
+    cases = []
+    for _ in range(50):
+        rank = rng.randint(1, 4)
+        weights = tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(2, 7)))
+        zeros = [rng.random() < 0.3 for _ in weights]
+        for _ in range(3):
+            coords = [0 if z else Fraction(rng.choice([1, 2, 3, 5, 6, 12]), rng.choice([1, 2, 3]))
+                      for z in zeros]
+            if not any(coords):
+                coords[0] = Fraction(1)
+            cases.append((TorusAction(rank, weights), ProjectivePointQ(tuple(coords))))
+    return cases
+
+
+def _memo_outcome(action, x):
+    reports = instability_all(action, x)
+    primes = [place.prime for place in reports if not place.is_archimedean]
+    return (reports, instability_arch(action, x),
+            [instability_nonarch(action, x, p) for p in primes], destabilizing_1ps(action, x))
+
+
+def test_polytope_memo_answers_as_a_cold_one():
+    rng = random.Random(113)
+    cases = _memo_cases(rng)
+    cold = []
+    for action, x in cases:
+        torus._polytope.cache_clear()
+        cold.append(_memo_outcome(action, x))
+    unstable = sum(outcome[3] is not None for outcome in cold)
+    assert 20 <= unstable <= len(cases) - 20
+    # in the generated order the three points of an action come one after
+    # another, so the later ones start from the polytope the earlier one left
+    torus._polytope.cache_clear()
+    order = list(range(len(cases)))
+    for i in order:
+        assert _memo_outcome(*cases[i]) == cold[i]
+    assert torus._polytope.cache_info().misses < len(cases)
+    rng.shuffle(order)
+    for i in order:
+        assert _memo_outcome(*cases[i]) == cold[i]
+
+
+def test_polytope_memo_is_bounded():
+    torus._polytope.cache_clear()
+    for k in range(200):
+        is_semistable(act((-1,), (k + 1,)), pt("1:1"))
+    info = torus._polytope.cache_info()
+    assert info.misses == 200 and info.currsize == torus._POLYTOPES
 
 
 # ---------------------------------------------------------------------------
