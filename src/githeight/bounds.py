@@ -96,19 +96,22 @@ def explicit_lower_bound(
     """
     if not (len(multipliers) == len(slopes) == len(ranks)):
         raise LengthMismatchError("multipliers, slopes and ranks must align")
-    total = LogValue.zero()
+    bs = [as_fraction(b) for b in multipliers]
     penalty = 0.0
-    for i, (b, mu, r) in enumerate(zip(multipliers, slopes, ranks)):
-        b = as_fraction(b)
+    for i, (b, mu, r) in enumerate(zip(bs, slopes, ranks)):
         if not _is_int(r) or r < 1:
             raise NonPositiveError(f"rank must be a positive integer, got {r!r}")
         _require_finite(f"multiplier {i}", b)
         _require_finite(f"slope {i}", mu)
-        total = total - mu.scaled(b)
         if r >= 3 and b != 0:
             penalty += abs(float(b)) / 2.0 * ell(r)
-    _require_finite("the bound", penalty)  # the bound is at most -penalty
-    total = total + LogValue.from_arch(-penalty)
+    try:
+        total = LogValue.zero()
+        for b, mu in zip(bs, slopes):
+            total = total - mu.scaled(b)
+        total = total + LogValue.from_arch(-penalty)
+    except InputError:  # LogValue refuses an arch part past the double range
+        raise InputError("the bound is not finite as a double") from None
     _require_finite("the bound", total)
     return total
 

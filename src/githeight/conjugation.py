@@ -110,8 +110,8 @@ class MatrixQ:
 class EigenData:
     """Characteristic polynomial plus its local root data.
 
-    ``polygons`` holds one Newton polygon per prime dividing a coefficient
-    of the nonzero-root part (at other primes the nonzero roots are units);
+    ``polygons`` holds one Newton polygon per prime at which a nonzero root
+    may be a nonunit (see :func:`eigen_data`), none for a nilpotent matrix;
     ``arch_roots`` covers all n roots (zeros included), so its total equals
     the matrix size.
     """
@@ -157,12 +157,21 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
 
 def eigen_data(phi: MatrixQ) -> EigenData:
     """All root data of the characteristic polynomial in one bundle: one
-    charpoly, one valuation table of its coefficients and one root solve."""
+    charpoly, one valuation table of two numbers and one root solve.
+
+    The nonzero-root part T^m + c_(m-1) T^(m-1) + ... + c_0 has c_0 != 0,
+    so its smallest root valuation min_j v_p(c_j)/(m - j) is negative only
+    if p divides d, the lcm of the entry denominators, and positive away
+    from d only if p divides g, the gcd of the numerators of the c_j.
+    Polygons are built at the primes of d and g; a nilpotent matrix has g = 0.
+    """
     _require_nonzero(phi)
     cp = charpoly_of(phi)
     reduced, k = cp.shift_out_zero_roots()
-    polygons = tuple((p, NewtonPolygon.from_valuations(p, vals, k))
-                     for p, vals in valuation_table(reduced.coeffs).items())
+    d = math.lcm(*(x.denominator for x in phi.entries))
+    g = math.gcd(*(c.numerator for c in reduced.coeffs[:-1]))
+    polygons = tuple((p, NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs], k))
+                     for p in (valuation_table([d, g]) if g else ()))
     return EigenData(cp, k, polygons, complex_roots(cp))
 
 
@@ -256,10 +265,10 @@ def _float_rows(phi: MatrixQ) -> tuple[list[list[float]], int]:
 def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, LogValue]:
     """Instability measures at every place where they can be nonzero.
 
-    The places are the primes of the entries and of the nonzero-root part
-    of the characteristic polynomial, ascending, then oo.  Every term comes
-    from one :func:`eigen_data` record; nilpotent matrices give -infinity
-    everywhere.
+    The places are the primes of the entries and of g (see
+    :func:`eigen_data`), ascending, then oo; at other primes the term is 0.
+    Every term comes from one :func:`eigen_data` record; nilpotent matrices
+    give -infinity everywhere.
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")

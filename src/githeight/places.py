@@ -455,14 +455,10 @@ ARCHIMEDEAN = Place.archimedean()
 # exact logarithmic values
 # ---------------------------------------------------------------------------
 
-def _plain(arch: float) -> float:
-    """arch as a float without -0.0, any zero being the one constant 0.0."""
-    return float(arch) + 0.0 or 0.0
-
-
 def _finite_arch(arch: float) -> float:
-    """:func:`_plain`, refusing nan and +-inf: -infinity is ``neg_inf``."""
-    arch = _plain(arch)
+    """arch as a float without -0.0, any zero being the one constant 0.0;
+    nan and +-inf are refused (-infinity is ``neg_inf``)."""
+    arch = float(arch) + 0.0 or 0.0
     if not math.isfinite(arch):
         raise InputError(f"archimedean part {arch!r} is not finite")
     return arch
@@ -473,13 +469,12 @@ class LogValue:
 
     ``finite`` maps primes to exact rational coefficients (zeros dropped),
     ``arch`` is a float, ``neg_inf`` flags the value -infinity.  The
-    constructors (``LogValue(...)``, ``from_arch``, ``from_json_dict``)
-    refuse a nan or infinite arch part with InputError; arithmetic does not
-    check, so a sum or multiple past the double range has an infinite or
-    nan arch part.  Instances are immutable; arithmetic returns new values
-    and keeps the finite coefficients exact.  The finite part is stored as
-    one flat tuple p1, q1, p2, q2, ... ascending in p, and ``finite`` is a
-    read-only view of it built on access.
+    constructors (``LogValue(...)``, ``from_arch``, ``from_json_dict``) and
+    the arithmetic refuse a nan or infinite arch part with InputError, so a
+    sum or multiple past the double range raises.  Instances are immutable;
+    arithmetic returns new values and keeps the finite coefficients exact.
+    The finite part is stored as one flat tuple p1, q1, p2, q2, ...
+    ascending in p, and ``finite`` is a read-only view of it built on access.
 
     Examples:
         >>> v = LogValue({2: Fraction(-2, 3)})
@@ -529,8 +524,9 @@ class LogValue:
         """A finite value from Fractions keyed by primes that factoring, a
         Place or an existing LogValue already proved prime, so no key is
         tested for primality again.  Equal values share one object (see
-        ``_VALUES``), and a value with no primes and arch 0 is ``_ZERO``."""
-        items, arch = cls._flat_items(finite), _plain(arch)
+        ``_VALUES``), and a value with no primes and arch 0 is ``_ZERO``.
+        A nan or infinite arch raises InputError."""
+        items, arch = cls._flat_items(finite), _finite_arch(arch)
         if not items and not arch:
             return _ZERO
         key = (items, arch)
@@ -559,7 +555,7 @@ class LogValue:
 
     @classmethod
     def from_arch(cls, t: float) -> "LogValue":
-        return cls._of_primes({}, _finite_arch(t))
+        return cls._of_primes({}, t)
 
     @classmethod
     def neg_infinity(cls) -> "LogValue":

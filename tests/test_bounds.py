@@ -82,15 +82,15 @@ def test_explicit_lower_bound_examples():
             explicit_lower_bound([1], [LogValue.zero()], [bad])
 
 
-# the constructors refuse a nan or infinite arch part, so those slopes come
-# from arithmetic past the double range
-_INF = LogValue.from_arch(1e308) + LogValue.from_arch(1e308)
+# LogValue refuses a nan or infinite arch part, so the slopes whose double is
+# nan or infinite have exact finite parts: 10^308 log 7 overflows to inf
+_INF = LogValue({7: 10**308})
 
 
 @pytest.mark.parametrize("multipliers, slopes, ranks", [
     (["1e400"], [LogValue.zero()], [2]),
     (["1e400"], [LogValue.zero()], [3]),
-    ([1], [_INF - _INF], [2]),
+    ([1], [_INF + LogValue({11: -10**308})], [2]),  # inf - inf
     ([1], [_INF], [3]),
     ([1], [LogValue.neg_infinity()], [2]),
     (["1e300"], [LogValue.from_arch(1e300)], [2]),  # the product overflows

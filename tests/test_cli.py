@@ -456,16 +456,37 @@ def test_torus_terms_of_huge_coordinate(capsys):
     assert abs(data["value"]["total"] - (0.5 * math.log(2) - 100 * math.log(10))) < 1e-9
 
 
+_UNFACTORABLE = str(10**200 + 1)
+
+
 @pytest.mark.parametrize("argv", [
-    ("quotient-height", "--matrix", '[["1e200","0"],["0","1"]]'),
-    ("instability", "--matrix", '[["1e200","0"],["0","1"]]', "--place", "all"),
+    ("quotient-height", "--matrix", json.dumps([[_UNFACTORABLE, "0"], ["0", _UNFACTORABLE]])),
+    ("instability", "--matrix", json.dumps([[_UNFACTORABLE, "0"], ["0", _UNFACTORABLE]]),
+     "--place", "all"),
 ])
 def test_unfactorable_charpoly_exits_three(capsys, time_limit, argv):
-    # the charpoly coefficient 10^200 + 1 leaves a 582-bit cofactor that
-    # Pollard-Brent does not split within its step budget
+    # (10^200 + 1) * I has charpoly (x - N)^2 with N = 10^200 + 1, so the gcd
+    # of its coefficients is N, whose 616-bit cofactor Pollard-Brent does not
+    # split within its step budget
     with time_limit(10):
         code, out = run(capsys, *argv)
     assert code == 3 and out == ""
+
+
+def test_charpoly_with_a_large_cofactor_has_zero_finite_terms(capsys, time_limit):
+    # the charpoly coefficient 10^200 + 1 leaves a 616-bit cofactor, but no
+    # coefficient is factored: the finite places come from the entry
+    # denominators and the gcd of the numerators, here 1 and 1
+    matrix = ("--matrix", '[["1e200","0"],["0","1"]]')
+    with time_limit(10):
+        code, data = run_json(capsys, "quotient-height", *matrix)
+    assert code == 0
+    assert abs(data["total"] - 200 * math.log(10)) < 1e-9 and data["finite"] == 0.0
+    with time_limit(10):
+        code, data = run_json(capsys, "--format", "exact", "instability", *matrix, "--place", "all")
+    assert code == 0
+    finite = {place: term for place, term in data["instability"].items() if place != "oo"}
+    assert finite and all(term["finite"] == {} and term["arch"] == 0.0 for term in finite.values())
 
 
 def test_minimal_of_huge_entries(capsys):
@@ -498,7 +519,7 @@ def _cli_calls(draw):
         command = draw(st.sampled_from(
             ["height", "instability", "quotient-height", "semistable", "destabilize"]))
         places = ["oo", "2", "all"]
-    else:  # a matrix: quotient height and --place all factor the charpoly too
+    else:  # a matrix: quotient height and --place all factor the charpoly's gcd too
         n = draw(st.integers(1, 3))
         rows = st.lists(st.lists(_big, min_size=n, max_size=n), min_size=n, max_size=n)
         payload = {"matrix": draw(rows)}
@@ -523,7 +544,7 @@ def _cli_calls(draw):
 def test_cli_exit_codes_on_huge_and_odd_inputs(capsys, monkeypatch, time_limit, call):
     argv, payload = call
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
-    # a charpoly coefficient Pollard-Brent cannot split exits 3 within its budget
+    # a number Pollard-Brent cannot split exits 3 within its budget
     with time_limit(10):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)

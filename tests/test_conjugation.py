@@ -26,7 +26,7 @@ from githeight.errors import (
     ZeroMatrixError,
 )
 from githeight.exactpoly import newton_polygon
-from githeight.places import ARCHIMEDEAN, Place
+from githeight.places import ARCHIMEDEAN, Place, valuation_table
 
 UNIPOTENT = MatrixQ.from_lists([[1, 1], [0, 1]])
 NILPOTENT = MatrixQ.from_lists([[0, 1], [0, 0]])
@@ -113,14 +113,27 @@ def test_eigen_data_structure():
 
 
 def test_eigen_data_polygons_match_newton_polygon():
-    # each polygon is the charpoly's own, zero roots counted in
+    # each polygon is the charpoly's own, zero roots counted in, and every
+    # prime of a charpoly coefficient left out carries smallest root valuation 0
     rng = random.Random(53)
-    matrices = [MatrixQ.from_lists([[0, 0, 0], [0, 2, 1], [0, 0, 6]])]
+    matrices = [
+        MatrixQ.from_lists([[0, 0, 0], [0, 2, 1], [0, 0, 6]]),
+        MatrixQ.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
+        MatrixQ.from_lists([[0, Fraction(1, 2)], [0, 0]]),  # nilpotent, d = 2
+        MatrixQ.from_lists([[Fraction(1, 2)]]),  # a root of valuation -1 at 2 only; g = 1
+        MatrixQ.from_lists([[12]]),  # d = 1
+        MatrixQ.from_lists([[Fraction(-9, 25)]]),
+    ]
     for _ in range(30):
         rows = [list(row) for row in random_matrix(rng, rng.randint(2, 4), -6, 6).rows]
         if rng.random() < 0.5:  # a zero row: at least one zero eigenvalue
             rows[rng.randrange(len(rows))] = [0] * len(rows)
         matrices.append(MatrixQ.from_lists(rows))
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        matrices.append(MatrixQ.from_lists(
+            [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 9, 25])) for _ in range(n)]
+             for _ in range(n)]))
     zero_counts = set()
     for m in matrices:
         if m.is_zero:
@@ -129,6 +142,14 @@ def test_eigen_data_polygons_match_newton_polygon():
         zero_counts.add(data.zero_multiplicity > 0)
         for p, polygon in data.polygons:
             assert polygon == newton_polygon(data.charpoly, p)
+        if data.zero_multiplicity == m.n:
+            assert data.polygons == ()
+            continue
+        # the old route: every prime of a coefficient of the nonzero-root part
+        built = {p for p, _ in data.polygons}
+        reduced, _ = data.charpoly.shift_out_zero_roots()
+        for p in valuation_table(reduced.coeffs):
+            assert p in built or newton_polygon(data.charpoly, p).min_root_valuation == 0
     assert zero_counts == {False, True}
 
 

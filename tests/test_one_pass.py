@@ -38,12 +38,13 @@ def calls(monkeypatch):
     torus._polytope.cache_clear()
     counts = Counter()
 
-    def count(name, module, attr):
-        """Count calls of module.attr, at every binding the package holds."""
+    def count(name, module, attr, weight=lambda *args: 1):
+        """Count calls of module.attr, at every binding the package holds,
+        each weighted by weight(*args)."""
         fn = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += weight(*args)
             return fn(*args, **kwargs)
 
         for key, mod in list(sys.modules.items()):
@@ -62,7 +63,8 @@ def calls(monkeypatch):
     count("feasible", exactlp, "feasible")
     count("phase 1", exactlp._Simplex, "__init__")
     count("shift", exactlp._Simplex, "maximize_shift")
-    count("factorize", places, "factorize")
+    # every factoring path (valuation_table, factorize) goes through _factor_all
+    count("factored", places, "_factor_all", len)
     count("valuation", places, "valuation")
     count("is_prime", places, "is_prime")
     return counts
@@ -79,8 +81,9 @@ def test_conjugation_heights_solve_once(calls, height):
 
 def test_conjugation_residual_factors_each_number_once(calls):
     fundamental_formula_residual_conj(DENSE8)
-    # 64 entries and at most 9 charpoly coefficients, numerator and denominator each
-    assert calls["factorize"] <= 2 * (64 + 9)
+    # the 64 entries, and d and g for the charpoly's places, numerator and
+    # denominator each; no charpoly coefficient is factored
+    assert calls["factored"] <= 2 * (64 + 2)
 
 
 def test_torus_quotient_height_runs_no_hull_lp(calls):
@@ -93,7 +96,7 @@ def test_torus_quotient_height_runs_no_hull_lp(calls):
     # the face of zero comes from ZeroSumPolytope.face_of_zero, not one Farkas test per weight
     assert calls["feasible"] == 0
     # one valuation table serves the places, the offsets and the naive height
-    assert calls["factorize"] <= 2 * 5
+    assert calls["factored"] == 2 * 5
     assert calls["valuation"] == 0
 
 

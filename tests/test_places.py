@@ -345,6 +345,20 @@ def test_logvalue_refuses_a_non_finite_arch_part(build, arch):
         build(arch)
 
 
+_BIG = LogValue.from_arch(1e308)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: _BIG + _BIG,
+    lambda: _BIG - (-_BIG),
+    lambda: _BIG.scaled(10),
+], ids=["sum", "difference", "scaled"])
+def test_logvalue_arithmetic_refuses_a_non_finite_arch_part(compute):
+    # an inf arch part minus itself would be nan, a value unequal to itself
+    with pytest.raises(InputError, match="is not finite"):
+        compute()
+
+
 def test_logvalue_neg_infinity_ignores_its_arch_part():
     assert LogValue(arch=math.nan, neg_inf=True) == LogValue.neg_infinity()
     assert LogValue.from_json_dict({"arch": math.inf, "neg_inf": True}).neg_inf
