@@ -18,6 +18,7 @@ the archimedean place (equivalently, a vanishing moment map).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +37,17 @@ from .errors import (
 )
 from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots
 from .heights import _naive_height, naive_height_coords
-from .places import ARCHIMEDEAN, LogValue, Place, RationalLike, _valuation, as_fraction, log_abs, valuation_table
+from .places import (
+    ARCHIMEDEAN,
+    LogValue,
+    Place,
+    RationalLike,
+    _LastInput,
+    _valuation,
+    as_fraction,
+    log_abs,
+    valuation_table,
+)
 
 NORM_CHOICES = ("frobenius", "sup")
 _SKEW_TOL = 1e-12  # how far from skew-hermitian a moment-map direction may be, relative to its norm
@@ -137,8 +148,52 @@ def _require_nonzero(phi: MatrixQ) -> None:
         raise ZeroMatrixError("the zero matrix has no projective class")
 
 
+class _MatrixRecord:
+    """One matrix's local data, each part computed on first use and kept:
+    the charpoly, its nonzero-root part and zero-root count, the complex
+    roots, the Newton polygons at the primes of d and g (see
+    :func:`eigen_data`) and the valuation table of the entries.  A part
+    whose computation raises is not kept, so the next call raises again.
+    """
+
+    def __init__(self, phi: MatrixQ):
+        self.phi = phi
+
+    @functools.cached_property
+    def charpoly(self) -> PolyQ:
+        return charpoly(self.phi.rows)
+
+    @functools.cached_property
+    def reduced(self) -> tuple[PolyQ, int]:
+        return self.charpoly.shift_out_zero_roots()
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.reduced[1] == self.phi.n
+
+    @functools.cached_property
+    def roots(self) -> ComplexMultiset:
+        return complex_roots(self.charpoly)
+
+    @functools.cached_property
+    def polygons(self) -> tuple[tuple[int, NewtonPolygon], ...]:
+        (reduced, k), entries = self.reduced, self.phi.entries
+        d = math.lcm(*(x.denominator for x in entries))
+        g = math.gcd(*(c.numerator for c in reduced.coeffs[:-1]))
+        return tuple((p, NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs], k))
+                     for p in (valuation_table([d, g]) if g else ()))
+
+    @functools.cached_property
+    def table(self) -> dict[int, list]:
+        return valuation_table(self.phi.entries)
+
+
+# The record of the last matrix, keyed on MatrixQ, whose == is exact on the rows.
+_MATRICES = _LastInput(_MatrixRecord)
+
+
 def charpoly_of(phi: MatrixQ) -> PolyQ:
-    return charpoly(phi.rows)
+    return _MATRICES(phi).charpoly
 
 
 def is_semistable_conj(phi: MatrixQ) -> bool:
@@ -151,13 +206,14 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
         False
     """
     _require_nonzero(phi)
-    _, k = charpoly_of(phi).shift_out_zero_roots()
-    return k < phi.n
+    return not _MATRICES(phi).nilpotent
 
 
 def eigen_data(phi: MatrixQ) -> EigenData:
     """All root data of the characteristic polynomial in one bundle: one
-    charpoly, one valuation table of two numbers and one root solve.
+    charpoly, one valuation table of two numbers and one root solve, all
+    read from the matrix's record, which every other entry point on the
+    same matrix shares.
 
     The nonzero-root part T^m + c_(m-1) T^(m-1) + ... + c_0 has c_0 != 0,
     so its smallest root valuation min_j v_p(c_j)/(m - j) is negative only
@@ -166,23 +222,18 @@ def eigen_data(phi: MatrixQ) -> EigenData:
     Polygons are built at the primes of d and g; a nilpotent matrix has g = 0.
     """
     _require_nonzero(phi)
-    cp = charpoly_of(phi)
-    reduced, k = cp.shift_out_zero_roots()
-    d = math.lcm(*(x.denominator for x in phi.entries))
-    g = math.gcd(*(c.numerator for c in reduced.coeffs[:-1]))
-    polygons = tuple((p, NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs], k))
-                     for p in (valuation_table([d, g]) if g else ()))
-    return EigenData(cp, k, polygons, complex_roots(cp))
+    record = _MATRICES(phi)
+    return EigenData(record.charpoly, record.reduced[1], record.polygons, record.roots)
 
 
-def _eigen_height(data: EigenData) -> LogValue:
+def _eigen_height(record: _MatrixRecord) -> LogValue:
     """Quotient height from the eigenvalues: steepest Newton-polygon slopes
     at the primes, log sqrt(sum of squared root moduli) at oo."""
-    if data.zero_multiplicity == data.charpoly.degree:
+    if record.nilpotent:
         raise NilpotentError("nilpotent matrix: no image in the quotient")
     return LogValue._of_primes(
-        {p: -polygon.min_root_valuation for p, polygon in data.polygons},
-        data.arch_roots.log_root_norm(),
+        {p: -polygon.min_root_valuation for p, polygon in record.polygons},
+        record.roots.log_root_norm(),
     )
 
 
@@ -211,7 +262,8 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
         >>> abs(h.to_float() - 0.5 * math.log(2)) < 1e-12
         True
     """
-    return _eigen_height(eigen_data(phi))
+    _require_nonzero(phi)
+    return _eigen_height(_MATRICES(phi))
 
 
 def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> LogValue:
@@ -221,7 +273,9 @@ def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> Log
     eigenvalue size (each place separately).  At finite places the matrix
     norm is the entry sup and the result is exact; at the archimedean place
     the norm is Frobenius or spectral per ``norm``.  Nilpotent matrices
-    give -infinity.
+    give -infinity.  The charpoly and the roots are the matrix's record
+    (see :func:`eigen_data`); the polygon at p is built from the record's
+    nonzero-root coefficients there, so no number is factored.
 
     Examples:
         >>> phi = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -231,15 +285,14 @@ def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> Log
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
     _require_nonzero(phi)
-    cp = charpoly_of(phi)
-    reduced, k = cp.shift_out_zero_roots()
-    if k == phi.n:
+    record = _MATRICES(phi)
+    if record.nilpotent:
         return LogValue.neg_infinity()
     if place.is_archimedean:
-        return _arch_term(phi, complex_roots(cp), norm)
+        return _arch_term(phi, record.roots, norm)
     p = place.prime  # a Place holds a proven prime
     # exact log (largest |eigenvalue|_p / largest |entry|_p); k < n, so reduced has positive degree
-    polygon = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs])
+    polygon = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in record.reduced[0].coeffs])
     vmin = min(_valuation(x, p) for x in phi.entries)
     return LogValue._of_primes({p: vmin - polygon.min_root_valuation})
 
@@ -267,26 +320,28 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, L
 
     The places are the primes of the entries and of g (see
     :func:`eigen_data`), ascending, then oo; at other primes the term is 0.
-    Every term comes from one :func:`eigen_data` record; nilpotent matrices
-    give -infinity everywhere.
+    Every term comes from the matrix's record (see :func:`eigen_data`);
+    nilpotent matrices give -infinity everywhere.
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
-    return _instability_terms(phi, eigen_data(phi), valuation_table(phi.entries), norm)
+    _require_nonzero(phi)
+    return _instability_terms(_MATRICES(phi), norm)
 
 
-def _instability_terms(phi: MatrixQ, data: EigenData, table, norm: str) -> dict[Place, LogValue]:
-    """Terms from the eigen data and the valuation table of the entries."""
-    root_valuations = {p: polygon.min_root_valuation for p, polygon in data.polygons}
+def _instability_terms(record: _MatrixRecord, norm: str) -> dict[Place, LogValue]:
+    """Terms from the record's polygons, roots and valuation table of the entries."""
+    root_valuations = {p: polygon.min_root_valuation for p, polygon in record.polygons}
+    table = record.table
     primes = sorted(set(table) | set(root_valuations))
     # both tables are keyed by proven primes
     places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]
-    if data.zero_multiplicity == phi.n:
+    if record.nilpotent:
         return {place: LogValue.neg_infinity() for place in places}
     # as in instability_conj; a valuation missing from either table is 0
     terms = {place: LogValue._of_primes({p: Fraction(min(table.get(p, [0])) - root_valuations.get(p, 0))})
              for p, place in zip(primes, places)}
-    terms[ARCHIMEDEAN] = _arch_term(phi, data.arch_roots, norm)
+    terms[ARCHIMEDEAN] = _arch_term(record.phi, record.roots, norm)
     return terms
 
 
@@ -384,12 +439,11 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    data = eigen_data(phi)
-    height = _eigen_height(data)
-    table = valuation_table(phi.entries)
-    total = _naive_height(phi.entries, table)
-    for term in _instability_terms(phi, data, table, "frobenius").values():
-        total = total + term
+    _require_nonzero(phi)
+    record = _MATRICES(phi)
+    height = _eigen_height(record)
+    total = LogValue._sum([_naive_height(phi.entries, record.table),
+                           *_instability_terms(record, "frobenius").values()])
     return (total - height).to_float()
 
 

@@ -173,13 +173,18 @@ class ZeroSumPolytope:
         a = [[1] * len(self.slopes), *([-m[k] for m in self.slopes] for k in range(rank))]
         return _Simplex(a, [1] + [0] * rank)
 
+    @property
+    def is_empty(self) -> bool:
+        """Phase 1's verdict: P is empty, that is 0 is outside the hull of the slopes."""
+        return self._program.farkas is not None
+
     def minimize_max_affine(self, offsets):
         """min over xi of max_i (slopes[i] . xi + offsets[i]), exactly.
 
         Returns (value, argmin) as Fractions, or (None, None) when unbounded
         below.
         """
-        if self._program.farkas is not None:
+        if self.is_empty:
             return None, None
         _, y = self._program.maximize(offsets)  # only the dual is read
         return y[0], tuple(y[1:])
@@ -218,7 +223,7 @@ class ZeroSumPolytope:
     @functools.cached_property
     def _face(self) -> tuple[int, ...]:
         self._interior, self._eliminated = None, []
-        if self._program.farkas is not None:
+        if self.is_empty:
             return ()
         face = list(range(self._program.n))
         while True:

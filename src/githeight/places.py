@@ -23,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
 
@@ -566,12 +566,20 @@ class LogValue:
     def __add__(self, other: "LogValue") -> "LogValue":
         if not isinstance(other, LogValue):
             return NotImplemented
-        if self.neg_inf or other.neg_inf:
+        return LogValue._sum((self, other))
+
+    @staticmethod
+    def _sum(values: Sequence["LogValue"]) -> "LogValue":
+        """values[0] + values[1] + ..., as repeated ``+`` gives it, but with
+        no partial sum taking a place in ``_VALUES``."""
+        if any(v.neg_inf for v in values):
             return LogValue.neg_infinity()
-        merged = dict(self._pairs())
-        for p, q in other._pairs():
-            merged[p] = merged.get(p, Fraction(0)) + q
-        return LogValue._of_primes(merged, self.arch + other.arch)
+        merged, arch = dict(values[0]._pairs()), values[0].arch
+        for v in values[1:]:
+            for p, q in v._pairs():
+                merged[p] = merged.get(p, Fraction(0)) + q
+            arch += v.arch
+        return LogValue._of_primes(merged, arch)
 
     def __neg__(self) -> "LogValue":
         if self.neg_inf:
@@ -738,3 +746,22 @@ def product_formula_residual(x: RationalLike) -> LogValue:
     for p in support_primes([q]):
         total = total + log_abs(q, Place._of_prime(p))
     return total
+
+
+class _LastInput:
+    """A one-entry memo of local records: ``memo(key)`` is ``build(key)``
+    for the last key, rebuilt when the key is not == to it.  Keys are
+    compared, never hashed, so a call on the last call's objects costs an
+    identity test; a build that raises leaves the memo as it was."""
+
+    def __init__(self, build):
+        self.build = build
+        self.cache_clear()
+
+    def __call__(self, key):
+        if self.key is None or self.key != key:
+            self.record, self.key = self.build(key), key
+        return self.record
+
+    def cache_clear(self) -> None:
+        self.key = self.record = None

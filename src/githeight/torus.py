@@ -38,15 +38,10 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, _naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, _is_int, _valuation, log_abs, valuation_table
+from .places import ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _valuation, log_abs, valuation_table
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
-# Active-weight sets whose solved polytope stays in memory.  The last one
-# serves the calls made on one point, nearly all of the reuse; a 64-entry
-# memo also served points of one action that share a zero pattern, but a
-# CLI sweep of rank-1 points ran about 3% slower with it.
-_POLYTOPES = 1
 
 
 @dataclass(frozen=True)
@@ -111,32 +106,67 @@ class InstabilityReport:
     residually_semistable: bool | None
 
 
-def _active_weights(action: TorusAction, x: ProjectivePointQ):
-    """(nonzero coordinates, their integer weight tuples)."""
-    if len(x.coords) != action.ambient_dim:
-        raise LengthMismatchError(
-            f"point has {len(x.coords)} coordinates, action expects {action.ambient_dim}"
-        )
-    active = [(c, w) for c, w in zip(x.coords, action.weights) if c != 0]
-    return [c for c, _ in active], tuple(w for _, w in active)
+class _PointRecord:
+    """One input's local data, each part computed on first use and kept.
 
-
-@functools.lru_cache(maxsize=_POLYTOPES)
-def _polytope(ms: tuple) -> exactlp.ZeroSumPolytope:
-    """The zero-sum polytope of the active weights ``ms``, kept in a memo of
-    the last ``_POLYTOPES`` weight sets, so phase 1 and the face of zero
-    run once per weight set while it stays there.
-
-    The reuse comes from several public calls on one point (each place of
-    an ``instability_nonarch`` sweep, ``instability_arch``,
-    ``destabilizing_1ps`` and ``quotient_height`` all ask for the same
-    polytope) and from consecutive points of one action with the same zero
-    pattern.
-    Phase 1 and the face of zero depend on the weights alone, and every
-    phase-2 solve runs on a copy of the post-phase-1 tableau, so a shared
-    polytope answers as a fresh one would, whatever ran on it before.
+    ``xs`` and ``polytope.slopes`` are the nonzero coordinates and their
+    weights, ``table`` their valuation table, ``finite`` one report per
+    prime and ``arch`` one per tol.  Every public call on the input reads
+    this record; a part whose computation raises is not kept, so the next
+    call raises again.
     """
-    return exactlp.ZeroSumPolytope(ms)
+
+    def __init__(self, key):
+        rank, weights, coords = key
+        if len(coords) != len(weights):
+            raise LengthMismatchError(
+                f"point has {len(coords)} coordinates, action expects {len(weights)}"
+            )
+        active = [(c, w) for c, w in zip(coords, weights) if c != 0]
+        self.rank, self.xs = rank, [c for c, _ in active]
+        ms, last = tuple(w for _, w in active), _POINTS.record
+        # phase 1 and the face of zero depend on the weights alone, and each
+        # phase 2 runs on a copy of the feasible tableau, so the next point
+        # of an action with the same zero pattern shares the last polytope
+        self.polytope = last.polytope if last and last.polytope.slopes == ms else exactlp.ZeroSumPolytope(ms)
+        self.finite: dict[int, InstabilityReport] = {}
+        self.arch: dict[float, InstabilityReport] = {}
+
+    @functools.cached_property
+    def table(self) -> dict[int, list]:
+        return valuation_table(self.xs)
+
+    def nonarch_report(self, place: Place, vals) -> InstabilityReport:
+        """The report at a finite place from the active valuations there."""
+        report = self.finite[place.prime] = _nonarch_report(self.polytope, vals, place)
+        return report
+
+    def arch_report(self, tol: float) -> InstabilityReport:
+        report = self.arch.get(tol)
+        if report is None:
+            report = self.arch[tol] = _arch_report(self.rank, self.xs, self.polytope, tol)
+        return report
+
+    def reports(self, tol: float) -> dict[Place, InstabilityReport]:
+        """A new dict of the reports at the table's primes, ascending, then oo."""
+        reports = {}
+        for p, vals in self.table.items():
+            report = self.finite.get(p)
+            if report is None:  # the table's keys are proven primes
+                report = self.nonarch_report(Place._of_prime(p), vals)
+            reports[report.place] = report
+        reports[ARCHIMEDEAN] = self.arch_report(tol)
+        return reports
+
+
+# The record of the last input, keyed on (rank, weights, coordinates) and
+# not on the point, whose == is projective: 1:2 and 2:4 have different
+# heights.
+_POINTS = _LastInput(_PointRecord)
+
+
+def _record(action: TorusAction, x: ProjectivePointQ) -> _PointRecord:
+    return _POINTS((action.rank, action.weights, x.coords))
 
 
 def _unstable_report(place: Place) -> InstabilityReport:
@@ -155,7 +185,7 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         >>> is_semistable(act, ProjectivePointQ.parse("0:0:1"))
         False
     """
-    return _polytope(_active_weights(action, x)[1]).separating_direction() is None
+    return not _record(action, x).polytope.is_empty
 
 
 def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
@@ -171,7 +201,7 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
         >>> destabilizing_1ps(act, ProjectivePointQ.parse("1:1:0"))
         (1, 1)
     """
-    xi = _polytope(_active_weights(action, x)[1]).separating_direction()
+    xi = _record(action, x).polytope.separating_direction()
     if xi is None:
         return None
     scale = math.lcm(*(c.denominator for c in xi))
@@ -188,10 +218,10 @@ def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: in
     weights.  Independent of the LP route through the instability measure.
     """
     place = Place.finite(p)
-    xs, ms = _active_weights(action, x)
-    vals = [_valuation(c, place.prime) for c in xs]
+    record = _record(action, x)
+    vals = [_valuation(c, place.prime) for c in record.xs]
     vmin = min(vals)
-    reduced = exactlp.ZeroSumPolytope([m for m, v in zip(ms, vals) if v == vmin])
+    reduced = exactlp.ZeroSumPolytope([m for m, v in zip(record.polytope.slopes, vals) if v == vmin])
     return reduced.separating_direction() is None
 
 
@@ -201,7 +231,9 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
     In units of log p the orbit-infimum problem is
     min over xi in R^r of max_i (<m_i, xi> - v_p(x_i)), solved exactly by
     a rational simplex with Bland's rule; subtracting max_i log|x_i|_p gives
-    the measure.
+    the measure.  A prime whose report the input's record holds is
+    returned without testing it again; another is tested, and its
+    valuations read off the coordinates without factoring them.
 
     Examples:
         >>> act = TorusAction(1, ((-2,), (1,), (4,)))
@@ -209,9 +241,13 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep.value, rep.minimizer
         (LogValue(finite={2: -2/3}, arch=0.0), (Fraction(-1, 6),))
     """
-    place = Place.finite(p)
-    xs, ms = _active_weights(action, x)
-    return _nonarch_report(_polytope(ms), [_valuation(c, place.prime) for c in xs], place)
+    record = _record(action, x)
+    # a float p must not find an int key: 2.0 == 2
+    report = record.finite.get(p) if _is_int(p) else None
+    if report is None:
+        place = Place.finite(p)
+        report = record.nonarch_report(place, [_valuation(c, place.prime) for c in record.xs])
+    return report
 
 
 def _nonarch_report(polytope: exactlp.ZeroSumPolytope, vals, place: Place) -> InstabilityReport:
@@ -242,8 +278,7 @@ def instability_arch(
     its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
     least squares, drives the gradient below tol.
     """
-    xs, ms = _active_weights(action, x)
-    return _arch_report(action.rank, xs, _polytope(ms), tol)
+    return _record(action, x).arch_report(tol)
 
 
 def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -> InstabilityReport:
@@ -279,18 +314,12 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     oo, all read off one valuation table.  Every LP runs on one
     :class:`exactlp.ZeroSumPolytope` of the active weights, so phase 1 runs
     at most once per input.  An unstable point gets -infinity everywhere
-    from phase 1 alone: its empty polytope runs no phase 2.
+    from phase 1 alone: its empty polytope runs no phase 2.  The table and
+    the reports are the input's record (see :func:`quotient_height`), so a
+    report another call on the same input made is not solved again; each
+    call returns a new dict of the record's frozen reports.
     """
-    xs, ms = _active_weights(action, x)
-    return _reports(action.rank, xs, ms, valuation_table(xs), tol)
-
-
-def _reports(rank: int, xs, ms, table, tol: float) -> dict[Place, InstabilityReport]:
-    polytope = _polytope(ms)
-    reports = {place: _nonarch_report(polytope, vals, place)  # the table's keys are proven primes
-               for place, vals in zip(map(Place._of_prime, table), table.values())}
-    reports[ARCHIMEDEAN] = _arch_report(rank, xs, polytope, tol)
-    return reports
+    return _record(action, x).reports(tol)
 
 
 def _logsumexp(a) -> float:
@@ -363,21 +392,25 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
     measures vanish off the support primes of the coordinates, so the sum
     is finite and its finite part exact.  Unstable points have no image.
 
+    Every term is read from one record of the exact input (its rank,
+    weights and coordinates), the last input's, which the other entry points
+    share: the valuation table, the polytope with its phase 1 and face of
+    zero, one report per prime and one per tol.  Phase 1 decides stability
+    first, so an unstable point is refused before anything is factored.
+
     Examples:
         >>> act = TorusAction(1, ((-2,), (1,), (4,)))
         >>> h = quotient_height(act, ProjectivePointQ.parse("2:2:1"))
         >>> dict(h.finite)
         {2: Fraction(-2, 3)}
     """
-    xs, ms = _active_weights(action, x)
-    table = valuation_table(xs)
-    reports = _reports(action.rank, xs, ms, table, tol)
-    if reports[ARCHIMEDEAN].value.neg_inf:
+    # no local of this frame holds the record, so the traceback of an
+    # UnstableError, which a caller may keep, keeps no local data alive
+    if _record(action, x).polytope.is_empty:
         raise UnstableError("unstable point: no image in the quotient")
-    total = _naive_height(xs, table)
-    for report in reports.values():
-        total = total + report.value
-    return total
+    record = _record(action, x)
+    reports = record.reports(tol).values()
+    return LogValue._sum([_naive_height(record.xs, record.table), *(r.value for r in reports)])
 
 
 def kempf_ness_profile(
@@ -399,8 +432,9 @@ def kempf_ness_profile(
         raise InputError(f"one-parameter subgroup {tuple(lam)} has an entry that is not an integer")
     if len(lam) != action.rank:
         raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
-    xs, ms = _active_weights(action, x)
-    pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in ms]
+    record = _record(action, x)
+    xs = record.xs
+    pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]
     out = []
     if place.is_archimedean:
         logs = [log_abs(c ** 2, ARCHIMEDEAN).arch for c in xs]

@@ -304,6 +304,8 @@ STALL_ARGV = ("--weights=[[0,-2,-1],[-3,3,-2],[3,0,-3],[0,1,1],[-1,-2,0],[3,-3,-
     (("bounds", "lower", "--b", "1e400", "--ranks", "3", "--slopes", "0"), 2),
     (("bounds", "lower", "--b", "1", "--ranks", "2", "--slopes", "nan"), 2),
     (("bounds", "lower", "--b", "1", "--ranks", "3", "--slopes", "1e400"), 2),
+    # unstable, and refused before its (2^61 - 1)(2^89 - 1) is factored
+    (("quotient-height", "--weights=-1,1", "--point", "1427247692705959880439315947500961989719490561:0"), 1),
 ])
 def test_exit_codes_as_a_process(argv, code):
     # Fraction("1e100000000") alone was still parsing after 110 s

@@ -1,13 +1,18 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from githeight import conjugation
 from githeight.conjugation import (
     MatrixQ,
+    charpoly_of,
     eigen_data,
     fundamental_formula_residual_conj,
+    instability_all_conj,
     instability_conj,
     is_minimal_arch,
     is_minimal_nonarch,
@@ -425,3 +430,92 @@ def test_quotient_height_arch_part_on_repeated_blocks():
     for _ in range(240):
         phi, square_sum = _repeated_block_matrix(rng)
         assert abs(quotient_height_conj(phi).arch - 0.5 * math.log(square_sum)) < 5e-3
+
+
+def _memo_matrices(rng):
+    """Small matrices, some nilpotent and some singular, each next to an
+    equal copy or a multiple of itself."""
+    out = []
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:  # strictly upper triangular: nilpotent
+            rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        if not any(any(row) for row in rows):
+            rows[0][-1] = Fraction(1)
+        phi = MatrixQ.from_lists(rows)
+        out += [phi, MatrixQ.from_lists(rows), phi.scaled(rng.choice([2, Fraction(1, 3)]))]
+    return out
+
+
+def _conj_entry_points(phi):
+    """Every public call on one matrix, by name, at each prime of the
+    entries and the charpoly, a prime outside them, and both norms at oo."""
+    primes = set(valuation_table(phi.entries))
+    reduced, _ = charpoly_of(phi).shift_out_zero_roots()
+    if reduced.degree > 0:
+        primes |= set(valuation_table(reduced.coeffs))
+    primes.add(next(p for p in (2, 3, 5, 7, 11, 13) if p not in primes))
+    calls = {
+        "charpoly": lambda: charpoly_of(phi),
+        "eigen": lambda: eigen_data(phi),
+        "semistable": lambda: is_semistable_conj(phi),
+        "height": lambda: quotient_height_conj(phi),
+        "residual": lambda: fundamental_formula_residual_conj(phi),
+        "all": lambda: instability_all_conj(phi),
+        "all sup": lambda: instability_all_conj(phi, norm="sup"),
+        "oo": lambda: instability_conj(phi, ARCHIMEDEAN),
+        "oo sup": lambda: instability_conj(phi, ARCHIMEDEAN, norm="sup"),
+    }
+    calls.update({p: lambda p=p: instability_conj(phi, Place.finite(p)) for p in primes})
+    return calls
+
+
+def _conj_outcome(call):
+    try:
+        return repr(call())
+    except NilpotentError as exc:
+        return type(exc), str(exc)
+
+
+def test_matrix_memo_answers_as_a_cold_one():
+    rng = random.Random(29)
+    matrices = _memo_matrices(rng)
+    calls = [(i, name, call) for i, phi in enumerate(matrices)
+             for name, call in _conj_entry_points(phi).items()]
+    cold = {}
+    for i, name, call in calls:
+        conjugation._MATRICES.cache_clear()
+        cold[i, name] = _conj_outcome(call)
+    assert 10 <= sum(cold[i, "semistable"] == "False" for i in range(len(matrices))) <= 40
+    conjugation._MATRICES.cache_clear()
+    for i, name, call in calls:
+        assert _conj_outcome(call) == cold[i, name]
+    rng.shuffle(calls)
+    for i, name, call in calls:
+        assert _conj_outcome(call) == cold[i, name]
+
+
+def test_matrix_memo_keys_on_the_exact_entries():
+    # [[1, 2], [3, 4]] and [[2, 4], [6, 8]] are one projective class with two charpolys
+    phi, twice = MatrixQ.from_lists([[1, 2], [3, 4]]), MatrixQ.from_lists([[2, 4], [6, 8]])
+    warm = [(f(phi), f(twice)) for f in (charpoly_of, quotient_height_conj, instability_all_conj)]
+    conjugation._MATRICES.cache_clear()
+    assert warm[0][0].coeffs == (-2, -5, 1) and warm[0][1].coeffs == (-8, -10, 1)
+    for (first, second), f in zip(warm, (charpoly_of, quotient_height_conj, instability_all_conj)):
+        conjugation._MATRICES.cache_clear()
+        assert f(phi) == first
+        conjugation._MATRICES.cache_clear()
+        assert f(twice) == second
+
+
+def test_matrix_memo_is_bounded():
+    conjugation._MATRICES.cache_clear()
+    records = []
+    for k in range(50):
+        phi = MatrixQ.from_lists([[k + 1, 1], [0, 2]])
+        quotient_height_conj(phi)
+        records.append(weakref.ref(conjugation._MATRICES.record))
+    gc.collect()
+    assert [r() is not None for r in records] == [False] * 49 + [True]
+    assert conjugation._MATRICES.key == phi

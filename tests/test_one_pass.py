@@ -34,8 +34,9 @@ DENSE8 = MatrixQ.from_lists(
 
 @pytest.fixture
 def calls(monkeypatch):
-    # a polytope an earlier call left in the memo would run no phase 1 here
-    torus._polytope.cache_clear()
+    # a record an earlier call left in a memo would answer here without solving
+    torus._POINTS.cache_clear()
+    conjugation._MATRICES.cache_clear()
     counts = Counter()
 
     def count(name, module, attr, weight=lambda *args: 1):
@@ -63,6 +64,7 @@ def calls(monkeypatch):
     count("feasible", exactlp, "feasible")
     count("phase 1", exactlp._Simplex, "__init__")
     count("shift", exactlp._Simplex, "maximize_shift")
+    count("newton", torus, "_newton_minimize")
     # every factoring path (valuation_table, factorize) goes through _factor_all
     count("factored", places, "_factor_all", len)
     count("valuation", places, "valuation")
@@ -77,6 +79,13 @@ def test_conjugation_heights_solve_once(calls, height):
     assert calls["roots"] == 1
     # the entries' and the reduced charpoly's valuations come from one table each
     assert calls["valuation"] == 0
+
+
+def test_conjugation_height_and_residual_share_one_record(calls):
+    quotient_height_conj(DENSE8)
+    fundamental_formula_residual_conj(DENSE8)
+    assert calls["charpoly"] == 1
+    assert calls["roots"] == 1
 
 
 def test_conjugation_residual_factors_each_number_once(calls):
@@ -112,8 +121,11 @@ def test_factored_primes_are_not_tested_again(calls):
     fundamental_formula_residual_conj(phi)
     # factoring proves its primes itself; the places and values it keys are trusted
     assert calls["is_prime"] == 0
-    # a prime named by the caller is tested once
+    # a prime whose report the record holds is not tested again
     instability_nonarch(action, x, 1000000007)
+    assert calls["is_prime"] == 0
+    # another prime named by the caller is tested once
+    instability_nonarch(action, x, 1000000009)
     assert calls["is_prime"] == 1
 
 
@@ -131,6 +143,19 @@ def test_one_phase_one_per_input(calls, whole_input):
     # the face of zero and the four per-prime LPs share one feasible tableau
     assert calls["phase 1"] == 1
     assert calls["lp"] == 4
+
+
+def test_quotient_height_and_sweep_share_one_record(calls):
+    action = TorusAction(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)))
+    x = ProjectivePointQ.parse("12:5:7:10:3")
+    quotient_height(action, x)
+    shifts = calls["shift"]
+    assert shifts >= 1  # the point is not balanced, so the face of zero was solved
+    instability_all(action, x)
+    assert calls["phase 1"] == 1
+    assert calls["shift"] == shifts
+    assert calls["newton"] == 1
+    assert calls["lp"] == 4  # one phase 2 per support prime: 2, 3, 5, 7
 
 
 def test_same_active_weights_reuse_phase_one_and_the_face(calls):

@@ -1,16 +1,18 @@
 import copy
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from githeight import exactlp, torus
+from githeight import exactlp, places, torus
 from githeight.errors import InputError, LengthMismatchError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
-from githeight.places import ARCHIMEDEAN, Place, support_primes, valuation
+from githeight.places import ARCHIMEDEAN, LogValue, Place, support_primes, valuation
 from githeight.torus import (
     TorusAction,
     destabilizing_1ps,
@@ -311,40 +313,81 @@ def _memo_cases(rng):
     return cases
 
 
-def _memo_outcome(action, x):
-    reports = instability_all(action, x)
-    primes = [place.prime for place in reports if not place.is_archimedean]
-    return (reports, instability_arch(action, x),
-            [instability_nonarch(action, x, p) for p in primes], destabilizing_1ps(action, x))
+def _outcome(call):
+    try:
+        return call()
+    except (UnstableError, NoConvergenceError) as exc:
+        return type(exc), str(exc)
 
 
-def test_polytope_memo_answers_as_a_cold_one():
+def _entry_points(action, x):
+    """Every public call on one input, by name: each support prime, a prime
+    outside the support, and the archimedean place at two tolerances."""
+    primes = support_primes(x.coords)
+    outside = next(p for p in (2, 3, 5, 7, 11) if p not in primes)
+    calls = {
+        "height": lambda: quotient_height(action, x),
+        "all": lambda: instability_all(action, x),
+        "all 1e-6": lambda: instability_all(action, x, 1e-6),
+        "arch": lambda: instability_arch(action, x),
+        "arch 1e-6": lambda: instability_arch(action, x, 1e-6),
+        "semistable": lambda: is_semistable(action, x),
+        "destabilizing": lambda: destabilizing_1ps(action, x),
+        "outside": lambda: instability_nonarch(action, x, outside),
+    }
+    calls.update({p: lambda p=p: instability_nonarch(action, x, p) for p in primes})
+    return calls
+
+
+def test_record_memo_answers_as_a_cold_one():
     rng = random.Random(113)
     cases = _memo_cases(rng)
-    cold = []
-    for action, x in cases:
-        torus._polytope.cache_clear()
-        cold.append(_memo_outcome(action, x))
-    unstable = sum(outcome[3] is not None for outcome in cold)
+    calls = [(i, name, call) for i, (action, x) in enumerate(cases)
+             for name, call in _entry_points(action, x).items()]
+    cold = {}
+    for i, name, call in calls:
+        torus._POINTS.cache_clear()
+        cold[i, name] = _outcome(call)
+    unstable = sum(cold[i, "destabilizing"] is not None for i in range(len(cases)))
     assert 20 <= unstable <= len(cases) - 20
-    # in the generated order the three points of an action come one after
-    # another, so the later ones start from the polytope the earlier one left
-    torus._polytope.cache_clear()
-    order = list(range(len(cases)))
-    for i in order:
-        assert _memo_outcome(*cases[i]) == cold[i]
-    assert torus._polytope.cache_info().misses < len(cases)
-    rng.shuffle(order)
-    for i in order:
-        assert _memo_outcome(*cases[i]) == cold[i]
+    # in the generated order the calls on one point come one after another,
+    # and the three points of an action follow each other
+    torus._POINTS.cache_clear()
+    for i, name, call in calls:
+        assert _outcome(call) == cold[i, name]
+    rng.shuffle(calls)
+    for i, name, call in calls:
+        assert _outcome(call) == cold[i, name]
 
 
-def test_polytope_memo_is_bounded():
-    torus._polytope.cache_clear()
+def test_record_memo_keys_on_the_exact_coordinates():
+    # 1:2 == 2:4 as points, but their quotient heights differ
+    action = act((-1,), (1,))
+    first, second = quotient_height(action, pt("1:2")), quotient_height(action, pt("2:4"))
+    assert first == LogValue({2: Fraction(-1, 2)}, math.log(2))
+    assert second == LogValue({2: Fraction(-3, 2)}, math.log(4))
+    torus._POINTS.cache_clear()
+    assert quotient_height(action, pt("2:4")) == second
+
+
+@pytest.mark.parametrize("p", [2.0, True, 1, 4])
+def test_warm_record_still_refuses_what_is_no_prime(p):
+    instability_all(W214, P221)  # the record now holds the report at 2
+    with pytest.raises(InputError):
+        instability_nonarch(W214, P221, p)
+
+
+def test_record_memo_is_bounded():
+    torus._POINTS.cache_clear()
+    records = []
     for k in range(200):
-        is_semistable(act((-1,), (k + 1,)), pt("1:1"))
-    info = torus._polytope.cache_info()
-    assert info.misses == 200 and info.currsize == torus._POLYTOPES
+        action, x = act((-1,), (k + 1,)), pt("1:1")
+        is_semistable(action, x)
+        instability_all(action, x)
+        records.append(weakref.ref(torus._POINTS.record))
+    gc.collect()
+    assert [r() is not None for r in records] == [False] * 199 + [True]
+    assert torus._POINTS.key == (1, ((-1,), (200,)), x.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +550,14 @@ def test_newton_stall_is_a_convergence_failure():
         quotient_height(action, pt(STALL_POINT))
 
 
+def test_record_memo_keeps_no_failure():
+    # the stall is raised again on each call, not read from the record
+    action = act(*STALL_WEIGHTS)
+    for call in (instability_arch, quotient_height, quotient_height):
+        with pytest.raises(NoConvergenceError, match="stalled at gradient norm"):
+            call(action, pt(STALL_POINT))
+
+
 def test_instability_is_nonpositive():
     rng = random.Random(41)
     for _ in range(60):
@@ -569,6 +620,22 @@ def test_quotient_height_simple_cases():
     assert quotient_height(act((0,),), pt("1")).is_exact_zero
     with pytest.raises(UnstableError):
         quotient_height(act((1,), (1,)), pt("1:1"))
+
+
+def test_quotient_height_keeps_no_partial_sum(monkeypatch):
+    # partial sums in the shared-value table would push out values a caller reuses
+    monkeypatch.setattr(places, "_VALUES", {})
+    torus._POINTS.cache_clear()
+    action, x = act((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)), pt("12:5:7:10:3")
+    h = quotient_height(action, x)
+    kept = list(places._VALUES.values())
+    terms = [r.value for r in instability_all(action, x).values()]
+    assert len(terms) == 5 and h in kept
+    partial = naive_height(x)
+    for term in terms[:-1]:
+        partial = partial + term
+        assert partial not in kept
+    assert partial + terms[-1] == h
 
 
 def test_quotient_height_invariant_under_rational_torus_action():
