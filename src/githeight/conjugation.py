@@ -43,9 +43,10 @@ from .places import (
     Place,
     RationalLike,
     _LastInput,
+    _log_sum_squares,
+    _require_place,
     _valuation,
     as_fraction,
-    log_abs,
     valuation_table,
 )
 
@@ -151,13 +152,13 @@ def _require_nonzero(phi: MatrixQ) -> None:
 class _MatrixRecord:
     """One matrix's local data, each part computed on first use and kept:
     the charpoly, its nonzero-root part and zero-root count, the complex
-    roots, the Newton polygons at the primes of d and g (see
-    :func:`eigen_data`) and the valuation table of the entries.  A part
-    whose computation raises is not kept, so the next call raises again.
+    roots, d and g (see :func:`eigen_data`), the Newton polygon at each prime
+    asked for and the valuation table of the entries.  A part whose
+    computation raises is not kept, so the next call raises again.
     """
 
     def __init__(self, phi: MatrixQ):
-        self.phi = phi
+        self.phi, self._polygons = phi, {}
 
     @functools.cached_property
     def charpoly(self) -> PolyQ:
@@ -176,12 +177,47 @@ class _MatrixRecord:
         return complex_roots(self.charpoly)
 
     @functools.cached_property
+    def d_and_g(self) -> tuple[int, int]:
+        return (math.lcm(*(x.denominator for x in self.phi.entries)),
+                math.gcd(*(c.numerator for c in self.reduced[0].coeffs[:-1])))
+
+    def polygon(self, p: int) -> NewtonPolygon:
+        """The polygon at a proven prime p, from the nonzero-root part's coefficients."""
+        if p not in self._polygons:
+            reduced, k = self.reduced
+            self._polygons[p] = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs], k)
+        return self._polygons[p]
+
+    @functools.cached_property
     def polygons(self) -> tuple[tuple[int, NewtonPolygon], ...]:
-        (reduced, k), entries = self.reduced, self.phi.entries
-        d = math.lcm(*(x.denominator for x in entries))
-        g = math.gcd(*(c.numerator for c in reduced.coeffs[:-1]))
-        return tuple((p, NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in reduced.coeffs], k))
-                     for p in (valuation_table([d, g]) if g else ()))
+        d, g = self.d_and_g
+        return tuple((p, self.polygon(p)) for p in (valuation_table([d, g]) if g else ()))
+
+    def finite_term(self, p: int, vmin: int) -> LogValue:
+        """The exact term log (largest |eigenvalue|_p / largest |entry|_p) at a
+        proven prime p, vmin the smallest entry valuation there.  The root
+        valuation is 0 unless p divides d or g: only then is a polygon built."""
+        d, g = self.d_and_g
+        root_valuation = 0 if d % p and g % p else self.polygon(p).min_root_valuation
+        return LogValue._of_primes({p: Fraction(vmin - root_valuation)})
+
+    def arch_term(self, norm: str) -> LogValue:
+        if norm == "frobenius":
+            eig = self.roots.log_root_norm()
+            mat = 0.5 * _log_sum_squares(self.phi.entries)
+        else:
+            eig = math.log(self.roots.max_abs())
+            scaled, k = _float_rows(self.phi)
+            mat = math.log(float(np.linalg.norm(scaled, 2))) + k * math.log(2)
+        return LogValue.from_arch(eig - mat)
+
+    def height(self) -> LogValue:
+        """Quotient height from the eigenvalues: steepest Newton-polygon slopes
+        at the primes, log sqrt(sum of squared root moduli) at oo."""
+        if self.nilpotent:
+            raise NilpotentError("nilpotent matrix: no image in the quotient")
+        return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
+                                   self.roots.log_root_norm())
 
     @functools.cached_property
     def table(self) -> dict[int, list]:
@@ -226,17 +262,6 @@ def eigen_data(phi: MatrixQ) -> EigenData:
     return EigenData(record.charpoly, record.reduced[1], record.polygons, record.roots)
 
 
-def _eigen_height(record: _MatrixRecord) -> LogValue:
-    """Quotient height from the eigenvalues: steepest Newton-polygon slopes
-    at the primes, log sqrt(sum of squared root moduli) at oo."""
-    if record.nilpotent:
-        raise NilpotentError("nilpotent matrix: no image in the quotient")
-    return LogValue._of_primes(
-        {p: -polygon.min_root_valuation for p, polygon in record.polygons},
-        record.roots.log_root_norm(),
-    )
-
-
 def naive_matrix_height(phi: MatrixQ) -> LogValue:
     """Height of [phi] in P(End): entry sup at finite places, Frobenius norm
     at the archimedean one.
@@ -263,7 +288,7 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
         True
     """
     _require_nonzero(phi)
-    return _eigen_height(_MATRICES(phi))
+    return _MATRICES(phi).height()
 
 
 def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> LogValue:
@@ -274,8 +299,8 @@ def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> Log
     norm is the entry sup and the result is exact; at the archimedean place
     the norm is Frobenius or spectral per ``norm``.  Nilpotent matrices
     give -infinity.  The charpoly and the roots are the matrix's record
-    (see :func:`eigen_data`); the polygon at p is built from the record's
-    nonzero-root coefficients there, so no number is factored.
+    (see :func:`eigen_data`), and so is the term at p, which factors nothing
+    and builds a polygon only when p divides d or g.
 
     Examples:
         >>> phi = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -284,28 +309,15 @@ def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> Log
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
+    _require_place(place)
     _require_nonzero(phi)
     record = _MATRICES(phi)
     if record.nilpotent:
         return LogValue.neg_infinity()
     if place.is_archimedean:
-        return _arch_term(phi, record.roots, norm)
+        return record.arch_term(norm)
     p = place.prime  # a Place holds a proven prime
-    # exact log (largest |eigenvalue|_p / largest |entry|_p); k < n, so reduced has positive degree
-    polygon = NewtonPolygon.from_valuations(p, [_valuation(c, p) for c in record.reduced[0].coeffs])
-    vmin = min(_valuation(x, p) for x in phi.entries)
-    return LogValue._of_primes({p: vmin - polygon.min_root_valuation})
-
-
-def _arch_term(phi: MatrixQ, roots: ComplexMultiset, norm: str) -> LogValue:
-    if norm == "frobenius":
-        eig = roots.log_root_norm()
-        mat = 0.5 * log_abs(sum(x * x for x in phi.entries), ARCHIMEDEAN).arch
-    else:
-        eig = math.log(roots.max_abs())
-        scaled, k = _float_rows(phi)
-        mat = math.log(float(np.linalg.norm(scaled, 2))) + k * math.log(2)
-    return LogValue.from_arch(eig - mat)
+    return record.finite_term(p, min(_valuation(x, p) for x in phi.entries))
 
 
 def _float_rows(phi: MatrixQ) -> tuple[list[list[float]], int]:
@@ -320,28 +332,21 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, L
 
     The places are the primes of the entries and of g (see
     :func:`eigen_data`), ascending, then oo; at other primes the term is 0.
-    Every term comes from the matrix's record (see :func:`eigen_data`);
-    nilpotent matrices give -infinity everywhere.
+    Every term comes from the matrix's record, a finite one by the route a
+    lone :func:`instability_conj` takes; nilpotent matrices give -infinity.
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
     _require_nonzero(phi)
-    return _instability_terms(_MATRICES(phi), norm)
-
-
-def _instability_terms(record: _MatrixRecord, norm: str) -> dict[Place, LogValue]:
-    """Terms from the record's polygons, roots and valuation table of the entries."""
-    root_valuations = {p: polygon.min_root_valuation for p, polygon in record.polygons}
+    record = _MATRICES(phi)
     table = record.table
-    primes = sorted(set(table) | set(root_valuations))
-    # both tables are keyed by proven primes
-    places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]
+    primes = sorted(set(table) | {p for p, _ in record.polygons})
+    places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]  # both lists are of proven primes
     if record.nilpotent:
         return {place: LogValue.neg_infinity() for place in places}
-    # as in instability_conj; a valuation missing from either table is 0
-    terms = {place: LogValue._of_primes({p: Fraction(min(table.get(p, [0])) - root_valuations.get(p, 0))})
-             for p, place in zip(primes, places)}
-    terms[ARCHIMEDEAN] = _arch_term(record.phi, record.roots, norm)
+    # an entry valuation missing from the table is 0
+    terms = {place: record.finite_term(p, min(table.get(p, [0]))) for p, place in zip(primes, places)}
+    terms[ARCHIMEDEAN] = record.arch_term(norm)
     return terms
 
 
@@ -356,16 +361,10 @@ def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
     """
     _require_nonzero(phi)
     t = phi.transpose()
-    comm = [
-        [a - b for a, b in zip(r1, r2)]
-        for r1, r2 in zip(phi.mul(t).rows, t.mul(phi).rows)
-    ]
-    sq = sum(x * x for row in comm for x in row)
-    norm2 = sum(x * x for x in phi.entries)
-    minimal = sq == 0
-    # sqrt(sq) / norm2 through logs, since either may lie beyond the double range
-    log_defect = 0.5 * log_abs(sq, ARCHIMEDEAN).arch - log_abs(norm2, ARCHIMEDEAN).arch
-    defect = 0.0 if minimal else math.exp(log_defect)
+    entries = [a - b for r1, r2 in zip(phi.mul(t).rows, t.mul(phi).rows) for a, b in zip(r1, r2)]
+    minimal = not any(entries)
+    # |comm|_F / |phi|_F^2 through logs, since either may lie beyond the double range
+    defect = 0.0 if minimal else math.exp(0.5 * _log_sum_squares(entries) - _log_sum_squares(phi.entries))
     return MinimalityReport(
         minimal,
         ARCHIMEDEAN,
@@ -441,9 +440,8 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     """
     _require_nonzero(phi)
     record = _MATRICES(phi)
-    height = _eigen_height(record)
-    total = LogValue._sum([_naive_height(phi.entries, record.table),
-                           *_instability_terms(record, "frobenius").values()])
+    height = record.height()
+    total = LogValue._sum([_naive_height(phi.entries, record.table), *instability_all_conj(phi).values()])
     return (total - height).to_float()
 
 

@@ -29,12 +29,11 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .places import (
-    ARCHIMEDEAN,
     LogValue,
     RationalLike,
+    _log_sum_squares,
     as_fraction,
     exact_log_abs_arch,
-    log_abs,
     valuation_table,
 )
 
@@ -96,8 +95,7 @@ def _naive_height(xs: Sequence[Fraction], table: dict[int, list]) -> LogValue:
     """Height of the coordinates xs with their valuation table (zeros may be left out)."""
     # the table's keys are proven primes, and some entry at each is finite
     finite = {p: Fraction(-min(vals)) for p, vals in table.items()}
-    # log_abs splits numerator and denominator, so no float overflow
-    return LogValue._of_primes(finite, 0.5 * log_abs(sum(x * x for x in xs), ARCHIMEDEAN).arch)
+    return LogValue._of_primes(finite, 0.5 * _log_sum_squares(xs))
 
 
 def naive_height(x: ProjectivePointQ) -> LogValue:

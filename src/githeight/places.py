@@ -451,6 +451,12 @@ class Place:
 ARCHIMEDEAN = Place.archimedean()
 
 
+def _require_place(place) -> None:
+    """Refuse a place that is not a Place, which would fail later as an AttributeError."""
+    if not isinstance(place, Place):
+        raise InputError(f"{place!r} is not a Place")
+
+
 # ---------------------------------------------------------------------------
 # exact logarithmic values
 # ---------------------------------------------------------------------------
@@ -686,18 +692,29 @@ def log_abs(x: RationalLike, place: Place) -> LogValue:
     """log |x|_v as a LogValue; -infinity when x is zero.
 
     At a finite place the result is the exact term -v_p(x) * log(p); at the
-    archimedean place it is the float log|x|.
+    archimedean place it is the float log|x|.  A place that is no Place raises InputError.
 
     Examples:
         >>> log_abs(Fraction(12), Place.finite(2))
         LogValue(finite={2: -2}, arch=0.0)
     """
     q = as_fraction(x)
+    _require_place(place)
     if q == 0:
         return LogValue.neg_infinity()
     if place.is_archimedean:
         return LogValue.from_arch(math.log(abs(q.numerator)) - math.log(q.denominator))
     return LogValue._of_primes({place.prime: Fraction(-_valuation(q, place.prime))})
+
+
+def _log_sum_squares(xs: Sequence[Fraction]) -> float:
+    """log sum x_i^2 of rationals not all 0, summed on the integers D x_i (D the lcm of
+    the denominators); numerator and denominator in lowest terms are logged apart,
+    so no float overflows and the float is log_abs's of the Fraction sum."""
+    d = math.lcm(*(x.denominator for x in xs))
+    total = sum((x.numerator * (d // x.denominator)) ** 2 for x in xs)
+    g = math.gcd(total, d * d)
+    return math.log(total // g) - math.log(d * d // g)
 
 
 def exact_log_abs_arch(x: RationalLike) -> LogValue:
@@ -731,9 +748,9 @@ def support_primes(xs: Iterable[RationalLike]) -> list[int]:
 def product_formula_residual(x: RationalLike) -> LogValue:
     """sum_v log|x|_v over all places; exactly zero for nonzero rationals.
 
-    The archimedean term is folded into the exact log(p) basis, so the
-    finite coefficients cancel dictionary-wise and the result is the
-    structurally zero LogValue.
+    The archimedean term is folded into the exact log(p) basis, whose primes
+    are the finite places, so the finite coefficients cancel dictionary-wise
+    and the result is the structurally zero LogValue.
 
     Examples:
         >>> product_formula_residual(Fraction(-6, 35)).is_exact_zero
@@ -742,10 +759,8 @@ def product_formula_residual(x: RationalLike) -> LogValue:
     q = as_fraction(x)
     if q == 0:
         raise ZeroInputError("the product formula needs a nonzero rational")
-    total = exact_log_abs_arch(q)
-    for p in support_primes([q]):
-        total = total + log_abs(q, Place._of_prime(p))
-    return total
+    arch = exact_log_abs_arch(q)
+    return LogValue._sum([arch, *(log_abs(q, Place._of_prime(p)) for p in arch.finite)])
 
 
 class _LastInput:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,7 +37,8 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, _naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _valuation, log_abs, valuation_table
+from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_sum_squares, _require_place,
+                     _valuation, valuation_table)
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
@@ -137,11 +137,22 @@ class _PointRecord:
         return valuation_table(self.xs)
 
     def nonarch_report(self, place: Place, vals) -> InstabilityReport:
-        """The report at a finite place from the active valuations there."""
-        report = self.finite[place.prime] = _nonarch_report(self.polytope, vals, place)
+        """The report at a finite place from the active valuations there, kept."""
+        offsets = [-v for v in vals]
+        value, argmin = self.polytope.minimize_max_affine(offsets)
+        if value is None:
+            report = _unstable_report(place)
+        else:
+            measure = value - max(offsets)
+            report = InstabilityReport(place, LogValue._of_primes({place.prime: measure}), tuple(argmin),
+                                       measure == 0)
+        self.finite[place.prime] = report
         return report
 
     def arch_report(self, tol: float) -> InstabilityReport:
+        # before the lookup: a nan or negative tol would run every Newton step and fail
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise InputError(f"tolerance {tol!r} is not a finite positive number")
         report = self.arch.get(tol)
         if report is None:
             report = self.arch[tol] = _arch_report(self.rank, self.xs, self.polytope, tol)
@@ -250,17 +261,6 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
     return report
 
 
-def _nonarch_report(polytope: exactlp.ZeroSumPolytope, vals, place: Place) -> InstabilityReport:
-    """Measure at a finite place from the active weights' polytope and the active valuations."""
-    offsets = [-v for v in vals]
-    value, argmin = polytope.minimize_max_affine(offsets)
-    if value is None:
-        return _unstable_report(place)
-    measure = value - max(offsets)
-    return InstabilityReport(place, LogValue._of_primes({place.prime: measure}), tuple(argmin),
-                             measure == 0)
-
-
 def instability_arch(
     action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
 ) -> InstabilityReport:
@@ -285,7 +285,7 @@ def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -
     """The archimedean report; -infinity when the face of zero is empty.
     The polytope runs an LP only when the exact balance test fails.  The test
     reads sum x_i^2 m_i = 0 on the integers D x_i, D the lcm of the
-    denominators."""
+    denominators, as are the logs of x_i^2 and of their sum."""
     ms, scale = polytope.slopes, math.lcm(*(c.denominator for c in xs))
     ints2 = [(c.numerator * (scale // c.denominator)) ** 2 for c in xs]
     if not any(sum(m[k] * w for m, w in zip(ms, ints2)) for k in range(rank)):
@@ -293,17 +293,10 @@ def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -
     face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
-    weights_f = np.array([[float(w) for w in ms[j]] for j in face])
-    log_xs2 = np.array([log_abs(xs[j] ** 2, ARCHIMEDEAN).arch for j in face])
-    log_total = log_abs(Fraction(sum(ints2), scale * scale), ARCHIMEDEAN).arch
-    xi, value = _newton_minimize(weights_f, log_xs2, tol)
-    best = value - 0.5 * log_total
-    return InstabilityReport(
-        ARCHIMEDEAN,
-        LogValue.from_arch(min(best, 0.0)),
-        tuple(float(v) for v in xi),
-        None,
-    )
+    xi, value = _newton_minimize(np.array([[float(w) for w in ms[j]] for j in face]),
+                                 np.array([_log_sum_squares([xs[j]]) for j in face]), tol)
+    best = value - 0.5 * _log_sum_squares(xs)
+    return InstabilityReport(ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), tuple(float(v) for v in xi), None)
 
 
 def instability_all(action: TorusAction, x: ProjectivePointQ,
@@ -427,6 +420,7 @@ def kempf_ness_profile(
     s -> max_i (<m_i, lam> s - v_p(x_i) log p).  Both are convex in s.
     A float or bool entry of ``one_ps`` is refused, not truncated.
     """
+    _require_place(place)
     lam = list(one_ps)
     if not all(_is_int(v) for v in lam):
         raise InputError(f"one-parameter subgroup {tuple(lam)} has an entry that is not an integer")
@@ -435,15 +429,8 @@ def kempf_ness_profile(
     record = _record(action, x)
     xs = record.xs
     pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]
-    out = []
     if place.is_archimedean:
-        logs = [log_abs(c ** 2, ARCHIMEDEAN).arch for c in xs]
-        for s in xi_grid:
-            a = np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])
-            out.append(0.5 * _logsumexp(a))
-    else:
-        logp = math.log(place.prime)
-        vals = [_valuation(c, place.prime) for c in xs]
-        for s in xi_grid:
-            out.append(max(c * s - v * logp for c, v in zip(pairings, vals)))
-    return out
+        logs = [_log_sum_squares([c]) for c in xs]
+        return [0.5 * _logsumexp(np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])) for s in xi_grid]
+    logp, vals = math.log(place.prime), [_valuation(c, place.prime) for c in xs]
+    return [max(c * s - v * logp for c, v in zip(pairings, vals)) for s in xi_grid]

@@ -9,19 +9,24 @@ import pytest
 
 from githeight import (
     MatrixQ,
+    NewtonPolygon,
     ProjectivePointQ,
     TorusAction,
     conjugation,
     exactlp,
+    charpoly_of,
     fundamental_formula_residual_conj,
     instability_all,
     instability_all_conj,
     instability_arch,
+    instability_conj,
     instability_nonarch,
     naive_height,
     places,
+    product_formula_residual,
     quotient_height,
     quotient_height_conj,
+    support_primes,
     torus,
 )
 from githeight.places import ARCHIMEDEAN, Place
@@ -65,6 +70,7 @@ def calls(monkeypatch):
     count("phase 1", exactlp._Simplex, "__init__")
     count("shift", exactlp._Simplex, "maximize_shift")
     count("newton", torus, "_newton_minimize")
+    count("polygon", NewtonPolygon, "from_valuations")
     # every factoring path (valuation_table, factorize) goes through _factor_all
     count("factored", places, "_factor_all", len)
     count("valuation", places, "valuation")
@@ -93,6 +99,64 @@ def test_conjugation_residual_factors_each_number_once(calls):
     # the 64 entries, and d and g for the charpoly's places, numerator and
     # denominator each; no charpoly coefficient is factored
     assert calls["factored"] <= 2 * (64 + 2)
+
+
+def _small_matrices():
+    rng = random.Random(19)
+    out = [MatrixQ.from_lists(rows) for rows in ([[2, 1], [4, 2]], [[0, 1], [0, 0]], [[12, 5], [7, 3]],
+                                                  [[Fraction(1, 2), 1], [0, 3]], [[6, 0], [0, 10]])]
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        out.append(MatrixQ.from_lists([[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 4]))
+                                        for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+@pytest.mark.parametrize("lone_first", [True, False], ids=["lone_first", "sweep_first"])
+def test_lone_conjugation_terms_are_the_sweep_terms(lone_first):
+    charpoly_only = 0
+    for phi in _small_matrices():
+        sweep = instability_all_conj(phi)
+        listed = [place.prime for place in sweep if not place.is_archimedean]
+        reduced, _ = charpoly_of(phi).shift_out_zero_roots()
+        # primes of the charpoly coefficients alone, where every term is 0
+        others = sorted(set(support_primes(reduced.coeffs)) - set(listed)) if reduced.degree else []
+        charpoly_only += bool(others)
+        conjugation._MATRICES.cache_clear()
+        if lone_first:
+            lone = {p: instability_conj(phi, Place.finite(p)) for p in listed + others}
+            assert instability_all_conj(phi) == sweep
+        else:
+            assert instability_all_conj(phi) == sweep
+            lone = {p: instability_conj(phi, Place.finite(p)) for p in listed + others}
+        for p in listed:
+            assert lone[p] == sweep[Place.finite(p)]
+        for p in others:
+            assert lone[p].is_exact_zero
+    assert charpoly_only >= 20
+
+
+def test_lone_conjugation_term_builds_a_polygon_only_where_p_divides_d_or_g(calls):
+    big = MatrixQ.from_lists([["1e200", "0"], ["0", "1"]])  # d = 1, g = gcd(10^200, 10^200 + 1) = 1
+    assert (10**200 + 1) % 17 == 0
+    for p in (2, 5, 17):
+        assert instability_conj(big, Place.finite(p)).is_exact_zero
+    assert calls["polygon"] == 0
+    assert calls["factored"] == 0
+    half = MatrixQ.from_lists([[Fraction(1, 2), 1], [0, 3]])  # d = 2, g = gcd(3, 7) = 1
+    assert instability_conj(half, Place.finite(3)).is_exact_zero
+    assert calls["polygon"] == 0
+    assert instability_conj(half, Place.finite(2)).is_exact_zero
+    assert calls["polygon"] == 1
+    # the sweep reads the polygon the lone call built
+    instability_all_conj(half)
+    assert calls["polygon"] == 1
+
+
+def test_product_formula_factors_its_argument_once(calls):
+    assert product_formula_residual(Fraction(-6, 35)).is_exact_zero
+    # one valuation table of the numerator 6 and the denominator 35
+    assert calls["factored"] == 2
 
 
 def test_torus_quotient_height_runs_no_hull_lp(calls):

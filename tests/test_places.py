@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from githeight import MatrixQ, PolyQ, ProjectivePointQ, TorusAction, places
-from githeight.conjugation import is_minimal_nonarch
+from githeight.conjugation import instability_conj, is_minimal_nonarch
 from githeight.errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
 from githeight.exactpoly import newton_polygon
 from githeight.heights import naive_height
@@ -26,7 +26,7 @@ from githeight.places import (
     valuation_table,
     values_close,
 )
-from githeight.torus import instability_nonarch, residually_semistable_direct
+from githeight.torus import instability_nonarch, kempf_ness_profile, residually_semistable_direct
 
 PLACES = [ARCHIMEDEAN, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(97)]
 
@@ -329,6 +329,35 @@ def test_non_integer_primes_are_refused(call):
     # int(2.9) == 2 would silently compute at another prime
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("place", [2, "oo", None], ids=["int", "str", "none"])
+@pytest.mark.parametrize("call", [
+    lambda place: instability_conj(MatrixQ.from_lists([[1, 1], [0, 1]]), place),
+    lambda place: kempf_ness_profile(_W214, _P221, [1], [0.0], place),
+    lambda place: log_abs(12, place),
+    lambda place: log_abs(0, place),
+], ids=["instability_conj", "kempf_ness_profile", "log_abs", "log_abs_zero"])
+def test_a_place_that_is_no_place_is_refused(call, place):
+    # each once failed as an AttributeError on place.is_archimedean
+    with pytest.raises(InputError):
+        call(place)
+
+
+def test_log_sum_squares_matches_the_fraction_sum_bit_for_bit():
+    rng = random.Random(19)
+    for _ in range(400):
+        scale = rng.choice([0, 1, 30, 300, 400, 420])
+        xs = [Fraction(rng.randint(-10**6, 10**6) * 10 ** rng.randint(0, scale),
+                       rng.randint(1, 10**6) * 10 ** rng.randint(0, scale)) for _ in range(rng.randint(1, 9))]
+        if not any(xs):
+            xs[0] = Fraction(1, 10 ** scale)
+        total = sum(x * x for x in xs)
+        # the Fraction route: numerator and denominator in lowest terms, logged apart
+        assert places._log_sum_squares(xs) == math.log(total.numerator) - math.log(total.denominator)
+        assert places._log_sum_squares(xs) == log_abs(total, ARCHIMEDEAN).arch
+    for big in (Fraction(10**400), Fraction(1, 10**400), Fraction(3 * 10**399, 7)):
+        assert places._log_sum_squares([big, 1]) == log_abs(big * big + 1, ARCHIMEDEAN).arch
 
 
 @pytest.mark.parametrize("arch", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -511,6 +511,19 @@ def test_instability_arch_examples():
     assert abs(flat.value.to_float() + 0.5 * math.log(2)) < 1e-12 and flat.minimizer == (0.0,)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 0, math.inf, "a", None, True, [1e-9]],
+                         ids=["nan", "negative", "zero", "int_zero", "inf", "str", "none", "bool", "list"])
+@pytest.mark.parametrize("call", [instability_arch, instability_all, quotient_height])
+@pytest.mark.parametrize("point", ["3:3", "2:1"], ids=["balanced", "newton"])
+def test_a_tolerance_that_is_no_finite_positive_number_is_refused(time_limit, call, point, tol):
+    # nan and -1 once ran every Newton iteration before a NoConvergenceError,
+    # and "a" failed as a TypeError; a balanced point runs no Newton step at all
+    action, x = act((-1,), (1,)), pt(point)
+    instability_arch(action, x)  # the record already holds a report: a bad tol is still refused
+    with time_limit(1.0), pytest.raises(InputError):
+        call(action, x, tol=tol)
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 def test_instability_arch_at_tight_tolerances(tol):
     # Next to the minimum the predicted decrease falls below the rounding
@@ -636,6 +649,10 @@ def test_quotient_height_keeps_no_partial_sum(monkeypatch):
         partial = partial + term
         assert partial not in kept
     assert partial + terms[-1] == h
+    # no float log of x_i^2 or of sum x_i^2 takes a place in the table: of the
+    # arch-only values that no result holds, the naive height alone is left
+    unheld = [v for v in kept if not v.finite and all(v is not t for t in [h, *terms])]
+    assert unheld == [naive_height(x)]
 
 
 def test_quotient_height_invariant_under_rational_torus_action():
