@@ -60,6 +60,8 @@ def ell(n: int) -> float:
     Examples:
         >>> ell(2) == 0.5 * math.log(2)
         True
+        >>> abs(ell(10000) - (math.log(10000) - 1)) < 0.01  # Stirling
+        True
     """
     if not _is_int(n) or n < 1:
         raise NonPositiveError(f"ell needs a positive integer, got {n!r}")
@@ -92,6 +94,9 @@ def explicit_lower_bound(
 
     Examples:
         >>> explicit_lower_bound([0], [LogValue({2: 1})], [2]).is_exact_zero
+        True
+        >>> slopes = [LogValue({2: Fraction(1)}), LogValue.from_arch(0.25)]
+        >>> explicit_lower_bound([0, 0], slopes, [2, 3]).is_exact_zero
         True
     """
     if not (len(multipliers) == len(slopes) == len(ranks)):
@@ -134,6 +139,11 @@ def epsilon_map(w: int) -> sp.csr_matrix:
     Examples:
         >>> epsilon_map(3).shape
         (729, 27)
+        >>> eps = epsilon_map(2).toarray().astype(int)
+        >>> inv = np.zeros((4, 4), dtype=int)
+        >>> inv[1, 0], inv[0, 1], inv[3, 2], inv[2, 3] = 1, -1, 1, -1
+        >>> bool((eps @ inv == np.eye(4, dtype=int)).all() and (inv @ eps == np.eye(4, dtype=int)).all())
+        True
     """
     if not isinstance(w, int) or not 2 <= w <= 4:
         raise UnsupportedSizeError(f"implemented for sizes 2 to 4, got {w!r}")
@@ -168,8 +178,10 @@ def epsilon_norm_check(w: int) -> EpsilonNormResult:
     most bound + 1e-8.  At w = 2 the map is an isometry, norm exactly 1.
 
     Examples:
-        >>> epsilon_norm_check(3).ok
+        >>> abs(epsilon_norm_check(2).norm - 1.0) <= 1e-8
         True
+        >>> [epsilon_norm_check(w).ok for w in (2, 3, 4)]
+        [True, True, True]
     """
     m = epsilon_map(w).astype(np.float64)
     gram = np.asarray((m.T @ m).todense())
@@ -394,12 +406,19 @@ def convex_lemma_min(variant: str) -> float:
     log(sqrt(3)) for "log_sqrt3".
 
     Examples:
-        >>> abs(convex_lemma_min("log3") - math.log(3)) < 1e-8
+        >>> abs(convex_lemma_min("log3") - math.log(3)) <= 1e-8
+        True
+        >>> abs(convex_lemma_min("log_sqrt3") - 0.5 * math.log(3)) <= 1e-8
         True
     """
     return _golden_section(_lemma_profile(variant), -10.0, 10.0)[1]
 
 
 def convex_lemma_argmin(variant: str) -> float:
-    """Location of the minimum (0 for both shipped profiles)."""
+    """Location of the minimum (0 for both shipped profiles).
+
+    Examples:
+        >>> abs(convex_lemma_argmin("log3")) <= 1e-6, abs(convex_lemma_argmin("log_sqrt3")) <= 1e-6
+        (True, True)
+    """
     return _golden_section(_lemma_profile(variant), -10.0, 10.0)[0]

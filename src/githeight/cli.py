@@ -6,6 +6,8 @@ on stdin.  Each stdin key takes one JSON type: ``point`` an ``"a:b"``
 string or an array, ``weights`` a comma-separated string or an array,
 ``action`` an object or its JSON text, ``matrix`` an array of arrays or its
 JSON text, ``place`` a string or an integer; any other type exits 2.
+``paper-suite`` replays every docstring example of the package's modules
+and exits 1 if one fails; the global options do not change its result.
 Exit codes: 0 success, 1 domain error (unstable or nilpotent input), 2
 parse or validation error, 3 convergence failure.  A reader that closes
 stdout early (``githeight paper-suite | head -1``) ends the command quietly
@@ -25,7 +27,6 @@ from .bounds import (
     convex_lemma_argmin,
     convex_lemma_min,
     ell,
-    epsilon_map,
     epsilon_norm_check,
     explicit_lower_bound,
 )
@@ -36,20 +37,12 @@ from .conjugation import (
     is_minimal_arch,
     is_minimal_nonarch,
     is_semistable_conj,
-    moment_map_conj,
     naive_matrix_height,
-    orbit_sampling_bound,
     quotient_height_conj,
-    skew_hermitian_basis,
 )
-from .errors import (
-    DomainError,
-    GitHeightError,
-    InputError,
-    NoConvergenceError,
-)
+from .errors import DomainError, InputError, NoConvergenceError
 from .heights import ProjectivePointQ, naive_height
-from .places import ARCHIMEDEAN, DEFAULT_COMPARE_TOL, LogValue, Place, as_fraction
+from .places import ARCHIMEDEAN, LogValue, Place, as_fraction
 from .torus import (
     TorusAction,
     destabilizing_1ps,
@@ -59,9 +52,6 @@ from .torus import (
     is_semistable,
     quotient_height,
 )
-
-LN2 = math.log(2.0)
-LN3 = math.log(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,194 +297,36 @@ def _cmd_convex_lemma(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# bundled regression suite of worked examples
+# the package's worked examples
 # ---------------------------------------------------------------------------
 
-def _suite_checks(args):
-    """Named end-to-end checks with frozen expected values."""
-    action = TorusAction(rank=1, weights=((-2,), (1,), (4,)))
-    point = ProjectivePointQ.parse("2:2:1")
-    unipotent = MatrixQ.from_lists([[1, 1], [0, 1]])
-    diag23 = MatrixQ.from_lists([[2, 0], [0, 3]])
-
-    def close(a, b):
-        return abs(a - b) <= DEFAULT_COMPARE_TOL
-
-    def c_height():
-        v = naive_height(point).to_float()
-        return f"{LN3:.9f}", f"{v:.9f}", close(v, LN3)
-
-    def c_ss_true():
-        got = is_semistable(action, point)
-        return "True", str(got), got is True
-
-    def c_ss_false():
-        got = is_semistable(TorusAction(1, ((-1,), (1,))),
-                            ProjectivePointQ.parse("1:0"))
-        return "False", str(got), got is False
-
-    def c_no_destab():
-        got = destabilizing_1ps(action, point)
-        return "None", str(got), got is None
-
-    def c_inst2():
-        r = instability_nonarch(action, point, 2)
-        ok = (
-            r.value.finite_coefficient(2) == Fraction(-2, 3)
-            and set(r.value.finite) == {2}
-            and r.value.arch == 0.0
-            and r.minimizer == (Fraction(-1, 6),)
-        )
-        return "-2/3 log 2 at xi = -1/6", f"{r.value.to_float():.9f} at {r.minimizer}", ok
-
-    def c_inst3():
-        r = instability_nonarch(action, point, 3)
-        ok = r.value.is_exact_zero and r.residually_semistable is True
-        return "exact 0", f"{r.value.to_float():.9f}", ok
-
-    def c_inst_arch():
-        r = instability_arch(action, point, tol=args.arch_tol)
-        ok = r.value.is_exact_zero and all(float(x) == 0.0 for x in r.minimizer)
-        return "exact 0 at xi = 0", f"{r.value.to_float():.9f} at {r.minimizer}", ok
-
-    def c_quot_torus():
-        v = quotient_height(action, point, tol=args.arch_tol)
-        expect = LN3 - Fraction(2, 3) * LN2
-        ok = (
-            v.finite_coefficient(2) == Fraction(-2, 3)
-            and set(v.finite) == {2}
-            and close(v.arch, LN3)
-        )
-        return f"{float(expect):.9f}", f"{v.to_float():.9f}", ok
-
-    def c_conj_ss():
-        got = is_semistable_conj(unipotent)
-        return "True", str(got), got is True
-
-    def c_conj_ss_diag():
-        m = MatrixQ.from_lists([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        got = is_semistable_conj(m)
-        return "True", str(got), got is True
-
-    def c_quot_conj():
-        v = quotient_height_conj(unipotent)
-        ok = not v.finite and close(v.to_float(), 0.5 * LN2)
-        return f"{0.5 * LN2:.9f}", f"{v.to_float():.9f}", ok
-
-    def c_quot_diag():
-        v = quotient_height_conj(diag23)
-        expect = 0.5 * math.log(13.0)
-        ok = not v.finite and close(v.to_float(), expect)
-        return f"{expect:.9f}", f"{v.to_float():.9f}", ok
-
-    def c_sup_inst():
-        v = instability_conj(diag23, Place.finite(2), norm="sup")
-        return "exact 0", f"{v.to_float():.9f}", v.is_exact_zero
-
-    def c_diag_minimal():
-        m = MatrixQ.from_lists([[1, 0], [0, 2]])
-        arch = is_minimal_arch(m).minimal
-        p2 = is_minimal_nonarch(m, 2).minimal
-        return "minimal at oo and 2", f"oo={arch}, 2={p2}", arch and p2
-
-    def c_moment_zero():
-        m = MatrixQ.from_lists([[1, 2], [2, 1]])
-        worst = max(
-            abs(moment_map_conj(m, a)) for a in skew_hermitian_basis(2)
-        )
-        return "<= 1e-10", f"{worst:.3e}", worst <= 1e-10
-
-    def c_orbit():
-        v = orbit_sampling_bound(unipotent, samples=100, seed=0).to_float()
-        lower = 0.5 * math.log(3.0)
-        return f">= {lower:.9f}", f"{v:.9f}", v >= lower - 1e-9
-
-    def c_ell_asym():
-        diff = abs(ell(10000) - (math.log(10000.0) - 1.0))
-        return "< 0.01", f"{diff:.5f}", diff < 0.01
-
-    def c_lower_eq():
-        v = explicit_lower_bound(
-            [0, 0], [LogValue({2: Fraction(1)}), LogValue.from_arch(0.25)], [2, 3]
-        )
-        return "exact 0", f"{v.to_float():.9f}", v.is_exact_zero
-
-    def c_eps2_inverse():
-        import numpy as np
-
-        eps = epsilon_map(2).toarray().astype(int)
-        inv = np.zeros((4, 4), dtype=int)
-        inv[1, 0], inv[0, 1], inv[3, 2], inv[2, 3] = 1, -1, 1, -1
-        ok = (eps @ inv == np.eye(4, dtype=int)).all() and (
-            inv @ eps == np.eye(4, dtype=int)
-        ).all()
-        return "identity both ways", "identity" if ok else "mismatch", bool(ok)
-
-    def c_eps2_isometry():
-        r = epsilon_norm_check(2)
-        return "norm 1", f"{r.norm:.9f}", abs(r.norm - 1.0) <= 1e-8
-
-    def c_eps_bounds():
-        results = [epsilon_norm_check(w) for w in (2, 3, 4)]
-        ok = all(r.ok for r in results)
-        got = ", ".join(f"w={r.size}: {r.norm:.6f}<={r.bound:.6f}" for r in results)
-        return "norm <= sqrt(w!) for w=2,3,4", got, ok
-
-    def c_convex_log3():
-        v = convex_lemma_min("log3")
-        x = convex_lemma_argmin("log3")
-        ok = abs(v - LN3) <= 1e-8 and abs(x) <= 1e-6
-        return f"{LN3:.9f} at 0", f"{v:.9f} at {x:.2e}", ok
-
-    def c_convex_sqrt3():
-        v = convex_lemma_min("log_sqrt3")
-        x = convex_lemma_argmin("log_sqrt3")
-        ok = abs(v - 0.5 * LN3) <= 1e-8 and abs(x) <= 1e-6
-        return f"{0.5 * LN3:.9f} at 0", f"{v:.9f} at {x:.2e}", ok
-
-    return [
-        ("height of 2:2:1 is log 3", c_height),
-        ("weights (-2,1,4): 2:2:1 is semistable", c_ss_true),
-        ("weights (-1,1): 1:0 is unstable", c_ss_false),
-        ("no destabilizing subgroup at 2:2:1", c_no_destab),
-        ("instability of 2:2:1 at p=2", c_inst2),
-        ("instability of 2:2:1 at p=3", c_inst3),
-        ("instability of 2:2:1 at oo", c_inst_arch),
-        ("torus quotient height of 2:2:1", c_quot_torus),
-        ("unipotent [[1,1],[0,1]] is semistable", c_conj_ss),
-        ("diag(0,0,1) is semistable", c_conj_ss_diag),
-        ("quotient height of [[1,1],[0,1]]", c_quot_conj),
-        ("quotient height of diag(2,3)", c_quot_diag),
-        ("sup-norm instability of diag(2,3) at p=2", c_sup_inst),
-        ("diag(1,2) is minimal at oo and p=2", c_diag_minimal),
-        ("moment map vanishes on a normal matrix", c_moment_zero),
-        ("orbit sampling stays above log sqrt 3", c_orbit),
-        ("ell(10000) near log(10000) - 1", c_ell_asym),
-        ("lower bound is equality at zero twist", c_lower_eq),
-        ("rank-2 antisymmetrization inverts", c_eps2_inverse),
-        ("rank-2 antisymmetrization is an isometry", c_eps2_isometry),
-        ("antisymmetrization norms within sqrt(w!)", c_eps_bounds),
-        ("convex profile attains log 3 at 0", c_convex_log3),
-        ("convex profile attains log sqrt 3 at 0", c_convex_sqrt3),
-    ]
-
-
 def _cmd_suite(args) -> int:
-    checks = _suite_checks(args)
-    width = max(len(name) for name, _ in checks)
-    failures = 0
-    for name, fn in checks:
-        try:
-            expected, computed, ok = fn()
-        except GitHeightError as exc:
-            expected, computed, ok = "no error", f"{type(exc).__name__}: {exc}", False
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status}  {name:<{width}}  expected {expected}; got {computed}")
-    total = len(checks)
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
+    """Replay every docstring example of every module of the package: one
+    PASS or FAIL line per docstring, with the failing examples' expected and
+    actual output, then the count of examples passed.  The global options
+    do not change the result."""
+    import doctest
+    import importlib
+    import pkgutil
+
+    package = importlib.import_module(__package__)
+    finder = doctest.DocTestFinder()
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(package.__path__, package.__name__ + ".")]
+    tests = [test for module in [package, *modules] for test in finder.find(module) if test.examples]
+    # ELLIPSIS, as pytest's --doctest-modules runs the same examples
+    runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
+    width = max((len(test.name) for test in tests), default=0)
+    failed = attempted = 0
+    for test in tests:
+        report = []
+        result = runner.run(test, out=report.append)
+        failed, attempted = failed + result.failed, attempted + result.attempted
+        status, plural = "FAIL" if result.failed else "PASS", "s" * (result.attempted != 1)
+        print(f"{status}  {test.name:<{width}}  {result.attempted} example{plural}")
+        print("".join(report), end="")
+    print(f"{attempted - failed}/{attempted} examples passed")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

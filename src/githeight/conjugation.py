@@ -31,6 +31,7 @@ from .errors import (
     InputError,
     LengthMismatchError,
     NilpotentError,
+    NonPositiveError,
     NonSquareError,
     NotSkewHermitianError,
     ZeroMatrixError,
@@ -42,6 +43,7 @@ from .places import (
     LogValue,
     Place,
     RationalLike,
+    _is_int,
     _LastInput,
     _log_sum_squares,
     _require_place,
@@ -240,6 +242,8 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
         True
         >>> is_semistable_conj(MatrixQ.from_lists([[0, 1], [0, 0]]))
         False
+        >>> is_semistable_conj(MatrixQ.from_lists([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+        True
     """
     _require_nonzero(phi)
     return not _MATRICES(phi).nilpotent
@@ -284,8 +288,11 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
 
     Examples:
         >>> h = quotient_height_conj(MatrixQ.from_lists([[1, 1], [0, 1]]))
-        >>> abs(h.to_float() - 0.5 * math.log(2)) < 1e-12
-        True
+        >>> dict(h.finite), abs(h.to_float() - 0.5 * math.log(2)) < 1e-12
+        ({}, True)
+        >>> h = quotient_height_conj(MatrixQ.from_lists([[2, 0], [0, 3]]))
+        >>> dict(h.finite), abs(h.to_float() - 0.5 * math.log(13)) < 1e-12
+        ({}, True)
     """
     _require_nonzero(phi)
     return _MATRICES(phi).height()
@@ -306,6 +313,8 @@ def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> Log
         >>> phi = MatrixQ.from_lists([[1, 1], [0, 1]])
         >>> instability_conj(phi, Place.finite(2))
         LogValue(finite={}, arch=0.0)
+        >>> instability_conj(MatrixQ.from_lists([[2, 0], [0, 3]]), Place.finite(2), norm="sup").is_exact_zero
+        True
     """
     if norm not in NORM_CHOICES:
         raise InputError(f"norm must be one of {NORM_CHOICES}")
@@ -384,6 +393,8 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
         True
         >>> is_minimal_nonarch(MatrixQ.from_lists([[2, 1], [4, 2]]), 2).minimal
         False
+        >>> is_minimal_nonarch(MatrixQ.from_lists([[1, 0], [0, 2]]), 2).minimal
+        True
     """
     _require_nonzero(phi)
     place = Place.finite(p)
@@ -416,6 +427,11 @@ def moment_map_conj(phi: Union[MatrixQ, np.ndarray], direction: np.ndarray) -> f
     ``direction`` must be skew-hermitian within 1e-12 times max(1, its norm).
     The pairing vanishes for every direction iff phi is normal, i.e. minimal
     in its orbit.  It is homogeneous of degree 0, so a MatrixQ enters as :func:`_float_rows`.
+
+    Examples:
+        >>> normal = MatrixQ.from_lists([[1, 2], [2, 1]])
+        >>> max(abs(moment_map_conj(normal, a)) for a in skew_hermitian_basis(2)) <= 1e-10
+        True
     """
     a = np.asarray(direction, dtype=complex)
     m = np.asarray(_float_rows(phi)[0] if isinstance(phi, MatrixQ) else phi, dtype=complex)
@@ -459,10 +475,13 @@ def orbit_sampling_bound(phi: MatrixQ, samples: int = 200, seed: int = 0) -> Log
         >>> v = orbit_sampling_bound(MatrixQ.identity(2), samples=5, seed=1)
         >>> abs(v.to_float() - 0.5 * math.log(2)) < 1e-15
         True
+        >>> v = orbit_sampling_bound(MatrixQ.from_lists([[1, 1], [0, 1]]), samples=100, seed=0)
+        >>> v.to_float() >= 0.5 * math.log(3) - 1e-9  # the quotient height is log sqrt 2
+        True
     """
     _require_nonzero(phi)
-    if samples < 1:
-        raise InputError("need at least one sample")
+    if not _is_int(samples) or samples < 1:
+        raise NonPositiveError(f"samples must be a positive integer, got {samples!r}")
     rng = random.Random(seed)
     n = phi.n
     best = naive_matrix_height(phi)

@@ -463,8 +463,11 @@ def _require_place(place) -> None:
 
 def _finite_arch(arch: float) -> float:
     """arch as a float without -0.0, any zero being the one constant 0.0;
-    nan and +-inf are refused (-infinity is ``neg_inf``)."""
-    arch = float(arch) + 0.0 or 0.0
+    nan, +-inf and a value float() refuses are refused (-infinity is ``neg_inf``)."""
+    try:
+        arch = float(arch) + 0.0 or 0.0
+    except (TypeError, ValueError, OverflowError):  # float("x"), float(None), float(10**400)
+        raise InputError(f"archimedean part of type {type(arch).__name__} is not a finite double") from None
     if not math.isfinite(arch):
         raise InputError(f"archimedean part {arch!r} is not finite")
     return arch
@@ -664,8 +667,10 @@ class LogValue:
         try:
             finite = {int(p) if isinstance(p, str) else p: as_fraction(q)
                       for p, q in dict(d.get("finite", {})).items()}
-            return cls(finite, float(d.get("arch", 0.0)), bool(d.get("neg_inf", False)))
-        except (TypeError, AttributeError) as exc:
+            return cls(finite, d.get("arch", 0.0), bool(d.get("neg_inf", False)))
+        except InputError:
+            raise
+        except (TypeError, AttributeError, ValueError) as exc:  # ValueError: a prime key int("x")
             raise InputError(f"malformed LogValue payload: {d!r}") from exc
 
 
@@ -712,9 +717,14 @@ def _log_sum_squares(xs: Sequence[Fraction]) -> float:
     the denominators); numerator and denominator in lowest terms are logged apart,
     so no float overflows and the float is log_abs's of the Fraction sum."""
     d = math.lcm(*(x.denominator for x in xs))
-    total = sum((x.numerator * (d // x.denominator)) ** 2 for x in xs)
-    g = math.gcd(total, d * d)
-    return math.log(total // g) - math.log(d * d // g)
+    return _log_ratio(sum((x.numerator * (d // x.denominator)) ** 2 for x in xs), d * d)
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) of positive integers: numerator and denominator in lowest
+    terms are logged apart, so no float overflows."""
+    g = math.gcd(num, den)
+    return math.log(num // g) - math.log(den // g)
 
 
 def exact_log_abs_arch(x: RationalLike) -> LogValue:

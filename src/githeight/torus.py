@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,8 +38,8 @@ from .errors import (
     UnstableError,
 )
 from .heights import ProjectivePointQ, _naive_height
-from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_sum_squares, _require_place,
-                     _valuation, valuation_table)
+from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_ratio, _log_sum_squares,
+                     _require_place, _valuation, valuation_table)
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
@@ -195,6 +196,8 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         True
         >>> is_semistable(act, ProjectivePointQ.parse("0:0:1"))
         False
+        >>> is_semistable(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:0"))
+        False
     """
     return not _record(action, x).polytope.is_empty
 
@@ -211,6 +214,8 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
         >>> act = TorusAction(2, ((1, 0), (0, 1), (-1, -1)))
         >>> destabilizing_1ps(act, ProjectivePointQ.parse("1:1:0"))
         (1, 1)
+        >>> destabilizing_1ps(TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("2:2:1")) is None
+        True
     """
     xi = _record(action, x).polytope.separating_direction()
     if xi is None:
@@ -251,6 +256,9 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep = instability_nonarch(act, ProjectivePointQ.parse("2:2:1"), 2)
         >>> rep.value, rep.minimizer
         (LogValue(finite={2: -2/3}, arch=0.0), (Fraction(-1, 6),))
+        >>> rep = instability_nonarch(act, ProjectivePointQ.parse("2:2:1"), 3)
+        >>> rep.value.is_exact_zero, rep.residually_semistable
+        (True, True)
     """
     record = _record(action, x)
     # a float p must not find an int key: 2.0 == 2
@@ -277,6 +285,12 @@ def instability_arch(
     weight off it.  A damped Newton iteration on an orthonormal basis of
     its span, started where log x_i^2 + 2 <m_i, xi> are closest to equal in
     least squares, drives the gradient below tol.
+
+    Examples:
+        >>> act = TorusAction(1, ((-2,), (1,), (4,)))
+        >>> rep = instability_arch(act, ProjectivePointQ.parse("2:2:1"))  # 4*(-2) + 4*1 + 1*4 = 0
+        >>> rep.value.is_exact_zero, rep.minimizer
+        (True, (0.0,))
     """
     return _record(action, x).arch_report(tol)
 
@@ -284,8 +298,9 @@ def instability_arch(
 def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -> InstabilityReport:
     """The archimedean report; -infinity when the face of zero is empty.
     The polytope runs an LP only when the exact balance test fails.  The test
-    reads sum x_i^2 m_i = 0 on the integers D x_i, D the lcm of the
-    denominators, as are the logs of x_i^2 and of their sum."""
+    reads sum x_i^2 m_i = 0 on the squares of the integers D x_i, D the lcm
+    of the denominators, and the logs of x_i^2 and of their sum are read off
+    the same squares."""
     ms, scale = polytope.slopes, math.lcm(*(c.denominator for c in xs))
     ints2 = [(c.numerator * (scale // c.denominator)) ** 2 for c in xs]
     if not any(sum(m[k] * w for m, w in zip(ms, ints2)) for k in range(rank)):
@@ -293,9 +308,11 @@ def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -
     face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
+    # ints2[j] / scale^2 = x_j^2 and sum(ints2) / scale^2 = sum x^2, each logged in lowest terms
+    scale2 = scale * scale
     xi, value = _newton_minimize(np.array([[float(w) for w in ms[j]] for j in face]),
-                                 np.array([_log_sum_squares([xs[j]]) for j in face]), tol)
-    best = value - 0.5 * _log_sum_squares(xs)
+                                 np.array([_log_ratio(ints2[j], scale2) for j in face]), tol)
+    best = value - 0.5 * _log_ratio(sum(ints2), scale2)
     return InstabilityReport(ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), tuple(float(v) for v in xi), None)
 
 
@@ -317,6 +334,8 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
 
 def _logsumexp(a) -> float:
     amax = float(np.max(a))
+    if math.isinf(amax):  # a - amax would be inf - inf = nan
+        return amax
     return amax + math.log(float(np.sum(np.exp(a - amax))))
 
 
@@ -394,8 +413,8 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
     Examples:
         >>> act = TorusAction(1, ((-2,), (1,), (4,)))
         >>> h = quotient_height(act, ProjectivePointQ.parse("2:2:1"))
-        >>> dict(h.finite)
-        {2: Fraction(-2, 3)}
+        >>> dict(h.finite), abs(h.arch - math.log(3)) <= 1e-9
+        ({2: Fraction(-2, 3)}, True)
     """
     # no local of this frame holds the record, so the traceback of an
     # UnstableError, which a caller may keep, keeps no local data alive
@@ -418,12 +437,20 @@ def kempf_ness_profile(
     At the archimedean place this is s -> (1/2) log sum x_i^2
     exp(2 <m_i, lam> s); at a finite place the exact piecewise-linear
     s -> max_i (<m_i, lam> s - v_p(x_i) log p).  Both are convex in s.
-    A float or bool entry of ``one_ps`` is refused, not truncated.
+    A float or bool entry of ``one_ps`` is refused, not truncated, and so
+    is a grid point that is not a finite real double; a point whose profile
+    overflows gives +-inf.
     """
     _require_place(place)
     lam = list(one_ps)
     if not all(_is_int(v) for v in lam):
         raise InputError(f"one-parameter subgroup {tuple(lam)} has an entry that is not an integer")
+    try:  # a bool or a non-real is nan here
+        grid = [float(s) if isinstance(s, numbers.Real) and not isinstance(s, bool) else math.nan for s in xi_grid]
+    except OverflowError:  # float(10**400)
+        grid = [math.nan]
+    if not all(map(math.isfinite, grid)):
+        raise InputError("a grid point is not a finite real double")
     if len(lam) != action.rank:
         raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
     record = _record(action, x)
@@ -431,6 +458,6 @@ def kempf_ness_profile(
     pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]
     if place.is_archimedean:
         logs = [_log_sum_squares([c]) for c in xs]
-        return [0.5 * _logsumexp(np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])) for s in xi_grid]
+        return [0.5 * _logsumexp(np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])) for s in grid]
     logp, vals = math.log(place.prime), [_valuation(c, place.prime) for c in xs]
-    return [max(c * s - v * logp for c, v in zip(pairings, vals)) for s in xi_grid]
+    return [max(c * s - v * logp for c, v in zip(pairings, vals)) for s in grid]

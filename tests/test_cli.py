@@ -1,3 +1,6 @@
+import doctest
+import functools
+import importlib
 import io
 import json
 import math
@@ -243,13 +246,57 @@ def test_action_json_input(capsys):
     assert code == 0 and data["semistable"] is True
 
 
+# The docstrings that hold the 23 checks paper-suite once kept by hand.
+_WORKED_EXAMPLES = {
+    "githeight.heights.naive_height", "githeight.torus.is_semistable", "githeight.torus.destabilizing_1ps",
+    "githeight.torus.instability_nonarch", "githeight.torus.instability_arch",
+    "githeight.torus.quotient_height", "githeight.conjugation.is_semistable_conj",
+    "githeight.conjugation.quotient_height_conj", "githeight.conjugation.instability_conj",
+    "githeight.conjugation.is_minimal_arch", "githeight.conjugation.is_minimal_nonarch",
+    "githeight.conjugation.moment_map_conj", "githeight.conjugation.orbit_sampling_bound",
+    "githeight.bounds.ell", "githeight.bounds.explicit_lower_bound", "githeight.bounds.epsilon_map",
+    "githeight.bounds.epsilon_norm_check", "githeight.bounds.convex_lemma_min",
+    "githeight.bounds.convex_lemma_argmin",
+}
+
+
+def _docstring_examples() -> int:
+    """The number of docstring examples in the package's source files."""
+    names = ["githeight"] + [f"githeight.{path.stem}" for path in Path(cli.__file__).parent.glob("*.py")
+                             if path.stem != "__init__"]
+    finder = doctest.DocTestFinder()
+    return sum(len(test.examples) for name in names for test in finder.find(importlib.import_module(name)))
+
+
 def test_regression_suite_passes(capsys):
     code, out = run(capsys, "paper-suite")
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 23
-    assert all(l.startswith("PASS") for l in lines)
-    assert "23/23 checks passed" in out
+    *lines, summary = out.splitlines()
+    assert all(line.startswith("PASS  ") for line in lines)
+    n = _docstring_examples()
+    assert n >= 98 and summary == f"{n}/{n} examples passed"
+    assert _WORKED_EXAMPLES <= {line.split()[1] for line in lines}
+
+
+def test_regression_suite_reports_a_failing_example(capsys, monkeypatch):
+    from githeight import torus
+    from githeight.places import LogValue
+
+    original = torus.quotient_height
+
+    @functools.wraps(original)  # its docstring stays the one the suite replays
+    def off_by_log3(*args, **kwargs):
+        return original(*args, **kwargs) + LogValue({3: 1})
+
+    monkeypatch.setattr(torus, "quotient_height", off_by_log3)
+    code, out = run(capsys, "paper-suite")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and re.fullmatch(r"FAIL  githeight\.torus\.quotient_height +3 examples", failed[0])
+    assert "Expected:\n    ({2: Fraction(-2, 3)}, True)\nGot:\n    ({2: Fraction(-2, 3), 3: Fraction(1, 1)}, True)\n" in out
+    passed, total = map(int, re.fullmatch(r"(\d+)/(\d+) examples passed", lines[-1]).groups())
+    assert passed == total - 1
 
 
 def test_instability_all_lists_charpoly_primes(capsys):

@@ -31,7 +31,9 @@ from githeight.errors import (
     ZeroMatrixError,
 )
 from githeight.exactpoly import newton_polygon
-from githeight.places import ARCHIMEDEAN, Place, valuation_table
+from githeight.heights import ProjectivePointQ
+from githeight.places import ARCHIMEDEAN, LogValue, Place, valuation_table
+from githeight.torus import TorusAction, instability_all, is_semistable, quotient_height
 
 UNIPOTENT = MatrixQ.from_lists([[1, 1], [0, 1]])
 NILPOTENT = MatrixQ.from_lists([[0, 1], [0, 0]])
@@ -338,8 +340,10 @@ def test_orbit_sampling_bound():
     assert bound.to_float() >= 0.5 * math.log(3) - 1e-9  # equality at g = id
     d = orbit_sampling_bound(DIAG23, samples=50, seed=2)
     assert d.to_float() >= 0.5 * math.log(13) - 1e-9
-    with pytest.raises(InputError):
-        orbit_sampling_bound(UNIPOTENT, samples=0, seed=0)
+    # 0, and a float, str or bool that is no positive integer (2.5 and "3" were a TypeError)
+    for samples in (0, 2.5, "3", True):
+        with pytest.raises(InputError):
+            orbit_sampling_bound(UNIPOTENT, samples=samples, seed=0)
 
 
 def _orbit_bound_by_products(phi, samples, seed):
@@ -519,3 +523,59 @@ def test_matrix_memo_is_bounded():
     gc.collect()
     assert [r() is not None for r in records] == [False] * 49 + [True]
     assert conjugation._MATRICES.key == phi
+
+
+def _torus_inside_conjugation(rng, kind, n):
+    """(matrix, the diagonal torus of GL_n acting on its n^2 entries by
+    conjugation): entry (i, j) has weight e_i - e_j, with e_n = 0, so the
+    torus has rank n - 1."""
+    def entry():
+        return Fraction(rng.randint(-9999, 9999), rng.randint(1, 9999))
+
+    if kind == "triangular":
+        rows = [[entry() if i <= j else 0 for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:  # lower triangular
+            rows = [list(col) for col in zip(*rows)]
+    elif kind == "full":
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+    else:  # half-sparse
+        rows = [[entry() if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    weights = [tuple(int(i == k) - int(j == k) for k in range(n - 1)) for i in range(n) for j in range(n)]
+    return MatrixQ.from_lists(rows), TorusAction(n - 1, weights)
+
+
+def test_the_diagonal_torus_never_goes_lower_than_conjugation():
+    # The quotient height is an orbit infimum at each place (Burnol), so the
+    # diagonal torus, a subgroup, gives a measure at least the conjugation
+    # one at every place.  On a triangular matrix the torus drives the
+    # off-diagonal entries to 0 and both infima are the diagonal: equality.
+    # The two engines share no code past places: LP, face of zero and Newton
+    # against charpoly, Newton polygons and Aberth.
+    rng = random.Random(20)
+    checked = {"triangular": 0, "full": 0, "sparse": 0}
+    for k in range(300):
+        kind, n = ("triangular", "full", "sparse")[k % 3], 2 + k // 3 % 4
+        phi, action = _torus_inside_conjugation(rng, kind, n)
+        if phi.is_zero:
+            continue
+        x = ProjectivePointQ(phi.entries)
+        if not is_semistable(action, x):
+            # 0 lies in the torus orbit closure, hence in the conjugation one
+            assert not is_semistable_conj(phi)
+            continue
+        if not is_semistable_conj(phi):
+            continue
+        torus = {place: report.value for place, report in instability_all(action, x).items()}
+        conj = instability_all_conj(phi)
+        for place in torus.keys() | conj.keys():
+            t, c = torus.get(place, LogValue.zero()), conj.get(place, LogValue.zero())
+            if place.is_archimedean:
+                assert t.arch >= c.arch - 1e-9, (phi, place)
+                assert kind != "triangular" or abs(t.arch - c.arch) <= 1e-9, (phi, place)
+            else:
+                assert t.finite_coefficient(place.prime) >= c.finite_coefficient(place.prime), (phi, place)
+                assert kind != "triangular" or t == c, (phi, place)
+        h_torus, h_conj = quotient_height(action, x).to_float(), quotient_height_conj(phi).to_float()
+        assert h_torus >= h_conj - 1e-9 * (1 + abs(h_conj)), phi
+        checked[kind] += 1
+    assert min(checked.values()) >= 80, checked

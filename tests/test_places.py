@@ -316,6 +316,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: residually_semistable_direct(_W214, _P221, 2.9),
     lambda: LogValue({2.9: 1}),
     lambda: LogValue.from_json_dict({"finite": {2.9: 1}}),
+    lambda: LogValue.from_json_dict({"finite": {"x": 1}}),
     lambda: valuation(4, 2.5),
     lambda: is_prime(2.5),
     lambda: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), 2.5),
@@ -323,7 +324,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: factorize(True),
     lambda: factorize(12.0),
 ], ids=["place", "instability_nonarch", "residually_semistable_direct", "logvalue",
-        "logvalue_from_json", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
+        "logvalue_from_json", "logvalue_from_json_text_key", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
         "factorize_bool", "factorize_float"])
 def test_non_integer_primes_are_refused(call):
     # int(2.9) == 2 would silently compute at another prime
@@ -360,16 +361,19 @@ def test_log_sum_squares_matches_the_fraction_sum_bit_for_bit():
         assert places._log_sum_squares([big, 1]) == log_abs(big * big + 1, ARCHIMEDEAN).arch
 
 
-@pytest.mark.parametrize("arch", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("arch", [math.nan, math.inf, -math.inf, "x", 10**400],
+                         ids=["nan", "inf", "-inf", "str", "int_past_double"])
 @pytest.mark.parametrize("build", [
     lambda a: LogValue(arch=a),
     lambda a: LogValue({2: 1}, a),
     LogValue.from_arch,
     lambda a: LogValue.from_json_dict({"arch": a}),
     lambda a: LogValue.from_json_dict(json.loads(json.dumps({"finite": {"2": "1/3"}, "arch": a}))),
-], ids=["init", "init_finite", "from_arch", "from_json", "from_json_text"])
+    lambda a: kempf_ness_profile(_W214, _P221, [1], [0.0, a]),
+], ids=["init", "init_finite", "from_arch", "from_json", "from_json_text", "kempf_ness_grid_point"])
 def test_logvalue_refuses_a_non_finite_arch_part(build, arch):
-    # a nan arch part would build a value unequal to itself; -infinity is neg_inf
+    # a nan arch part would build a value unequal to itself; -infinity is neg_inf.
+    # A profile at a grid point that is no finite double was [nan], or a TypeError
     with pytest.raises(InputError):
         build(arch)
 

@@ -710,6 +710,13 @@ def test_profile_of_huge_coordinates():
     assert abs(vals[0] - 200 * math.log(10)) < 1e-9
 
 
+def test_profile_overflows_to_infinity_not_nan():
+    # the exponents overflow to +-inf; inf - inf in the log-sum-exp gave nan
+    assert kempf_ness_profile(W214, P221, (1,), [1e308, -1e308]) == [math.inf, math.inf]
+    assert kempf_ness_profile(act((1,), (1,)), pt("1:1"), (1,), [-1e308]) == [-math.inf]
+    assert kempf_ness_profile(W214, P221, (1,), [1e308], place=Place.finite(2)) == [math.inf]
+
+
 def test_profile_constant_for_zero_direction():
     vals = kempf_ness_profile(W214, P221, (0,), [-2.0, 0.0, 3.0])
     assert max(vals) - min(vals) < 1e-15
