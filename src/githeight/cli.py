@@ -264,7 +264,6 @@ def _cmd_epsilon(args) -> dict:
         "norm": result.norm,
         "bound": result.bound,
         "ok": result.ok,
-        "iterations": result.iterations,
     }
 
 

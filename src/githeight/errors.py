@@ -54,10 +54,6 @@ class UnsupportedSizeError(InputError):
     """Requested tensor size is outside the implemented range."""
 
 
-class DimensionTooLargeError(InputError):
-    """Tensor space dimension exceeds the exact-arithmetic cap."""
-
-
 class NonPositiveError(InputError):
     """A positive integer argument was required."""
 

@@ -1,30 +1,26 @@
-import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from githeight import bounds
 from githeight.bounds import (
-    MAX_TENSOR_DIM,
-    PermSpec,
     convex_lemma_argmin,
     convex_lemma_min,
     ell,
     epsilon_map,
     epsilon_norm_check,
     explicit_lower_bound,
-    perm_invariant_check,
-    permutation_operator,
 )
 from githeight.errors import (
-    DimensionTooLargeError,
     InputError,
     LengthMismatchError,
     NonPositiveError,
     UnsupportedSizeError,
 )
-from githeight.places import LogValue
+from githeight.places import LogValue, as_fraction
 
 
 def test_ell_examples():
@@ -111,8 +107,46 @@ def test_explicit_lower_bound_rank_two_has_no_penalty():
     assert got.arch == 0.0
 
 
+def _term_by_term_bound(bs, slopes, ranks):
+    """The bound summed slope by slope, as before twist_shift carried the sum."""
+    total = LogValue.zero()
+    for b, mu in zip(bs, slopes):
+        total = total - mu.scaled(b)
+    penalty = 0.0
+    for b, r in zip(bs, ranks):
+        if r >= 3 and b != 0:
+            penalty += abs(float(b)) / 2.0 * ell(r)
+    return total + LogValue.from_arch(-penalty)
+
+
+def test_explicit_lower_bound_is_the_term_by_term_sum():
+    rng = np.random.default_rng(21)
+    arch = (0.0, -0.0, 1e308, -1e308, 0.1, -2.5, 1 / 3)
+    for _ in range(500):
+        n = int(rng.integers(1, 5))
+        bs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) if rng.random() < 0.7
+              else repr(float(rng.uniform(-4, 4))) for _ in range(n)]
+        slopes = [LogValue({int(p): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                            for p in rng.choice([2, 3, 5, 7], size=int(rng.integers(0, 3)))})
+                  + LogValue.from_arch(arch[int(rng.integers(len(arch)))]) for _ in range(n)]
+        ranks = [int(rng.integers(1, 6)) for _ in range(n)]
+        try:
+            want = _term_by_term_bound([as_fraction(b) for b in bs], slopes, ranks)
+            if not math.isfinite(want.to_float()):
+                raise InputError("not finite")
+        except InputError:
+            with pytest.raises(InputError):
+                explicit_lower_bound(bs, slopes, ranks)
+            continue
+        got = explicit_lower_bound(bs, slopes, ranks)
+        assert dict(got.finite) == dict(want.finite)
+        assert got.arch.hex() == want.arch.hex()
+
+
 def test_epsilon_map_rank_two_inverse():
-    eps = epsilon_map(2).toarray().astype(int)
+    m = epsilon_map(2)
+    eps = np.zeros(m.shape, dtype=int)
+    eps[m.rows, np.arange(4)[:, None]] = m.signs
     # inverse: phi (x) (e1 ^ e2) -> phi(e1) (x) e2 - phi(e2) (x) e1
     inv = np.zeros((4, 4), dtype=int)
     inv[1, 0] = 1   # E11 -> e1 (x) e2
@@ -126,118 +160,74 @@ def test_epsilon_map_rank_two_inverse():
 
 def test_epsilon_map_shapes_and_signed_sum():
     m3 = epsilon_map(3)
-    assert m3.shape == (729, 27)
-    col = m3[:, [0 * 9 + 1 * 3 + 2]].toarray().ravel()  # image of e1(x)e2(x)e3
-    nonzero = np.nonzero(col)[0]
-    assert len(nonzero) == 6
-    assert sorted(col[nonzero]) == [-1, -1, -1, 1, 1, 1]
+    assert m3.shape == (729, 27) and m3.rows.shape == m3.signs.shape == (27, 6)
+    c = 0 * 9 + 1 * 3 + 2  # e1(x)e2(x)e3
+    col = dict(zip(m3.rows[c].tolist(), m3.signs[c].tolist()))  # its image, row -> sign
+    assert len(col) == 6
+    assert sorted(col.values()) == [-1, -1, -1, 1, 1, 1]
     # identity permutation carries sign +1
-    base = (0 * 9 + 1 * 3 + 2) * 27
+    base = c * 27
     assert col[base + (0 * 9 + 1 * 3 + 2)] == 1
     # a transposition flips the sign
     assert col[base + (1 * 9 + 0 * 3 + 2)] == -1
-    assert epsilon_map(4).shape == (65536, 256)
+    m4 = epsilon_map(4)
+    assert m4.shape == (65536, 256) and m4.rows.shape == (256, 24)
     for bad in (1, 5, 0):
         with pytest.raises(UnsupportedSizeError):
             epsilon_map(bad)
 
 
 def test_epsilon_gram_is_factorial_times_identity():
-    for w in (2, 3):
-        m = epsilon_map(w).astype(np.int64)
-        gram = (m.T @ m).toarray()
+    for w in (2, 3, 4):
+        eps = epsilon_map(w)
+        # Gram = sum over rows of the outer product of the row's entries; the
+        # dense w = 4 map would be 65536 x 256
+        by_row = defaultdict(list)
+        for c, (rows, signs) in enumerate(zip(eps.rows.tolist(), eps.signs.tolist())):
+            for r, sign in zip(rows, signs):
+                by_row[r].append((c, sign))
+        gram = np.zeros((eps.shape[1],) * 2, dtype=np.int64)
+        for entries in by_row.values():
+            for a, sa in entries:
+                for b, sb in entries:
+                    gram[a, b] += sa * sb
         scale = math.factorial(w) if w != 2 else 1
-        assert (gram == scale * np.eye(m.shape[1], dtype=np.int64)).all()
-    m4 = epsilon_map(4).astype(np.int64)
-    gram4 = (m4.T @ m4).toarray()
-    assert (gram4 == 24 * np.eye(256, dtype=np.int64)).all()
+        assert (gram == scale * np.eye(eps.shape[1], dtype=np.int64)).all()
 
 
 def test_epsilon_norm_check():
     r2 = epsilon_norm_check(2)
-    assert abs(r2.norm - 1.0) < 1e-8
-    assert abs(r2.bound - math.sqrt(2)) < 1e-12
-    assert r2.ok and r2.iterations >= 1
+    assert r2.norm == 1.0 and r2.bound == math.sqrt(2) and r2.ok
     for w in (3, 4):
         r = epsilon_norm_check(w)
         assert r.ok
-        assert r.norm <= r.bound + 1e-8
-        assert abs(r.norm - math.sqrt(math.factorial(w))) < 1e-6
+        assert r.norm == r.bound == math.sqrt(math.factorial(w))
 
 
-def test_perm_spec_validation():
-    with pytest.raises(InputError):
-        PermSpec((2,), ((0, 0),))
-    with pytest.raises(LengthMismatchError):
-        PermSpec((2, 2), ((0, 1),))
-    with pytest.raises(NonPositiveError):
-        PermSpec((0,), ((),))
-    spec = PermSpec((13,), (tuple(range(13)),))
-    with pytest.raises(DimensionTooLargeError):
-        spec.dim((2,))  # 2^13 > 4096
-    assert PermSpec((2,), ((1, 0),)).dim((3,)) == 9
-    # a float, bool or string is refused, not truncated by int()
-    for arities, perms in (((2.7,), ((1.2, 0.9),)), ((2,), ((1.0, 0),)), ((True,), ((0,),)),
-                           (("2",), ((1, 0),)), ((2,), ((True, False),)), ((2,), (("1", "0"),))):
-        with pytest.raises(InputError):
-            PermSpec(arities, perms)
-    swap = PermSpec((2,), ((1, 0),))
-    for dims in ((2.9,), (True,), ("3",), (0,), (-1,)):
-        with pytest.raises(InputError):
-            swap.dim(dims)
-        with pytest.raises(InputError):
-            permutation_operator(swap, dims)
-    for trials in (0, -1, 2.5, True, "3"):
-        with pytest.raises(InputError):
-            perm_invariant_check(swap, (2,), trials=trials)
+def test_epsilon_norm_check_refuses_columns_that_share_a_row(monkeypatch):
+    # three columns on one row: the Gram matrix has an all-ones 3 x 3 block, so
+    # the norm is sqrt(3), past the bound sqrt(2!), though each column has norm 1
+    shared = bounds.EpsilonMap((4, 4), np.array([[0], [0], [0], [3]]), np.ones((4, 1), dtype=np.int8))
+    monkeypatch.setattr(bounds, "epsilon_map", lambda w: shared)
+    r = epsilon_norm_check(2)
+    assert r.ok is False
+    assert r.norm == 1.0  # the largest column norm alone would pass
 
 
-def test_permutation_operator_explicit():
-    eye_spec = PermSpec((2,), ((0, 1),))
-    assert (permutation_operator(eye_spec, (3,)) == np.eye(9, dtype=np.int8)).all()
-    swap = permutation_operator(PermSpec((2,), ((1, 0),)), (2,))
-    want = np.zeros((4, 4), dtype=np.int8)
-    want[0, 0] = want[3, 3] = 1
-    want[2, 1] = want[1, 2] = 1  # e1(x)e2 <-> e2(x)e1
-    assert (swap == want).all()
-    # permutation operators are orthogonal: composition with inverse is identity
-    assert (swap @ swap == np.eye(4, dtype=np.int8)).all()
-    assert int(np.trace(swap.T @ swap)) == 4  # trace pairing at sigma = tau
+def test_epsilon_norm_check_refuses_a_column_past_the_bound(monkeypatch):
+    # rows pairwise distinct, so the Gram matrix is diagonal, but one column's
+    # sum of squares is 3 > 2!
+    heavy = bounds.EpsilonMap((6, 2), np.array([[0, 1, 2], [3, 4, 5]]),
+                              np.array([[1, 1, -1], [1, -1, 1]], dtype=np.int8))
+    monkeypatch.setattr(bounds, "epsilon_map", lambda w: heavy)
+    r = epsilon_norm_check(2)
+    assert r.norm == math.sqrt(3) and r.ok is False
 
 
-def test_index_map_moves_slot_s_of_factor_i_to_perms_i_s():
-    from githeight.bounds import _full_index_map
-
-    # loop reference: unpack each column's slot digits, move them, pack again
-    for arities, perms, dims in (((3,), ((1, 2, 0),), (3,)), ((2, 3), ((1, 0), (2, 0, 1)), (3, 2)),
-                                 ((1, 2), ((0,), (1, 0)), (2, 1)), ((4,), ((2, 0, 3, 1),), (2,))):
-        radices, targets = [], []
-        for d, a, p in zip(dims, arities, perms):
-            targets += [len(radices) + s for s in p]
-            radices += [d] * a
-        full_map = _full_index_map(PermSpec(arities, perms), dims)
-        for col, t in enumerate(itertools.product(*map(range, radices))):
-            u = [0] * len(t)
-            for s, digit in enumerate(t):
-                u[targets[s]] = digit
-            row = 0
-            for r, digit in zip(radices, u):
-                row = row * r + digit
-            assert full_map[col] == row
-
-
-def test_perm_invariant_check_all_small_symmetric_groups():
-    for arity, group in ((2, itertools.permutations(range(2))),
-                        (3, itertools.permutations(range(3)))):
-        for sigma in group:
-            for d in (1, 2, 3):
-                spec = PermSpec((arity,), (tuple(sigma),))
-                assert perm_invariant_check(spec, (d,), trials=20, seed=arity + d)
-
-
-def test_perm_invariant_check_mixed_factors():
-    spec = PermSpec((2, 3), ((1, 0), (2, 0, 1)))
-    assert perm_invariant_check(spec, (3, 2), trials=6, seed=9)
+def test_epsilon_norm_check_refuses_unsupported_sizes():
+    for bad in (0, 1, 5, 2.0, "3", None):
+        with pytest.raises(UnsupportedSizeError):
+            epsilon_norm_check(bad)
 
 
 def test_convex_lemma_values():
@@ -259,7 +249,3 @@ def test_convex_lemma_profiles_are_convex_on_a_grid():
         for a, b, c in zip(vals, vals[1:], vals[2:]):
             assert a + c - 2 * b >= -1e-9
         assert min(vals) >= convex_lemma_min(variant) - 1e-9
-
-
-def test_max_tensor_dim_constant():
-    assert MAX_TENSOR_DIM == 4096
