@@ -11,10 +11,9 @@ multiples of log p and isolating floating point to the archimedean place.
 Supporting machinery: Newton polygons for p-adic root valuations, an exact
 Bland-rule simplex for piecewise-linear instability, a damped
 Newton minimizer for the archimedean one, minimality tests (normality at
-the archimedean place, non-nilpotent reduction mod p elsewhere), moment
-maps, Arakelov degrees and slopes of rational lattices, and explicit slope
-lower bounds with the antisymmetrization maps whose norms they rest on,
-checked exactly in integers.
+the archimedean place, non-nilpotent reduction mod p elsewhere), and
+explicit slope lower bounds with the antisymmetrization maps whose norms
+they rest on, checked exactly in integers.
 """
 
 from .bounds import (
@@ -40,11 +39,8 @@ from .conjugation import (
     is_minimal_arch,
     is_minimal_nonarch,
     is_semistable_conj,
-    moment_map_conj,
     naive_matrix_height,
-    orbit_sampling_bound,
     quotient_height_conj,
-    skew_hermitian_basis,
 )
 from .errors import (
     AllRootsZeroError,
@@ -57,8 +53,6 @@ from .errors import (
     NoConvergenceError,
     NonPositiveError,
     NonSquareError,
-    NotPositiveDefiniteError,
-    NotSkewHermitianError,
     UnstableError,
     UnsupportedSizeError,
     ZeroInputError,
@@ -74,12 +68,9 @@ from .exactpoly import (
     newton_polygon,
 )
 from .heights import (
-    HermitianLattice,
     ProjectivePointQ,
-    arakelov_degree,
     naive_height,
     naive_height_coords,
-    slope,
     twist_shift,
 )
 from .places import (
@@ -96,7 +87,6 @@ from .places import (
     support_primes,
     valuation,
     valuation_table,
-    values_close,
 )
 from .torus import (
     InstabilityReport,
@@ -108,7 +98,6 @@ from .torus import (
     is_semistable,
     kempf_ness_profile,
     quotient_height,
-    residually_semistable_direct,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +114,6 @@ __all__ = [
     "EigenData",
     "EpsilonNormResult",
     "GitHeightError",
-    "HermitianLattice",
     "InputError",
     "InstabilityReport",
     "LengthMismatchError",
@@ -137,8 +125,6 @@ __all__ = [
     "NoConvergenceError",
     "NonPositiveError",
     "NonSquareError",
-    "NotPositiveDefiniteError",
-    "NotSkewHermitianError",
     "Place",
     "PolyQ",
     "ProjectivePointQ",
@@ -148,7 +134,6 @@ __all__ = [
     "ZeroInputError",
     "ZeroMatrixError",
     "ZeroPolynomialError",
-    "arakelov_degree",
     "as_fraction",
     "charpoly",
     "charpoly_of",
@@ -176,21 +161,15 @@ __all__ = [
     "is_semistable_conj",
     "kempf_ness_profile",
     "log_abs",
-    "moment_map_conj",
     "naive_height",
     "naive_height_coords",
     "naive_matrix_height",
     "newton_polygon",
-    "orbit_sampling_bound",
     "product_formula_residual",
     "quotient_height",
     "quotient_height_conj",
-    "residually_semistable_direct",
-    "skew_hermitian_basis",
-    "slope",
     "support_primes",
     "twist_shift",
     "valuation",
     "valuation_table",
-    "values_close",
 ]

@@ -88,6 +88,13 @@ def explicit_lower_bound(
         >>> slopes = [LogValue({2: 1}), LogValue.from_arch(0.25)]
         >>> explicit_lower_bound([0, 0], slopes, [2, 3]).is_exact_zero
         True
+
+        A lattice of rank r with Gram determinant D has the exact slope
+        -(1/2r) log D; Z^2 with Gram matrix diag(2, 2) has D = 4 and r = 2:
+
+        >>> from githeight.places import exact_log_abs_arch
+        >>> explicit_lower_bound([1], [exact_log_abs_arch(4).scaled("-1/4")], [2])
+        LogValue(finite={2: 1/2}, arch=0.0)
     """
     if not (len(multipliers) == len(slopes) == len(ranks)):
         raise LengthMismatchError("multipliers, slopes and ranks must align")

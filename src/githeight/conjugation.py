@@ -13,17 +13,18 @@ instability measures compare eigenvalue size against matrix norm (sup of
 entries at finite places, Frobenius or spectral norm at the archimedean
 place); they vanish exactly when the matrix is minimal in its orbit, which
 is decidable: reduction mod p not nilpotent at finite places, normality at
-the archimedean place (equivalently, a vanishing moment map).
+the archimedean place.  The moment map at phi is proportional to the
+commutator [phi, phi^*], so normality is decided exactly from the rational
+commutator phi phi^T - phi^T phi.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +32,7 @@ from .errors import (
     InputError,
     LengthMismatchError,
     NilpotentError,
-    NonPositiveError,
     NonSquareError,
-    NotSkewHermitianError,
     ZeroMatrixError,
 )
 from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots
@@ -43,7 +42,6 @@ from .places import (
     LogValue,
     Place,
     RationalLike,
-    _is_int,
     _LastInput,
     _log_sum_squares,
     _require_place,
@@ -53,7 +51,6 @@ from .places import (
 )
 
 NORM_CHOICES = ("frobenius", "sup")
-_SKEW_TOL = 1e-12  # how far from skew-hermitian a moment-map direction may be, relative to its norm
 
 
 @dataclass(frozen=True)
@@ -410,44 +407,6 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
     return MinimalityReport(minimal, place, 0.0 if minimal else 1.0, witness)
 
 
-def skew_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Standard real basis of the skew-hermitian n x n matrices."""
-    e = np.eye(n, dtype=complex)
-    out = [1j * np.outer(e[k], e[k]) for k in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            kl, lk = np.outer(e[k], e[l]), np.outer(e[l], e[k])
-            out += [kl - lk, 1j * (kl + lk)]
-    return out
-
-
-def moment_map_conj(phi: Union[MatrixQ, np.ndarray], direction: np.ndarray) -> float:
-    """Moment-map pairing <[A, phi], phi> / (2 i pi ||phi||^2), a real number.
-
-    ``direction`` must be skew-hermitian within 1e-12 times max(1, its norm).
-    The pairing vanishes for every direction iff phi is normal, i.e. minimal
-    in its orbit.  It is homogeneous of degree 0, so a MatrixQ enters as :func:`_float_rows`.
-
-    Examples:
-        >>> normal = MatrixQ.from_lists([[1, 2], [2, 1]])
-        >>> max(abs(moment_map_conj(normal, a)) for a in skew_hermitian_basis(2)) <= 1e-10
-        True
-    """
-    a = np.asarray(direction, dtype=complex)
-    m = np.asarray(_float_rows(phi)[0] if isinstance(phi, MatrixQ) else phi, dtype=complex)
-    if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError("direction and matrix must be square and same size")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.linalg.norm(a + a.conj().T)) > _SKEW_TOL * scale:
-        raise NotSkewHermitianError("direction is not skew-hermitian within tolerance")
-    norm2 = float(np.vdot(m, m).real)
-    if norm2 == 0.0:
-        raise ZeroMatrixError("moment map undefined for the zero matrix")
-    bracket = a @ m - m @ a
-    pairing = complex(np.trace(bracket @ m.conj().T))
-    return (pairing / (2j * math.pi * norm2)).real
-
-
 def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     """naive height + sum of local measures - quotient height, as a float.
 
@@ -459,48 +418,3 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     height = record.height()
     total = LogValue._sum([_naive_height(phi.entries, record.table), *instability_all_conj(phi).values()])
     return (total - height).to_float()
-
-
-def orbit_sampling_bound(phi: MatrixQ, samples: int = 200, seed: int = 0) -> LogValue:
-    """Minimum naive height over sampled SL_n(Q) conjugates of phi.
-
-    Sample 0 is the identity; later samples conjugate by products of 1 to 4
-    elementary shears I + c E_ij with small rational c, seeded and
-    deterministic, applied last shear first as exact row and column
-    operations (row i += c row j, then column j -= c column i).  The result
-    can never drop below the quotient height; SL_1 is trivial, so a 1 x 1
-    matrix gives its naive height.
-
-    Examples:
-        >>> v = orbit_sampling_bound(MatrixQ.identity(2), samples=5, seed=1)
-        >>> abs(v.to_float() - 0.5 * math.log(2)) < 1e-15
-        True
-        >>> v = orbit_sampling_bound(MatrixQ.from_lists([[1, 1], [0, 1]]), samples=100, seed=0)
-        >>> v.to_float() >= 0.5 * math.log(3) - 1e-9  # the quotient height is log sqrt 2
-        True
-    """
-    _require_nonzero(phi)
-    if not _is_int(samples) or samples < 1:
-        raise NonPositiveError(f"samples must be a positive integer, got {samples!r}")
-    rng = random.Random(seed)
-    n = phi.n
-    best = naive_matrix_height(phi)
-    if n == 1:
-        return best
-    for _ in range(samples - 1):
-        shears = []
-        for _ in range(rng.randint(1, 4)):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            while j == i:
-                j = rng.randrange(n)
-            shears.append((i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
-        m = [list(row) for row in phi.rows]
-        for i, j, c in reversed(shears):
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-            for row in m:
-                row[j] -= c * row[i]
-        h = naive_height_coords([x for row in m for x in row])
-        if h.to_float() < best.to_float():
-            best = h
-    return best

@@ -38,16 +38,8 @@ class AllRootsZeroError(InputError):
     """Every root is zero, so there is no largest nonzero root."""
 
 
-class NotPositiveDefiniteError(InputError):
-    """A Gram matrix failed the exact positive-definiteness check."""
-
-
 class LengthMismatchError(InputError):
     """Sequence arguments whose lengths must agree did not."""
-
-
-class NotSkewHermitianError(InputError):
-    """Moment-map direction must be skew-hermitian (within tolerance)."""
 
 
 class UnsupportedSizeError(InputError):

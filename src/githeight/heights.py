@@ -1,4 +1,4 @@
-"""Naive projective heights and exact Arakelov degrees of rational lattices.
+"""Naive projective heights and their shift under twisting.
 
 The naive height of a point (x_0 : ... : x_n) over Q is
 
@@ -7,10 +7,7 @@ The naive height of a point (x_0 : ... : x_n) over Q is
 the finite part exact in the log(p) basis, the archimedean part the log of
 the euclidean norm.  It is scaling-invariant by the product formula.
 
-A lattice with a rational positive-definite Gram matrix has exact degree
--(1/2) log det(Gram): the determinant is a positive rational, so its log
-lives entirely in the exact finite basis.  Slopes divide by the rank and
-stay exact; twisting by metrized lines shifts minima by exact multiples of
+Twisting by metrized lines shifts minimal heights by exact multiples of
 the line slopes.
 """
 
@@ -21,19 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    AllZeroError,
-    InputError,
-    LengthMismatchError,
-    NonSquareError,
-    NotPositiveDefiniteError,
-)
+from .errors import AllZeroError, InputError, LengthMismatchError
 from .places import (
     LogValue,
     RationalLike,
     _log_sum_squares,
     as_fraction,
-    exact_log_abs_arch,
     valuation_table,
 )
 
@@ -107,78 +97,6 @@ def naive_height(x: ProjectivePointQ) -> LogValue:
         ({}, True)
     """
     return naive_height_coords(x.coords)
-
-
-# ---------------------------------------------------------------------------
-# lattices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HermitianLattice:
-    """Z^n with a rational symmetric positive-definite Gram matrix.
-
-    Positive definiteness is certified exactly: elimination without row
-    swaps produces the ratios of leading principal minors, all of which
-    must be positive.
-
-    Examples:
-        >>> HermitianLattice.from_rows([[4]]).det
-        Fraction(4, 1)
-    """
-
-    gram: tuple[tuple[Fraction, ...], ...]
-    det: Fraction
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "HermitianLattice":
-        g = [[as_fraction(x) for x in row] for row in rows]
-        n = len(g)
-        if n == 0 or any(len(row) != n for row in g):
-            raise NonSquareError("Gram matrix must be square and nonempty")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise InputError("Gram matrix must be symmetric")
-        det = _positive_definite_det(g)
-        return cls(tuple(tuple(row) for row in g), det)
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-
-def _positive_definite_det(g: list[list[Fraction]]) -> Fraction:
-    """Determinant via pivots; every pivot must be positive (exact check)."""
-    n = len(g)
-    a = [row[:] for row in g]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise NotPositiveDefiniteError(
-                f"leading principal minor of order {k + 1} is not positive"
-            )
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return det
-
-
-def arakelov_degree(lattice: HermitianLattice) -> LogValue:
-    """deg = -(1/2) log det(Gram), exact in the log(p) basis.
-
-    Examples:
-        >>> arakelov_degree(HermitianLattice.from_rows([[4]]))
-        LogValue(finite={2: -1}, arch=0.0)
-    """
-    return exact_log_abs_arch(lattice.det).scaled(Fraction(-1, 2))
-
-
-def slope(lattice: HermitianLattice) -> LogValue:
-    """Degree divided by rank; stays exact."""
-    return arakelov_degree(lattice).scaled(Fraction(1, lattice.rank))
 
 
 def twist_shift(

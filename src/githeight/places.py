@@ -684,11 +684,6 @@ _VALUES: dict[tuple, LogValue] = {}
 _VALUES_CAP = 4096
 
 
-def values_close(a: LogValue, b: LogValue, tol: float | None = None) -> bool:
-    """Module-level comparison with the package default tolerance."""
-    return a.close_to(b, tol)
-
-
 # ---------------------------------------------------------------------------
 # local absolute values and the product formula
 # ---------------------------------------------------------------------------

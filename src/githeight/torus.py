@@ -226,21 +226,6 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
     return tuple(v // g for v in ints)
 
 
-def residually_semistable_direct(action: TorusAction, x: ProjectivePointQ, p: int) -> bool:
-    """Is the reduction of x mod p semistable?  Direct hull criterion.
-
-    After scaling so max_i |x_i|_p = 1, the coordinates that survive
-    reduction are those of minimal valuation; test 0 in the hull of their
-    weights.  Independent of the LP route through the instability measure.
-    """
-    place = Place.finite(p)
-    record = _record(action, x)
-    vals = [_valuation(c, place.prime) for c in record.xs]
-    vmin = min(vals)
-    reduced = exactlp.ZeroSumPolytope([m for m, v in zip(record.polytope.slopes, vals) if v == vmin])
-    return reduced.separating_direction() is None
-
-
 def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> InstabilityReport:
     """Exact instability measure at a finite place.
 

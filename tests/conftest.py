@@ -1,7 +1,11 @@
 import contextlib
+import random
 import signal
+from fractions import Fraction
 
 import pytest
+
+from githeight.conjugation import MatrixQ, naive_matrix_height
 
 
 class CallTimeout(BaseException):
@@ -27,3 +31,41 @@ def time_limit():
             signal.signal(signal.SIGALRM, old)
 
     return limit
+
+
+def _orbit_bound_by_products(phi, samples, seed):
+    """Minimum naive height over sampled SL_n(Q) conjugates of phi, n >= 2.
+
+    Sample 0 is phi itself; each later one conjugates by the dense product
+    g of 1 to 4 seeded elementary shears I + c E_ij with small rational c,
+    and by the reversed product g^-1 of the negated shears.  The result can
+    never drop below the quotient height.
+    """
+    rng = random.Random(seed)
+    n = phi.n
+    best = naive_matrix_height(phi)
+    for _ in range(samples - 1):
+        g = ginv = MatrixQ.identity(n)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            while j == i:
+                j = rng.randrange(n)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            shear_rows = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+            shear_rows[i][j] = c
+            g = g.mul(MatrixQ.from_lists(shear_rows))
+            shear_rows[i][j] = -c
+            ginv = MatrixQ.from_lists(shear_rows).mul(ginv)
+        h = naive_matrix_height(g.mul(phi).mul(ginv))
+        if h.to_float() < best.to_float():
+            best = h
+    return best
+
+
+@pytest.fixture
+def orbit_bound():
+    """``orbit_bound(phi, samples, seed)``: the sampled upper bound on the
+    least naive height in phi's conjugation orbit, an oracle for the
+    quotient height."""
+    return _orbit_bound_by_products

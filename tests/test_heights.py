@@ -6,20 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from githeight.errors import (
-    AllZeroError,
-    InputError,
-    LengthMismatchError,
-    NotPositiveDefiniteError,
-)
-from githeight.heights import (
-    HermitianLattice,
-    ProjectivePointQ,
-    arakelov_degree,
-    naive_height,
-    slope,
-    twist_shift,
-)
+from githeight.errors import AllZeroError, InputError, LengthMismatchError
+from githeight.heights import ProjectivePointQ, naive_height, twist_shift
 from githeight.places import LogValue
 
 
@@ -83,60 +71,6 @@ def test_naive_height_nonnegative_on_primitive_integer_points():
         h = naive_height(ProjectivePointQ(tuple(Fraction(c) for c in coords)))
         assert not h.finite
         assert h.arch >= 0.0
-
-
-def test_arakelov_degree_examples():
-    assert arakelov_degree(HermitianLattice.from_rows([[1, 0], [0, 1]])).is_exact_zero
-    d = arakelov_degree(HermitianLattice.from_rows([[4]]))
-    assert dict(d.finite) == {2: Fraction(-1)} and d.arch == 0.0
-    d2 = arakelov_degree(HermitianLattice.from_rows([[2, 0], [0, 2]]))
-    assert dict(d2.finite) == {2: Fraction(-1)}
-
-
-def test_lattice_validation():
-    with pytest.raises(NotPositiveDefiniteError):
-        HermitianLattice.from_rows([[1, 2], [2, 1]])  # det -3
-    with pytest.raises(NotPositiveDefiniteError):
-        HermitianLattice.from_rows([[0]])
-    with pytest.raises(InputError):
-        HermitianLattice.from_rows([[1, 1], [0, 1]])  # not symmetric
-
-
-def test_slope_examples():
-    eye3 = HermitianLattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert slope(eye3).is_exact_zero
-    assert dict(slope(HermitianLattice.from_rows([[4]])).finite) == {2: Fraction(-1)}
-    s = slope(HermitianLattice.from_rows([[2, 0], [0, 2]]))
-    assert dict(s.finite) == {2: Fraction(-1, 2)}
-
-
-def test_degree_additive_on_orthogonal_sums():
-    rng = random.Random(17)
-    for _ in range(20):
-        blocks = []
-        for _ in range(rng.randint(2, 3)):
-            n = rng.randint(1, 2)
-            # diag-dominant symmetric rational block, positive definite
-            b = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i):
-                    b[i][j] = b[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                b[i][i] = Fraction(rng.randint(4, 9))
-            blocks.append(b)
-        size = sum(len(b) for b in blocks)
-        big = [[Fraction(0)] * size for _ in range(size)]
-        off = 0
-        for b in blocks:
-            for i, row in enumerate(b):
-                for j, x in enumerate(row):
-                    big[off + i][off + j] = x
-            off += len(b)
-        total = arakelov_degree(HermitianLattice.from_rows(big))
-        parts = [arakelov_degree(HermitianLattice.from_rows(b)) for b in blocks]
-        acc = LogValue.zero()
-        for p in parts:
-            acc = acc + p
-        assert total == acc
 
 
 def test_twist_shift():

@@ -24,9 +24,8 @@ from githeight.places import (
     support_primes,
     valuation,
     valuation_table,
-    values_close,
 )
-from githeight.torus import instability_nonarch, kempf_ness_profile, residually_semistable_direct
+from githeight.torus import instability_nonarch, kempf_ness_profile
 
 PLACES = [ARCHIMEDEAN, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(97)]
 
@@ -301,9 +300,8 @@ _P221 = ProjectivePointQ.parse("2:2:1")
     lambda p: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), p),
     lambda p: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), p),
     lambda p: instability_nonarch(_W214, _P221, p),
-    lambda p: residually_semistable_direct(_W214, _P221, p),
 ], ids=["valuation", "place", "logvalue", "newton_polygon", "is_minimal_nonarch",
-        "instability_nonarch", "residually_semistable_direct"])
+        "instability_nonarch"])
 def test_public_entry_points_refuse_non_primes(call, p):
     # a user's p is tested once at the entry point; later valuations trust it
     with pytest.raises(InputError):
@@ -313,7 +311,6 @@ def test_public_entry_points_refuse_non_primes(call, p):
 @pytest.mark.parametrize("call", [
     lambda: Place.finite(2.9),
     lambda: instability_nonarch(_W214, _P221, 2.9),
-    lambda: residually_semistable_direct(_W214, _P221, 2.9),
     lambda: LogValue({2.9: 1}),
     lambda: LogValue.from_json_dict({"finite": {2.9: 1}}),
     lambda: LogValue.from_json_dict({"finite": {"x": 1}}),
@@ -323,7 +320,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), 2.9),
     lambda: factorize(True),
     lambda: factorize(12.0),
-], ids=["place", "instability_nonarch", "residually_semistable_direct", "logvalue",
+], ids=["place", "instability_nonarch", "logvalue",
         "logvalue_from_json", "logvalue_from_json_text_key", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
         "factorize_bool", "factorize_float"])
 def test_non_integer_primes_are_refused(call):
@@ -481,10 +478,10 @@ def test_logvalue_addition_exact_on_finite_parts(xs, ys, zs):
 def test_values_close():
     a = LogValue({2: Fraction(1)})
     b = LogValue.from_arch(math.log(2))
-    assert values_close(a, b, 1e-12)
-    assert not values_close(a, LogValue.from_arch(math.log(2) + 1e-6), 1e-9)
-    assert values_close(LogValue.neg_infinity(), LogValue.neg_infinity(), 1e-9)
-    assert not values_close(LogValue.neg_infinity(), a, 1e-9)
+    assert a.close_to(b, 1e-12)
+    assert not a.close_to(LogValue.from_arch(math.log(2) + 1e-6), 1e-9)
+    assert LogValue.neg_infinity().close_to(LogValue.neg_infinity(), 1e-9)
+    assert not LogValue.neg_infinity().close_to(a, 1e-9)
 
 
 def test_place_identity():

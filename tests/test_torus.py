@@ -22,7 +22,6 @@ from githeight.torus import (
     is_semistable,
     kempf_ness_profile,
     quotient_height,
-    residually_semistable_direct,
 )
 
 W214 = TorusAction(rank=1, weights=((-2,), (1,), (4,)))
@@ -591,6 +590,19 @@ def test_instability_is_nonpositive():
         assert ra.value.neg_inf == (not semistable)
         if not ra.value.neg_inf:
             assert ra.value.to_float() <= 1e-9
+
+
+def residually_semistable_direct(action, x, p):
+    """Is the reduction of x mod p semistable?  Direct hull criterion.
+
+    After scaling so max_i |x_i|_p = 1, the coordinates that survive
+    reduction are those of minimal valuation; test 0 in the hull of their
+    weights.  Independent of the LP route through the instability measure.
+    """
+    active = [(c, m) for c, m in zip(x.coords, action.weights) if c]
+    vals = [valuation(c, p) for c, _ in active]
+    survivors = [m for (_, m), v in zip(active, vals) if v == min(vals)]
+    return exactlp.ZeroSumPolytope(survivors).separating_direction() is None
 
 
 def test_residual_semistability_flag_matches_direct_criterion():
