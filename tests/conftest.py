@@ -34,9 +34,10 @@ def time_limit():
 
 
 def _orbit_bound_by_products(phi, samples, seed):
-    """Minimum naive height over sampled SL_n(Q) conjugates of phi, n >= 2.
+    """Minimum naive height over sampled SL_n(Q) conjugates of phi.
 
-    Sample 0 is phi itself; each later one conjugates by the dense product
+    Sample 0 is phi itself, and the only sample when n == 1, as SL_1 is
+    trivial; each later one conjugates by the dense product
     g of 1 to 4 seeded elementary shears I + c E_ij with small rational c,
     and by the reversed product g^-1 of the negated shears.  The result can
     never drop below the quotient height.
@@ -44,6 +45,8 @@ def _orbit_bound_by_products(phi, samples, seed):
     rng = random.Random(seed)
     n = phi.n
     best = naive_matrix_height(phi)
+    if n == 1:
+        return best
     for _ in range(samples - 1):
         g = ginv = MatrixQ.identity(n)
         for _ in range(rng.randint(1, 4)):

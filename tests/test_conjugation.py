@@ -225,6 +225,62 @@ def test_minimality_nonarch_matches_instability():
             assert minimal == value.is_exact_zero
 
 
+def _moment_map(m):
+    """[phi, phi^T] as a float array; the moment map of a real phi is proportional to it."""
+    a = np.array(m.rows, dtype=float)
+    return a @ a.T - a.T @ a
+
+
+def test_moment_map_examples():
+    # the defect is |[phi, phi^T]|_F / |phi|_F^2, zero exactly on normal matrices
+    for rows, normal in [([[1, 2], [2, 1]], True), ([[0, -1], [1, 0]], True), ([[2, 0], [0, 3]], True),
+                         ([[1, 1], [0, 1]], False), ([[1, 2], [0, 3]], False),
+                         ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], True), ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], False)]:
+        m = MatrixQ.from_lists(rows)
+        mu = _moment_map(m)
+        report = is_minimal_arch(m)
+        assert report.minimal == normal == (not mu.any())
+        a = np.array(rows, dtype=float)
+        assert math.isclose(report.defect, np.linalg.norm(mu) / (a * a).sum(), rel_tol=1e-12)
+    assert (_moment_map(UNIPOTENT) == [[1, 0], [0, -1]]).all()
+
+
+def test_moment_map_of_entries_beyond_the_double_range():
+    # the defect is homogeneous of degree 0, and the commutator is taken in exact rationals
+    for big in ("1e400", "1e-400"):
+        scaled = MatrixQ.from_lists([[big, big], [0, big]])
+        report = is_minimal_arch(scaled)
+        assert not report.minimal
+        assert math.isclose(report.defect, is_minimal_arch(UNIPOTENT).defect, rel_tol=1e-12)
+    tiny = MatrixQ.from_lists([["1e-400", 0], [0, "1e-400"]])  # normal, and not the zero matrix
+    assert is_minimal_arch(tiny).minimal and is_minimal_arch(tiny).defect == 0.0
+    with pytest.raises(ZeroMatrixError):
+        is_minimal_arch(MatrixQ.from_lists([[0, 0], [0, 0]]))
+
+
+def test_minimality_at_oo_is_invariant_under_rational_rotations():
+    # minimal points of an orbit form one orbit of the compact group (Kempf-Ness)
+    r2 = MatrixQ.from_lists([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    r3 = MatrixQ.from_lists([[0, Fraction(3, 5), Fraction(-4, 5)], [0, Fraction(4, 5), Fraction(3, 5)], [1, 0, 0]])
+    rng = random.Random(89)
+    for k in range(30):
+        n, r = (2, r2) if k % 2 else (3, r3)
+        if k % 3 == 0:  # symmetric, hence normal
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+        else:
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        m = MatrixQ.from_lists(rows)
+        if m.is_zero:
+            continue
+        assert r.mul(r.transpose()) == MatrixQ.identity(n)
+        before, after = is_minimal_arch(m), is_minimal_arch(r.mul(m).mul(r.transpose()))
+        assert before.minimal == after.minimal
+        assert math.isclose(before.defect, after.defect, rel_tol=1e-12)
+
+
 def test_minimal_arch_iff_moment_map_vanishes():
     rng = random.Random(47)
     for k in range(40):
@@ -303,6 +359,28 @@ def test_orbit_sampling_bound(orbit_bound):
     assert bound.to_float() >= 0.5 * math.log(3) - 1e-9  # equality at g = id
     d = orbit_bound(DIAG23, samples=50, seed=2)
     assert d.to_float() >= 0.5 * math.log(13) - 1e-9
+
+
+def test_orbit_bound_stays_above_the_quotient_height(orbit_bound):
+    rng = random.Random(211)
+    for k in range(12):
+        n = 2 + k % 2
+        phi = MatrixQ.from_lists([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                                  for _ in range(n)])
+        if phi.is_zero or not is_semistable_conj(phi):
+            continue
+        bound = orbit_bound(phi, samples=15, seed=k)
+        assert bound.to_float() <= naive_matrix_height(phi).to_float()  # sample 0 is phi
+        assert bound.to_float() >= quotient_height_conj(phi).to_float() - 1e-9
+
+
+def test_orbit_bound_of_a_one_by_one_matrix(orbit_bound, time_limit):
+    # SL_1 is trivial; drawing a shear with i != j from one index never ends
+    five = MatrixQ.from_lists([[5]])
+    with time_limit(5):
+        bound = orbit_bound(five, samples=2, seed=0)
+    assert bound == naive_matrix_height(five)
+    assert bound.close_to(quotient_height_conj(five), 1e-12)
 
 
 def test_quotient_height_of_repeated_eigenvalues():

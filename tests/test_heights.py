@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from githeight.errors import AllZeroError, InputError, LengthMismatchError
+from githeight.exactpoly import charpoly
 from githeight.heights import ProjectivePointQ, naive_height, twist_shift
-from githeight.places import LogValue
+from githeight.places import LogValue, exact_log_abs_arch
 
 
 def test_naive_height_examples():
@@ -71,6 +72,77 @@ def test_naive_height_nonnegative_on_primitive_integer_points():
         h = naive_height(ProjectivePointQ(tuple(Fraction(c) for c in coords)))
         assert not h.finite
         assert h.arch >= 0.0
+
+
+def _gram_det(rows):
+    """det G = (-1)^n chi_G(0), exactly."""
+    return (-1) ** len(rows) * charpoly(rows).coeffs[0]
+
+
+def _arakelov_degree(rows):
+    """-1/2 log det G of the lattice with Gram matrix G, in the log(p) basis."""
+    return exact_log_abs_arch(_gram_det(rows)).scaled(Fraction(-1, 2))
+
+
+def _random_gram(rng, n):
+    """A diagonally dominant symmetric rational matrix, hence positive definite."""
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            b[i][j] = b[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        b[i][i] = Fraction(rng.randint(4, 9))
+    return b
+
+
+def test_arakelov_degree_examples():
+    assert _arakelov_degree([[1, 0], [0, 1]]).is_exact_zero
+    d = _arakelov_degree([[4]])
+    assert dict(d.finite) == {2: Fraction(-1)} and d.arch == 0.0
+    d2 = _arakelov_degree([[2, 0], [0, 2]])
+    assert dict(d2.finite) == {2: Fraction(-1)}
+    assert dict(_arakelov_degree([[2, -1], [-1, 2]]).finite) == {3: Fraction(-1, 2)}  # A_2
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], {}),
+    ([[4]], {2: Fraction(-1)}),
+    ([[2, 0], [0, 2]], {2: Fraction(-1, 2)}),
+    ([[2, -1], [-1, 2]], {3: Fraction(-1, 4)}),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], {2: Fraction(-1, 3)}),
+], ids=["Z3", "2Z", "diag22", "A2", "A3"])
+def test_slope_examples(rows, expected):
+    # the slope deg / rank, the exact LogValue explicit_lower_bound takes
+    assert _arakelov_degree(rows).scaled(Fraction(1, len(rows))) == LogValue(expected)
+
+
+def test_degree_additive_on_orthogonal_sums():
+    rng = random.Random(17)
+    for _ in range(20):
+        blocks = [_random_gram(rng, rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+        size = sum(len(b) for b in blocks)
+        big = [[Fraction(0)] * size for _ in range(size)]
+        off = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, x in enumerate(row):
+                    big[off + i][off + j] = x
+            off += len(b)
+        acc = LogValue.zero()
+        for b in blocks:
+            acc = acc + _arakelov_degree(b)
+        assert _arakelov_degree(big) == acc
+
+
+def test_slope_of_a_scaled_lattice_drops_by_log_c():
+    # scaling a basis by c scales the Gram matrix by c^2
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        gram = _random_gram(rng, n)
+        c = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        scaled = [[c * c * x for x in row] for row in gram]
+        mu = _arakelov_degree(gram).scaled(Fraction(1, n))
+        assert _arakelov_degree(scaled).scaled(Fraction(1, n)) == mu - exact_log_abs_arch(c)
 
 
 def test_twist_shift():

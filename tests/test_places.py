@@ -300,8 +300,9 @@ _P221 = ProjectivePointQ.parse("2:2:1")
     lambda p: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), p),
     lambda p: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), p),
     lambda p: instability_nonarch(_W214, _P221, p),
+    lambda p: LogValue.from_json_dict({"finite": {str(p): 1}}),
 ], ids=["valuation", "place", "logvalue", "newton_polygon", "is_minimal_nonarch",
-        "instability_nonarch"])
+        "instability_nonarch", "logvalue_from_json_text_key"])
 def test_public_entry_points_refuse_non_primes(call, p):
     # a user's p is tested once at the entry point; later valuations trust it
     with pytest.raises(InputError):
@@ -314,6 +315,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: LogValue({2.9: 1}),
     lambda: LogValue.from_json_dict({"finite": {2.9: 1}}),
     lambda: LogValue.from_json_dict({"finite": {"x": 1}}),
+    lambda: LogValue.from_json_dict({"finite": {"2.9": 1}}),
     lambda: valuation(4, 2.5),
     lambda: is_prime(2.5),
     lambda: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), 2.5),
@@ -321,7 +323,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: factorize(True),
     lambda: factorize(12.0),
 ], ids=["place", "instability_nonarch", "logvalue",
-        "logvalue_from_json", "logvalue_from_json_text_key", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
+        "logvalue_from_json", "logvalue_from_json_text_key", "logvalue_from_json_decimal_key", "valuation", "is_prime", "newton_polygon", "is_minimal_nonarch",
         "factorize_bool", "factorize_float"])
 def test_non_integer_primes_are_refused(call):
     # int(2.9) == 2 would silently compute at another prime
