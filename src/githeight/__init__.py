@@ -27,7 +27,6 @@ from .bounds import (
     explicit_lower_bound,
 )
 from .conjugation import (
-    NORM_CHOICES,
     EigenData,
     MatrixQ,
     MinimalityReport,
@@ -43,21 +42,12 @@ from .conjugation import (
     quotient_height_conj,
 )
 from .errors import (
-    AllRootsZeroError,
-    AllZeroError,
     DomainError,
     GitHeightError,
     InputError,
-    LengthMismatchError,
     NilpotentError,
     NoConvergenceError,
-    NonPositiveError,
-    NonSquareError,
     UnstableError,
-    UnsupportedSizeError,
-    ZeroInputError,
-    ZeroMatrixError,
-    ZeroPolynomialError,
 )
 from .exactpoly import (
     ComplexMultiset,
@@ -106,9 +96,6 @@ __all__ = [
     "ARCHIMEDEAN",
     "CONVEX_LEMMA_VARIANTS",
     "DEFAULT_COMPARE_TOL",
-    "NORM_CHOICES",
-    "AllRootsZeroError",
-    "AllZeroError",
     "ComplexMultiset",
     "DomainError",
     "EigenData",
@@ -116,24 +103,17 @@ __all__ = [
     "GitHeightError",
     "InputError",
     "InstabilityReport",
-    "LengthMismatchError",
     "LogValue",
     "MatrixQ",
     "MinimalityReport",
     "NewtonPolygon",
     "NilpotentError",
     "NoConvergenceError",
-    "NonPositiveError",
-    "NonSquareError",
     "Place",
     "PolyQ",
     "ProjectivePointQ",
     "TorusAction",
     "UnstableError",
-    "UnsupportedSizeError",
-    "ZeroInputError",
-    "ZeroMatrixError",
-    "ZeroPolynomialError",
     "as_fraction",
     "charpoly",
     "charpoly_of",

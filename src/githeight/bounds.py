@@ -26,12 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    LengthMismatchError,
-    NonPositiveError,
-    UnsupportedSizeError,
-)
+from .errors import InputError
 from .heights import twist_shift
 from .places import LogValue, RationalLike, _is_int, as_fraction
 
@@ -54,7 +49,7 @@ def ell(n: int) -> float:
         True
     """
     if not _is_int(n) or n < 1:
-        raise NonPositiveError(f"ell needs a positive integer, got {n!r}")
+        raise InputError(f"ell needs a positive integer, got {n!r}")
     if n <= _EXACT_FACTORIAL_MAX:
         return math.log(math.factorial(n)) / n
     return math.lgamma(n + 1) / n
@@ -97,12 +92,12 @@ def explicit_lower_bound(
         LogValue(finite={2: 1/2}, arch=0.0)
     """
     if not (len(multipliers) == len(slopes) == len(ranks)):
-        raise LengthMismatchError("multipliers, slopes and ranks must align")
+        raise InputError("multipliers, slopes and ranks must align")
     bs = [as_fraction(b) for b in multipliers]
     penalty = 0.0
     for i, (b, mu, r) in enumerate(zip(bs, slopes, ranks)):
         if not _is_int(r) or r < 1:
-            raise NonPositiveError(f"rank must be a positive integer, got {r!r}")
+            raise InputError(f"rank must be a positive integer, got {r!r}")
         _require_finite(f"multiplier {i}", b)
         _require_finite(f"slope {i}", mu)
         if r >= 3 and b != 0:
@@ -149,7 +144,7 @@ def epsilon_map(w: int) -> EpsilonMap:
         ((729, 27), (27, 6))
     """
     if not isinstance(w, int) or not 2 <= w <= 4:
-        raise UnsupportedSizeError(f"implemented for sizes 2 to 4, got {w!r}")
+        raise InputError(f"implemented for sizes 2 to 4, got {w!r}")
     if w == 2:
         rows = np.array([[1], [0], [3], [2]])
         signs = np.array([[-1], [1], [-1], [1]], dtype=np.int8)

@@ -208,13 +208,13 @@ def _cmd_instability(args) -> dict:
     subject = _parse_subject(inputs)
     if place is None:
         if isinstance(subject, MatrixQ):
-            values = instability_all_conj(subject, norm=args.norm)
+            values = instability_all_conj(subject)
         else:
             reports = instability_all(*subject, tol=args.arch_tol)
             values = {pl: r.value for pl, r in reports.items()}
         return {"instability": {str(pl): _logvalue_json(v, args.format) for pl, v in values.items()}}
     if isinstance(subject, MatrixQ):
-        value = instability_conj(subject, place, norm=args.norm)
+        value = instability_conj(subject, place)
         return {"place": str(place), "value": _logvalue_json(value, args.format)}
     if place.is_archimedean:
         report = instability_arch(*subject, tol=args.arch_tol)
@@ -337,8 +337,6 @@ _OPTIONS = (
     ("--arch-tol", dict(type=float, default=1e-12, help="archimedean minimization tolerance")),
     ("--format", dict(choices=("float", "exact"), default="float",
                       help="finite parts as floats or exact rational strings")),
-    ("--norm", dict(choices=("frobenius", "sup"), default="frobenius",
-                    help="archimedean matrix norm")),
 )
 _MATRIX = ("--matrix", dict(help="JSON rows of a square matrix"))
 _TORUS = (

@@ -9,13 +9,15 @@ eigenvalues alone:
 
 The finite terms come exactly from Newton polygons of the characteristic
 polynomial; the archimedean term from refined complex roots.  The local
-instability measures compare eigenvalue size against matrix norm (sup of
-entries at finite places, Frobenius or spectral norm at the archimedean
-place); they vanish exactly when the matrix is minimal in its orbit, which
-is decidable: reduction mod p not nilpotent at finite places, normality at
-the archimedean place.  The moment map at phi is proportional to the
-commutator [phi, phi^*], so normality is decided exactly from the rational
-commutator phi phi^T - phi^T phi.
+instability measures compare eigenvalue size against the naive height's
+matrix norm: the sup of the entries at finite places and the Frobenius norm,
+the hermitian norm of Kempf-Ness theory, at the archimedean place.  So the
+naive height plus their sum is the quotient height.  They vanish exactly
+when the matrix is minimal in its orbit, which is decidable: reduction mod p
+not nilpotent at finite places, normality at the archimedean place.  The
+moment map at phi is proportional to the commutator [phi, phi^*], so
+normality is decided exactly from the rational commutator
+phi phi^T - phi^T phi.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import (
-    InputError,
-    LengthMismatchError,
-    NilpotentError,
-    NonSquareError,
-    ZeroMatrixError,
-)
+from .errors import InputError, NilpotentError
 from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots
 from .heights import _naive_height, naive_height_coords
 from .places import (
@@ -49,9 +43,6 @@ from .places import (
     as_fraction,
     valuation_table,
 )
-
-NORM_CHOICES = ("frobenius", "sup")
-
 
 @dataclass(frozen=True)
 class MatrixQ:
@@ -68,7 +59,7 @@ class MatrixQ:
         rows = tuple(tuple(as_fraction(x) for x in row) for row in self.rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
-            raise NonSquareError("matrix must be square and nonempty")
+            raise InputError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -101,7 +92,7 @@ class MatrixQ:
 
     def mul(self, other: "MatrixQ") -> "MatrixQ":
         if self.n != other.n:
-            raise LengthMismatchError("matrix sizes differ")
+            raise InputError("matrix sizes differ")
         n = self.n
         return MatrixQ(tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
@@ -145,7 +136,7 @@ class MinimalityReport:
 
 def _require_nonzero(phi: MatrixQ) -> None:
     if phi.is_zero:
-        raise ZeroMatrixError("the zero matrix has no projective class")
+        raise InputError("the zero matrix has no projective class")
 
 
 class _MatrixRecord:
@@ -200,15 +191,9 @@ class _MatrixRecord:
         root_valuation = 0 if d % p and g % p else self.polygon(p).min_root_valuation
         return LogValue._of_primes({p: Fraction(vmin - root_valuation)})
 
-    def arch_term(self, norm: str) -> LogValue:
-        if norm == "frobenius":
-            eig = self.roots.log_root_norm()
-            mat = 0.5 * _log_sum_squares(self.phi.entries)
-        else:
-            eig = math.log(self.roots.max_abs())
-            scaled, k = _float_rows(self.phi)
-            mat = math.log(float(np.linalg.norm(scaled, 2))) + k * math.log(2)
-        return LogValue.from_arch(eig - mat)
+    def arch_term(self) -> LogValue:
+        """log (sqrt(sum of squared root moduli) / Frobenius norm)."""
+        return LogValue.from_arch(self.roots.log_root_norm() - 0.5 * _log_sum_squares(self.phi.entries))
 
     def height(self) -> LogValue:
         """Quotient height from the eigenvalues: steepest Newton-polygon slopes
@@ -295,45 +280,37 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
     return _MATRICES(phi).height()
 
 
-def instability_conj(phi: MatrixQ, place: Place, norm: str = "frobenius") -> LogValue:
+def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
     """Local instability measure of [phi]: log (inf conjugate norm / norm).
 
-    The infimum of the norm over the conjugation orbit is the largest
-    eigenvalue size (each place separately).  At finite places the matrix
-    norm is the entry sup and the result is exact; at the archimedean place
-    the norm is Frobenius or spectral per ``norm``.  Nilpotent matrices
-    give -infinity.  The charpoly and the roots are the matrix's record
-    (see :func:`eigen_data`), and so is the term at p, which factors nothing
-    and builds a polygon only when p divides d or g.
+    The infimum of the norm over the conjugation orbit is the eigenvalue
+    size at that place.  At finite places the matrix norm is the entry sup,
+    the infimum the largest |eigenvalue|_p, and the result is exact; at the
+    archimedean place the norm is Frobenius and the infimum
+    sqrt(sum of squared root moduli).  Nilpotent matrices give -infinity.
+    The charpoly and the roots are the matrix's record (see
+    :func:`eigen_data`), and so is the term at p, which factors nothing and
+    builds a polygon only when p divides d or g.
 
     Examples:
         >>> phi = MatrixQ.from_lists([[1, 1], [0, 1]])
         >>> instability_conj(phi, Place.finite(2))
         LogValue(finite={}, arch=0.0)
-        >>> instability_conj(MatrixQ.from_lists([[2, 0], [0, 3]]), Place.finite(2), norm="sup").is_exact_zero
+        >>> instability_conj(MatrixQ.from_lists([[2, 0], [0, 3]]), Place.finite(2)).is_exact_zero
         True
     """
-    if norm not in NORM_CHOICES:
-        raise InputError(f"norm must be one of {NORM_CHOICES}")
     _require_place(place)
     _require_nonzero(phi)
     record = _MATRICES(phi)
     if record.nilpotent:
         return LogValue.neg_infinity()
     if place.is_archimedean:
-        return record.arch_term(norm)
+        return record.arch_term()
     p = place.prime  # a Place holds a proven prime
     return record.finite_term(p, min(_valuation(x, p) for x in phi.entries))
 
 
-def _float_rows(phi: MatrixQ) -> tuple[list[list[float]], int]:
-    """(the rows of 2^-k phi as floats, k): the largest entry lies near 1, though
-    phi's entries may lie beyond the double range, and a power-of-two scale is exact."""
-    k = max((x.numerator.bit_length() - x.denominator.bit_length() for x in phi.entries if x), default=0)
-    return [[float(x * Fraction(2) ** -k) for x in row] for row in phi.rows], k
-
-
-def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, LogValue]:
+def instability_all_conj(phi: MatrixQ) -> dict[Place, LogValue]:
     """Instability measures at every place where they can be nonzero.
 
     The places are the primes of the entries and of g (see
@@ -341,8 +318,6 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, L
     Every term comes from the matrix's record, a finite one by the route a
     lone :func:`instability_conj` takes; nilpotent matrices give -infinity.
     """
-    if norm not in NORM_CHOICES:
-        raise InputError(f"norm must be one of {NORM_CHOICES}")
     _require_nonzero(phi)
     record = _MATRICES(phi)
     table = record.table
@@ -352,7 +327,7 @@ def instability_all_conj(phi: MatrixQ, norm: str = "frobenius") -> dict[Place, L
         return {place: LogValue.neg_infinity() for place in places}
     # an entry valuation missing from the table is 0
     terms = {place: record.finite_term(p, min(table.get(p, [0]))) for p, place in zip(primes, places)}
-    terms[ARCHIMEDEAN] = record.arch_term(norm)
+    terms[ARCHIMEDEAN] = record.arch_term()
     return terms
 
 

@@ -24,13 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllRootsZeroError,
-    InputError,
-    NoConvergenceError,
-    NonSquareError,
-    ZeroPolynomialError,
-)
+from .errors import InputError, NoConvergenceError
 from .places import RationalLike, _valuation, as_fraction, is_prime
 
 _ABERTH_MAX_SWEEPS = 200
@@ -54,7 +48,7 @@ class PolyQ:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
-            raise ZeroPolynomialError("the zero polynomial is not allowed here")
+            raise InputError("the zero polynomial is not allowed here")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -135,7 +129,7 @@ def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
     a = [[as_fraction(x) for x in row] for row in rows]
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
-        raise NonSquareError("characteristic polynomial needs a square matrix")
+        raise InputError("characteristic polynomial needs a square matrix")
     d = math.lcm(*(x.denominator for row in a for x in row))
     b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     # descending coefficients of chi of the leading k x k block, chi_1 = T - b_11
@@ -185,7 +179,7 @@ class NewtonPolygon:
     def min_root_valuation(self) -> Fraction:
         """Valuation of the largest root: -(steepest slope)."""
         if not self.segments:
-            raise AllRootsZeroError("polygon has no nonzero roots")
+            raise InputError("polygon has no nonzero roots")
         return -self.segments[-1][0]
 
     @classmethod

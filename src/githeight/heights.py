@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AllZeroError, InputError, LengthMismatchError
+from .errors import InputError
 from .places import (
     LogValue,
     RationalLike,
@@ -44,7 +44,7 @@ class ProjectivePointQ:
     def __post_init__(self):
         coords = tuple(as_fraction(c) for c in self.coords)
         if not coords or all(c == 0 for c in coords):
-            raise AllZeroError("projective coordinates cannot all vanish")
+            raise InputError("projective coordinates cannot all vanish")
         object.__setattr__(self, "coords", coords)
 
     @classmethod
@@ -115,9 +115,7 @@ def twist_shift(
         LogValue(finite={}, arch=0.0)
     """
     if len(multipliers) != len(line_slopes):
-        raise LengthMismatchError(
-            f"{len(multipliers)} multipliers vs {len(line_slopes)} slopes"
-        )
+        raise InputError(f"{len(multipliers)} multipliers vs {len(line_slopes)} slopes")
     shift = LogValue.zero()
     for a, mu in zip(multipliers, line_slopes):
         shift = shift + mu.scaled(as_fraction(a))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
+from .errors import InputError, NoConvergenceError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -51,8 +51,10 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(1000)
 
-# Witness set proven sufficient for every n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41: every odd composite below 3 317 044 064 679 887 385 961 981
+# fails one of them (OEIS A014233).  The primes up to 37 alone pass the composite
+# 318 665 857 834 031 151 167 461 = 399 165 290 221 * 798 330 580 441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Pollard-Brent budget of one family, shared by all its splits.  A step on
 # an n-bit number costs ceil(n / 64) units, roughly its time in word
@@ -76,7 +78,9 @@ def _is_int(v) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with proven witness set).
+    """Miller-Rabin on the 13 primes up to 41: deterministic below
+    3 317 044 064 679 887 385 961 981, a strong-probable-prime test to those
+    13 bases above it.
 
     Examples:
         >>> is_prime(2), is_prime(97), is_prime(1)
@@ -95,7 +99,7 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin on the fixed bases, for odd n > 37."""
+    """Miller-Rabin on the fixed bases, for odd n > 41."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -379,7 +383,7 @@ def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
     qs = [as_fraction(x) for x in xs]
     nonzero = [q for q in qs if q]
     if not nonzero:
-        raise AllZeroError("support is undefined for an all-zero family")
+        raise InputError("support is undefined for an all-zero family")
     factored = _factor_all([abs(q.numerator) for q in nonzero] + [q.denominator for q in nonzero])
     exponents = factored[:len(nonzero)]
     for e, d in zip(exponents, factored[len(nonzero):]):
@@ -667,11 +671,15 @@ class LogValue:
         try:
             finite = {int(p) if isinstance(p, str) else p: as_fraction(q)
                       for p, q in dict(d.get("finite", {})).items()}
-            return cls(finite, d.get("arch", 0.0), bool(d.get("neg_inf", False)))
+            arch, neg_inf = d.get("arch", 0.0), d.get("neg_inf", False)
         except InputError:
             raise
         except (TypeError, AttributeError, ValueError) as exc:  # ValueError: a prime key int("x")
             raise InputError(f"malformed LogValue payload: {d!r}") from exc
+        # neg_inf a JSON boolean, not the truthy string "false"; arch a JSON number, not true
+        if not isinstance(neg_inf, bool) or isinstance(arch, bool) or not isinstance(arch, (int, float)):
+            raise InputError(f"malformed LogValue payload: {d!r}")
+        return cls(finite, arch, neg_inf)
 
 
 _NO_PRIMES: Mapping[int, Fraction] = MappingProxyType({})
@@ -734,7 +742,7 @@ def exact_log_abs_arch(x: RationalLike) -> LogValue:
     """
     q = as_fraction(x)
     if q == 0:
-        raise ZeroInputError("log |0| is -infinity; no exact finite form")
+        raise InputError("log |0| is -infinity; no exact finite form")
     return LogValue._of_primes({p: Fraction(v) for p, (v,) in valuation_table([q]).items()})
 
 
@@ -763,7 +771,7 @@ def product_formula_residual(x: RationalLike) -> LogValue:
     """
     q = as_fraction(x)
     if q == 0:
-        raise ZeroInputError("the product formula needs a nonzero rational")
+        raise InputError("the product formula needs a nonzero rational")
     arch = exact_log_abs_arch(q)
     return LogValue._sum([arch, *(log_abs(q, Place._of_prime(p)) for p in arch.finite)])
 

@@ -31,12 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exactlp
-from .errors import (
-    InputError,
-    LengthMismatchError,
-    NoConvergenceError,
-    UnstableError,
-)
+from .errors import InputError, NoConvergenceError, UnstableError
 from .heights import ProjectivePointQ, _naive_height
 from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_ratio, _log_sum_squares,
                      _require_place, _valuation, valuation_table)
@@ -67,9 +62,7 @@ class TorusAction:
             raise InputError("a torus action needs at least one weight")
         for row in weights:
             if len(row) != self.rank:
-                raise LengthMismatchError(
-                    f"weight {row} does not have {self.rank} entries"
-                )
+                raise InputError(f"weight {row} does not have {self.rank} entries")
             if not all(_is_int(w) for w in row):
                 raise InputError(f"weight {row} has an entry that is not an integer")
         object.__setattr__(self, "weights", weights)
@@ -120,9 +113,7 @@ class _PointRecord:
     def __init__(self, key):
         rank, weights, coords = key
         if len(coords) != len(weights):
-            raise LengthMismatchError(
-                f"point has {len(coords)} coordinates, action expects {len(weights)}"
-            )
+            raise InputError(f"point has {len(coords)} coordinates, action expects {len(weights)}")
         active = [(c, w) for c, w in zip(coords, weights) if c != 0]
         self.rank, self.xs = rank, [c for c, _ in active]
         ms, last = tuple(w for _, w in active), _POINTS.record
@@ -437,7 +428,7 @@ def kempf_ness_profile(
     if not all(map(math.isfinite, grid)):
         raise InputError("a grid point is not a finite real double")
     if len(lam) != action.rank:
-        raise LengthMismatchError(f"one-parameter subgroup must have {action.rank} entries")
+        raise InputError(f"one-parameter subgroup must have {action.rank} entries")
     record = _record(action, x)
     xs = record.xs
     pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]

@@ -101,7 +101,7 @@ def test_criterion_04_fundamental_formula_random_matrices():
         total = naive_matrix_height(m)
         for p in sorted(primes):
             total = total + instability_conj(m, Place.finite(p))
-        total = total + instability_conj(m, ARCHIMEDEAN, norm="frobenius")
+        total = total + instability_conj(m, ARCHIMEDEAN)
         total = total - quotient_height_conj(m)
         assert not total.finite
         assert abs(total.to_float()) < 1e-9

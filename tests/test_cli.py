@@ -200,6 +200,9 @@ _LOWER = ("bounds", "lower", "--b", "0,0", "--ranks", "2,3")
     ("--slopes-json", "[5]"),
     ("--slopes-json", '{"arch": 1}'),
     ("--slopes", "1,2", "--slopes-json", "[]"),
+    # arch takes a JSON number, not true or a string
+    ("--slopes-json", '[{"arch": true}, {}]'),
+    ("--slopes-json", '[{"arch": "1.5"}, {}]'),
 ])
 def test_bounds_lower_needs_one_slope_list(capsys, slopes):
     try:
@@ -503,7 +506,7 @@ _EVERY_SUBCOMMAND = [
 
 # an option given explicitly at its default value is accepted in both places too
 @pytest.mark.parametrize("option", [("--format", "float"), ("--arch-tol", "1e-4"),
-                                    ("--format", "exact"), ("--norm", "sup")])
+                                    ("--format", "exact")])
 @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND)
 def test_global_options_before_and_after_the_subcommand(capsys, argv, option):
     before = run(capsys, *option, *argv)
@@ -511,25 +514,23 @@ def test_global_options_before_and_after_the_subcommand(capsys, argv, option):
     assert run(capsys, *argv, *option) == before
 
 
+def test_the_archimedean_matrix_norm_is_no_option(capsys):
+    # Frobenius at oo is the naive height's norm, so the identity holds; no other norm is offered
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["instability", "--matrix", "[[1,1],[0,1]]", "--norm", "sup"])
+    assert exc.value.code == 2 and "--norm" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient-height", "--weights=-1,1", "--point", "1e200:1"),
     ("instability", "--weights=-1,1", "--point", "1e200:1", "--place", "oo"),
     ("instability", "--matrix", '[["1e200","1"],["0","1"]]', "--place", "oo"),
-    ("instability", "--matrix", '[["1e200","1"],["0","1"]]', "--place", "oo", "--norm", "sup"),
 ])
 def test_archimedean_terms_of_huge_entries(capsys, argv):
     code, out = run(capsys, *argv)
     assert code in (0, 3)
     if code == 0:
         assert "Infinity" not in out and "NaN" not in out
-
-
-def test_sup_norm_of_entries_beyond_the_double_range(capsys):
-    # charpoly T^2 - 1, so all of the measure is -log of the spectral norm 10^400
-    code, data = run_json(capsys, "instability", "--matrix", '[["0","1e400"],["1e-400","0"]]',
-                          "--norm", "sup")
-    assert code == 0
-    assert abs(data["value"]["arch"] + 400 * math.log(10)) < 1e-9
 
 
 def test_torus_terms_of_huge_coordinate(capsys):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from githeight import exactpoly
-from githeight.errors import (
-    AllRootsZeroError,
-    NoConvergenceError,
-    NonSquareError,
-    ZeroPolynomialError,
-)
+from githeight.errors import InputError, NoConvergenceError
 from githeight.exactpoly import (
     NewtonPolygon,
     PolyQ,
@@ -31,7 +26,7 @@ def test_charpoly_examples():
     assert charpoly([[0, -1], [1, 0]]).coeffs == (Fraction(1), Fraction(0), Fraction(1))
     # trace 5, det -2
     assert charpoly([[1, 2], [3, 4]]).coeffs == (Fraction(-2), Fraction(-5), Fraction(1))
-    with pytest.raises(NonSquareError):
+    with pytest.raises(InputError, match="characteristic polynomial needs a square matrix"):
         charpoly([[1, 2, 3], [4, 5, 6]])
 
 
@@ -128,7 +123,7 @@ def test_newton_polygon_examples():
     assert np2.root_valuations() == [Fraction(1, 2), Fraction(1, 2)]
     np3 = newton_polygon(poly(1, -2, 1), 3)
     assert np3.root_valuations() == [Fraction(0), Fraction(0)]
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(InputError, match="the zero polynomial is not allowed here"):
         PolyQ.from_coeffs([0, 0])
 
 
@@ -204,7 +199,7 @@ def test_min_root_valuation_examples():
     assert log_max_root(poly(6, -5, 1), 2) == 0
     assert log_max_root(poly(-2, 0, 1), 2) == Fraction(-1, 2)
     assert log_max_root(poly(-4, 1), 2) == Fraction(-2)
-    with pytest.raises(AllRootsZeroError):
+    with pytest.raises(InputError, match="polygon has no nonzero roots"):
         log_max_root(poly(0, 0, 1), 5)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from githeight import MatrixQ, PolyQ, ProjectivePointQ, TorusAction, places
 from githeight.conjugation import instability_conj, is_minimal_nonarch
-from githeight.errors import AllZeroError, InputError, NoConvergenceError, ZeroInputError
+from githeight.errors import InputError, NoConvergenceError
 from githeight.exactpoly import newton_polygon
 from githeight.heights import naive_height
 from githeight.places import (
@@ -87,6 +87,10 @@ def test_as_fraction_refuses_booleans(flag):
 def test_prime_helpers():
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(91)
+    # a strong pseudoprime to the 12 primes up to 37 (OEIS A014233); base 41 exposes it
+    psi12 = 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     # Pollard path: two six-digit prime factors
     assert factorize(100003 * 100019) == {100003: 1, 100019: 1}
@@ -117,7 +121,7 @@ def test_product_formula_examples():
     # 10/7 over {2, 5, 7, oo}, expanded by hand:
     #   -log2 - log5 + log7 + ln(10/7) with ln(10/7) = log2 + log5 - log7
     assert product_formula_residual(Fraction(10, 7)).is_exact_zero
-    with pytest.raises(ZeroInputError):
+    with pytest.raises(InputError, match="the product formula needs a nonzero rational"):
         product_formula_residual(0)
 
 
@@ -126,7 +130,7 @@ def test_support_primes_examples():
     assert support_primes([1, 1]) == []
     assert support_primes([Fraction(10, 7), 3]) == [2, 3, 5, 7]
     assert support_primes([0, Fraction(-4, 9)]) == [2, 3]
-    with pytest.raises(AllZeroError):
+    with pytest.raises(InputError, match="support is undefined for an all-zero family"):
         support_primes([0, 0])
 
 
@@ -144,7 +148,7 @@ def test_valuation_table_matches_valuation():
         xs = [0 if rng.random() < 0.25 else Fraction(rng.choice((-1, 1)) * smooth(), smooth())
               for _ in range(rng.randint(1, 6))]
         if all(x == 0 for x in xs):
-            with pytest.raises(AllZeroError):
+            with pytest.raises(InputError, match="support is undefined for an all-zero family"):
                 valuation_table(xs)
             continue
         table = valuation_table(xs)
@@ -153,9 +157,9 @@ def test_valuation_table_matches_valuation():
         for p in primes:
             # off the support every nonzero entry is a p-adic unit
             assert table.get(p, [math.inf if x == 0 else 0 for x in xs]) == [valuation(x, p) for x in xs]
-    with pytest.raises(AllZeroError):
+    with pytest.raises(InputError, match="support is undefined for an all-zero family"):
         valuation_table([0, Fraction(0)])
-    with pytest.raises(AllZeroError):
+    with pytest.raises(InputError, match="support is undefined for an all-zero family"):
         valuation_table([])
 
 
@@ -389,6 +393,16 @@ def test_logvalue_arithmetic_refuses_a_non_finite_arch_part(compute):
     # an inf arch part minus itself would be nan, a value unequal to itself
     with pytest.raises(InputError, match="is not finite"):
         compute()
+
+
+@pytest.mark.parametrize("payload", [
+    {"finite": {"2": "1"}, "neg_inf": "false"},  # a truthy string was -infinity
+    {"arch": True},  # was arch 1.0
+    {"arch": "1.5"},  # was arch 1.5
+])
+def test_logvalue_from_json_dict_takes_json_types_only(payload):
+    with pytest.raises(InputError, match="malformed LogValue payload"):
+        LogValue.from_json_dict(payload)
 
 
 def test_logvalue_neg_infinity_ignores_its_arch_part():

@@ -8,6 +8,10 @@ _REMOVED = (
     "moment_map_conj", "skew_hermitian_basis", "orbit_sampling_bound", "HermitianLattice",
     "arakelov_degree", "slope", "residually_semistable_direct", "values_close",
     "NotPositiveDefiniteError", "NotSkewHermitianError",
+    # one error class per exit code, and one norm per place
+    "ZeroInputError", "AllZeroError", "NonSquareError", "ZeroMatrixError", "ZeroPolynomialError",
+    "AllRootsZeroError", "LengthMismatchError", "UnsupportedSizeError", "NonPositiveError",
+    "NORM_CHOICES", "_float_rows",
 )
 
 

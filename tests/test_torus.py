@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from githeight import exactlp, places, torus
-from githeight.errors import InputError, LengthMismatchError, NoConvergenceError, UnstableError
+from githeight.errors import InputError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import ARCHIMEDEAN, LogValue, Place, support_primes, valuation
 from githeight.torus import (
@@ -441,11 +441,11 @@ def test_destabilizing_1ps_drives_active_weights_positive():
 
 
 def test_action_validation_and_json():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match="point has 3 coordinates, action expects 2"):
         is_semistable(act((1,), (1,)), pt("1:1:1"))
     with pytest.raises(InputError):
         TorusAction(rank=0, weights=((1,),))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match=r"weight \(1,\) does not have 2 entries"):
         TorusAction(rank=2, weights=((1,), (1, 2)))
     a = TorusAction.from_json({"rank": 1, "weights": [[-2], [1], [4]]})
     assert a == W214
