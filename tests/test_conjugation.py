@@ -163,6 +163,12 @@ def test_instability_examples():
         instability_conj(MatrixQ.from_lists([[0, 0], [0, 0]]), ARCHIMEDEAN)
 
 
+def test_instability_arch_of_a_normal_diagonal():
+    # diag(2,3) is normal, so it already attains the Frobenius infimum of its orbit
+    v = instability_conj(DIAG23, ARCHIMEDEAN)
+    assert abs(v.to_float()) < 1e-12
+
+
 def test_instability_nonpositive_everywhere():
     rng = random.Random(37)
     for _ in range(40):

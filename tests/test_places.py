@@ -87,13 +87,27 @@ def test_as_fraction_refuses_booleans(flag):
 def test_prime_helpers():
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(91)
-    # a strong pseudoprime to the 12 primes up to 37 (OEIS A014233); base 41 exposes it
-    psi12 = 399165290221 * 798330580441
-    assert not is_prime(psi12)
-    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     # Pollard path: two six-digit prime factors
     assert factorize(100003 * 100019) == {100003: 1, 100019: 1}
+
+
+# psi_k of OEIS A014233: the least strong pseudoprime to the first k prime bases,
+# for k = 1..12 (psi_7 = psi_8 and psi_9 = psi_10 = psi_11); the bases up to 41 expose each
+@pytest.mark.parametrize("psi, factors", [
+    (2047, {23: 1, 89: 1}),
+    (1373653, {829: 1, 1657: 1}),
+    (25326001, {2251: 1, 11251: 1}),
+    (3215031751, {151: 1, 751: 1, 28351: 1}),
+    (2152302898747, {6763: 1, 10627: 1, 29947: 1}),
+    (3474749660383, {1303: 1, 16927: 1, 157543: 1}),
+    (341550071728321, {10670053: 1, 32010157: 1}),
+    (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+    (318665857834031151167461, {399165290221: 1, 798330580441: 1}),
+])
+def test_strong_pseudoprimes_below_the_deterministic_bound_are_composite(psi, factors):
+    assert not is_prime(psi)
+    assert factorize(psi) == factors
 
 
 def test_log_abs_examples():
