@@ -50,7 +50,6 @@ from .errors import (
     UnstableError,
 )
 from .exactpoly import (
-    ComplexMultiset,
     NewtonPolygon,
     PolyQ,
     charpoly,
@@ -96,7 +95,6 @@ __all__ = [
     "ARCHIMEDEAN",
     "CONVEX_LEMMA_VARIANTS",
     "DEFAULT_COMPARE_TOL",
-    "ComplexMultiset",
     "DomainError",
     "EigenData",
     "EpsilonNormResult",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NilpotentError
-from .exactpoly import ComplexMultiset, NewtonPolygon, PolyQ, charpoly, complex_roots
+from .exactpoly import NewtonPolygon, PolyQ, charpoly, complex_roots, log_root_norm
 from .heights import _naive_height, naive_height_coords
 from .places import (
     ARCHIMEDEAN,
@@ -114,14 +114,14 @@ class EigenData:
 
     ``polygons`` holds one Newton polygon per prime at which a nonzero root
     may be a nonunit (see :func:`eigen_data`), none for a nilpotent matrix;
-    ``arch_roots`` covers all n roots (zeros included), so its total equals
-    the matrix size.
+    ``arch_roots`` is the tuple of all n roots (zeros included), one value
+    per root with no multiplicities merged, so its length is the matrix size.
     """
 
     charpoly: PolyQ
     zero_multiplicity: int
     polygons: tuple[tuple[int, NewtonPolygon], ...]
-    arch_roots: ComplexMultiset
+    arch_roots: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class _MatrixRecord:
         return self.reduced[1] == self.phi.n
 
     @functools.cached_property
-    def roots(self) -> ComplexMultiset:
+    def roots(self) -> tuple[complex, ...]:
         return complex_roots(self.charpoly)
 
     @functools.cached_property
@@ -193,7 +193,7 @@ class _MatrixRecord:
 
     def arch_term(self) -> LogValue:
         """log (sqrt(sum of squared root moduli) / Frobenius norm)."""
-        return LogValue.from_arch(self.roots.log_root_norm() - 0.5 * _log_sum_squares(self.phi.entries))
+        return LogValue.from_arch(log_root_norm(self.roots) - 0.5 * _log_sum_squares(self.phi.entries))
 
     def height(self) -> LogValue:
         """Quotient height from the eigenvalues: steepest Newton-polygon slopes
@@ -201,7 +201,7 @@ class _MatrixRecord:
         if self.nilpotent:
             raise NilpotentError("nilpotent matrix: no image in the quotient")
         return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
-                                   self.roots.log_root_norm())
+                                   log_root_norm(self.roots))
 
     @functools.cached_property
     def table(self) -> dict[int, list]:
@@ -233,9 +233,9 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
 
 def eigen_data(phi: MatrixQ) -> EigenData:
     """All root data of the characteristic polynomial in one bundle: one
-    charpoly, one valuation table of two numbers and one root solve, all
-    read from the matrix's record, which every other entry point on the
-    same matrix shares.
+    charpoly, one valuation table of two numbers and one root solve giving
+    the n roots as n values, unmerged, all read from the matrix's record,
+    which every other entry point on the same matrix shares.
 
     The nonzero-root part T^m + c_(m-1) T^(m-1) + ... + c_0 has c_0 != 0,
     so its smallest root valuation min_j v_p(c_j)/(m - j) is negative only

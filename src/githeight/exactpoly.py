@@ -6,8 +6,8 @@ Three views of the same root multiset feed the height computations:
 * p-adic root valuations read off the lower Newton polygon
   (:class:`NewtonPolygon`; root valuations are the negatives of the hull
   slopes, so the steepest segment carries the largest |root|_p),
-* floating complex roots (:class:`ComplexMultiset`), computed from
-  companion-matrix eigenvalues and polished by Aberth-Ehrlich iteration.
+* floating complex roots (:func:`complex_roots`), one value per root, from
+  companion-matrix eigenvalues polished by Aberth-Ehrlich iteration.
 
 Characteristic polynomials are exact and run on Python ints: the entry
 denominators are cleared first, then Berkowitz's division-free recurrence
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,9 +36,9 @@ class PolyQ:
     """A nonzero polynomial over Q, coefficients ascending (a_0 first).
 
     Examples:
-        >>> f = PolyQ.from_coeffs([-2, 0, 1])   # T^2 - 2
-        >>> f.degree, f.evaluate(Fraction(2))
-        (2, Fraction(2, 1))
+        >>> f = PolyQ([-2, 0, 1])   # T^2 - 2
+        >>> f.degree, f.coeffs[0]
+        (2, Fraction(-2, 1))
     """
 
     coeffs: tuple[Fraction, ...]
@@ -51,46 +51,9 @@ class PolyQ:
             raise InputError("the zero polynomial is not allowed here")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[RationalLike]) -> "PolyQ":
-        return cls(tuple(as_fraction(c) for c in coeffs))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[RationalLike], lead: RationalLike = 1) -> "PolyQ":
-        """lead * prod (T - r) expanded exactly; used as a test oracle."""
-        out = [as_fraction(lead)]
-        for r in roots:
-            r = as_fraction(r)
-            out = [Fraction(0)] + out
-            for i in range(len(out) - 1):
-                out[i] -= r * out[i + 1]
-        return cls(tuple(out))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def evaluate(self, x: RationalLike) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(tuple(out))
 
     def shift_out_zero_roots(self) -> tuple["PolyQ", int]:
         """Write f = T^k * g with g(0) != 0; returns (g, k)."""
@@ -98,15 +61,6 @@ class PolyQ:
         while self.coeffs[k] == 0:
             k += 1
         return PolyQ(self.coeffs[k:]), k
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence) -> "PolyQ":
-        if not isinstance(data, (list, tuple)):
-            raise InputError("polynomial JSON must be a coefficient array")
-        return cls.from_coeffs(data)
 
 
 def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
@@ -211,7 +165,7 @@ def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:
     """Lower convex hull of {(i, v_p(a_i)) : a_i != 0} after removing T^k.
 
     Examples:
-        >>> np2 = newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), 2)  # T^2 - 2
+        >>> np2 = newton_polygon(PolyQ([-2, 0, 1]), 2)  # T^2 - 2
         >>> np2.root_valuations()
         [Fraction(1, 2), Fraction(1, 2)]
     """
@@ -225,35 +179,11 @@ def newton_polygon(f: PolyQ, p: int) -> NewtonPolygon:
 # complex roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexMultiset:
-    """Clustered complex roots as (value, multiplicity) pairs.
-
-    Closed under conjugation by construction: real representatives have
-    imaginary part exactly 0.0 and non-real ones come in exact conjugate
-    pairs.
-    """
-
-    entries: tuple[tuple[complex, int], ...]
-
-    def expanded(self) -> list[complex]:
-        out: list[complex] = []
-        for z, m in self.entries:
-            out.extend([z] * m)
-        return out
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def log_root_norm(self) -> float:
-        """log sqrt(sum of squared root moduli), scaled so no square overflows."""
-        big = self.max_abs()
-        scaled = math.fsum(m * (abs(z) / big) ** 2 for z, m in self.entries)
-        return math.log(big) + 0.5 * math.log(scaled)
-
-    def max_abs(self) -> float:
-        return max(abs(z) for z, _ in self.entries)
+def log_root_norm(roots: Sequence[complex]) -> float:
+    """log sqrt(sum of squared root moduli), scaled so no square overflows;
+    math.fsum rounds once, so the order of the roots cannot change it."""
+    big = max(map(abs, roots))
+    return math.log(big) + 0.5 * math.log(math.fsum((abs(z) / big) ** 2 for z in roots))
 
 
 def _horner(coeffs: list[float], z: complex) -> complex:
@@ -309,45 +239,25 @@ def _aberth(coeffs: list[float]) -> list[complex]:
     return z
 
 
-def complex_roots(f: PolyQ) -> ComplexMultiset:
-    """All complex roots, multiplicity-clustered, conjugation-closed.
+def complex_roots(f: PolyQ) -> tuple[complex, ...]:
+    """The n roots of f of degree n, zeros included, sorted by (real, imag)
+    and closed under conjugation: real roots exactly real, the others in
+    exact conjugate pairs.  A repeated root comes back as that many values.
 
-    :func:`_aberth` takes the real coefficients, scaled to at most 1, and
-    runs until every residual satisfies |f(z)| <= 1e-9 * scale(z), with a
-    hard cap of 200 sweeps.  Roots are then clustered at a 1e-6 relative
-    radius to recover multiplicities.  NoConvergenceError beyond the cap or
-    the double range of the coefficients.
+    :func:`_aberth` runs on the real coefficients, scaled to at most 1, until
+    every residual satisfies |f(z)| <= 1e-9 * scale(z), for at most 200
+    sweeps.  NoConvergenceError beyond the cap or the double range.
 
     Examples:
-        >>> roots = complex_roots(PolyQ.from_coeffs([1, -2, 1]))  # (T-1)^2
-        >>> [(round(z.real, 9), m) for z, m in roots.entries]
-        [(1.0, 2)]
+        >>> roots = complex_roots(PolyQ([1, -2, 1]))  # (T-1)^2
+        >>> [round(z.real, 6) for z in roots], [z.imag for z in roots]
+        ([1.0, 1.0], [0.0, 0.0])
     """
     g, k = f.shift_out_zero_roots()
-    entries: list[tuple[complex, int]] = []
-    if k:
-        entries.append((0j, k))
-    if g.degree > 0:
-        scale = max(abs(c) for c in g.coeffs)
-        coeffs = [float(c / scale) for c in g.coeffs]
-        # np.roots divides by the leading coefficient
-        if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(
-                math.isfinite(c / coeffs[-1]) for c in coeffs):
-            raise NoConvergenceError("coefficient range exceeds double precision")
-        refined = _aberth(coeffs)
-        clusters: list[list[complex]] = []
-        for z in sorted(refined, key=lambda w: (w.real, w.imag)):
-            for cl in clusters:
-                center = sum(cl) / len(cl)
-                if abs(z - center) <= 1e-6 * (1.0 + abs(center)):
-                    cl.append(z)
-                    break
-            else:
-                clusters.append([z])
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(center.imag) == 0.0:
-                center = complex(center.real, 0.0)
-            entries.append((center, len(cl)))
-    entries.sort(key=lambda e: (e[0].real, e[0].imag))
-    return ComplexMultiset(tuple(entries))
+    scale = max(abs(c) for c in g.coeffs)
+    coeffs = [float(c / scale) for c in g.coeffs]
+    # np.roots divides by the leading coefficient
+    if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(
+            math.isfinite(c / coeffs[-1]) for c in coeffs):
+        raise NoConvergenceError("coefficient range exceeds double precision")
+    return tuple(sorted([0j] * k + _aberth(coeffs), key=lambda z: (z.real, z.imag)))

@@ -51,10 +51,9 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(1000)
 
-# The primes up to 41: every odd composite below 3 317 044 064 679 887 385 961 981
-# fails one of them (OEIS A014233).  The primes up to 37 alone pass the composite
-# 318 665 857 834 031 151 167 461 = 399 165 290 221 * 798 330 580 441.
+# Every odd composite below _MR_BOUND fails one of the 13 primes up to 41 (OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 # Pollard-Brent budget of one family, shared by all its splits.  A step on
 # an n-bit number costs ceil(n / 64) units, roughly its time in word
@@ -78,9 +77,9 @@ def _is_int(v) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the 13 primes up to 41: deterministic below
-    3 317 044 064 679 887 385 961 981, a strong-probable-prime test to those
-    13 bases above it.
+    """Miller-Rabin on the 13 primes up to 41, deterministic below
+    3 317 044 064 679 887 385 961 981, and a strong Lucas test above it:
+    Baillie-PSW above the bound; no known counterexample.
 
     Examples:
         >>> is_prime(2), is_prime(97), is_prime(1)
@@ -95,15 +94,13 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    return _miller_rabin(n)
+    return _probable_prime(n)
 
 
-def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin on the fixed bases, for odd n > 41."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin on the fixed bases, and strong Lucas from _MR_BOUND, for odd n > 41."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -114,7 +111,46 @@ def _miller_rabin(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            sign *= -1 if n % 8 in (3, 5) else 1
+        sign *= -1 if a % 4 == n % 4 == 3 else 1
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters for odd n > 41: P = 1, Q =
+    (1 - D)/4, D the first of 5, -7, 9, -11, ... with (D/n) = -1, which a square
+    lacks.  With n + 1 = d 2^s, d odd, n passes if U_d or a V_(d 2^r), r < s, is 0."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if j == 0:  # |D| < n shares a factor with n
+        return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s, d odd
+    u, v, qk = 0, 2, 1  # U_k, V_k and Q^k mod n, k running up the bits of d
+    for bit in bin((n + 1) >> s)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D U_k + V_k)/2 mod n
+            u, v, qk = (u + v) % n, (D * u + v) % n, qk * (1 - D) // 4 % n
+            u, v = (u + n * (u % 2)) // 2, (v + n * (v % 2)) // 2
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
@@ -225,14 +261,14 @@ def _split(b: int, budget: int) -> tuple[list[int], int]:
     """The primes of a perfect-power root b without prime factors below
     1000, and the budget left.
 
-    A root that passes Miller-Rabin is prime; a composite one goes to
+    A root that passes :func:`is_prime`'s test is prime; a composite one goes to
     Pollard-Brent, and the roots of its two parts' pairwise coprime base
     are split in turn.
     """
     roots, primes = [b], []
     while roots:
         b = roots.pop()
-        if _miller_rabin(b):
+        if _probable_prime(b):
             primes.append(b)
             continue
         d, budget = _pollard_brent(b, budget)
@@ -283,7 +319,7 @@ def factorize(n: int) -> dict[int, int]:
 
     The one-number case of :func:`valuation_table`'s factoring: trial
     division below 1000, the cofactor's perfect-power root, then
-    Pollard-Brent on what Miller-Rabin finds composite, all its splits
+    Pollard-Brent on what :func:`is_prime`'s test finds composite, all its splits
     within one budget of 2^20 units (NoConvergenceError beyond it).  A
     composite root is split once per process: a memo capped at 4096 roots
     keeps its primes and the units the split cost, and a later call is

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from githeight.conjugation import MatrixQ, naive_matrix_height
+from githeight.exactpoly import PolyQ
 
 
 class CallTimeout(BaseException):
@@ -72,3 +73,21 @@ def orbit_bound():
     least naive height in phi's conjugation orbit, an oracle for the
     quotient height."""
     return _orbit_bound_by_products
+
+
+def _from_roots(roots, lead=1):
+    """lead * prod (T - r) expanded exactly over Q."""
+    out = [Fraction(lead)]
+    for r in roots:
+        r = Fraction(r)
+        out = [Fraction(0)] + out
+        for i in range(len(out) - 1):
+            out[i] -= r * out[i + 1]
+    return PolyQ(out)
+
+
+@pytest.fixture
+def from_roots():
+    """``from_roots(roots, lead=1)``: the PolyQ lead * prod (T - r) for
+    rational roots r, an oracle for root valuations and root solves."""
+    return _from_roots

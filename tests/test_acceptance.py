@@ -26,7 +26,7 @@ from githeight.conjugation import (
     naive_matrix_height,
     quotient_height_conj,
 )
-from githeight.exactpoly import PolyQ, newton_polygon
+from githeight.exactpoly import newton_polygon
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import (
     ARCHIMEDEAN,
@@ -152,13 +152,13 @@ def test_criterion_06_moment_map_detects_normality():
     report(6, "normality and moment-map vanishing agree on 100 matrices")
 
 
-def test_criterion_07_newton_polygon_oracle():
+def test_criterion_07_newton_polygon_oracle(from_roots):
     rng = random.Random(77)
     for _ in range(500):
         deg = rng.randint(1, 6)
         roots = [Fraction(rng.randint(-10, 10), rng.randint(1, 6))
                  for _ in range(deg)]
-        f = PolyQ.from_roots(roots, Fraction(rng.randint(1, 4)))
+        f = from_roots(roots, Fraction(rng.randint(1, 4)))
         for p in (2, 3, 5):
             polygon = newton_polygon(f, p)
             nonzero = [r for r in roots if r != 0]

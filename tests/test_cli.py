@@ -149,6 +149,22 @@ def test_parse_errors_exit_two(capsys):
         assert code == 2
 
 
+def test_a_strong_pseudoprime_to_the_bases_up_to_41_is_no_place(capsys):
+    code, out = run(capsys, "instability", "--matrix", "[[1,1],[0,1]]",
+                    "--place", "3317044064679887385961981")
+    assert code == 2 and out == ""
+
+
+def test_small_eigenvalues_stay_apart(capsys):
+    # diag(1e-7, 3e-7) is normal, so its term at oo is 0, as for diag(1, 3)
+    code, data = run_json(capsys, "instability", "--matrix", '[["1e-7","0"],["0","3e-7"]]',
+                          "--place", "oo")
+    assert code == 0 and abs(data["value"]["arch"]) < 1e-15
+    # the eigenvalues +-1e-9 are two roots, not a double root at 0
+    code, data = run_json(capsys, "quotient-height", "--matrix", '[["1e-9","0"],["0","-1e-9"]]')
+    assert code == 0 and abs(data["total"] - 0.5 * math.log(2)) < 1e-12
+
+
 def test_convergence_failure_exits_three(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NoConvergenceError("stalled")

@@ -104,7 +104,7 @@ def test_eigen_data_structure():
             continue
         data = eigen_data(m)
         assert data.charpoly.degree == n
-        assert data.arch_roots.total == n
+        assert len(data.arch_roots) == n
         for p, polygon in data.polygons:
             assert data.zero_multiplicity + sum(
                 length for _, length in polygon.segments
@@ -167,6 +167,22 @@ def test_instability_arch_of_a_normal_diagonal():
     # diag(2,3) is normal, so it already attains the Frobenius infimum of its orbit
     v = instability_conj(DIAG23, ARCHIMEDEAN)
     assert abs(v.to_float()) < 1e-12
+
+
+def test_conjugation_heights_are_projective_invariants():
+    # [c phi] = [phi]: the quotient height and the term at oo cannot see c,
+    # even where c phi's eigenvalues lie within 1e-6 of each other or of 0
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        diagonal = rng.sample(range(-9, 10), n)
+        phi = MatrixQ.from_lists([[diagonal[i] if i == j else rng.randint(-9, 9) if j > i else 0
+                                   for j in range(n)] for i in range(n)])
+        want = [quotient_height_conj(phi).to_float(), instability_conj(phi, ARCHIMEDEAN).to_float()]
+        for c in (Fraction(1, 10**12), Fraction(1, 10**7), 10**7, 10**30):
+            scaled = phi.scaled(c)
+            got = [quotient_height_conj(scaled).to_float(), instability_conj(scaled, ARCHIMEDEAN).to_float()]
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (phi.rows, c)
 
 
 def test_instability_nonpositive_everywhere():

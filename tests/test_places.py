@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -108,6 +109,22 @@ def test_prime_helpers():
 def test_strong_pseudoprimes_below_the_deterministic_bound_are_composite(psi, factors):
     assert not is_prime(psi)
     assert factorize(psi) == factors
+
+
+# psi_13 of OEIS A014233, the least strong pseudoprime to all 13 bases up to 41
+PSI13 = 3317044064679887385961981
+
+
+def test_the_strong_lucas_step_refuses_psi13():
+    assert not is_prime(PSI13)
+    # Pollard-Brent may give up on it within the budget, but never calls it prime
+    with contextlib.suppress(NoConvergenceError):
+        assert factorize(PSI13) == {1287836182261: 1, 2575672364521: 1}
+    assert all(is_prime(2**k - 1) for k in (89, 107, 127, 521))
+    # strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255): the
+    # Lucas step passes them, and the bases up to 41 refuse them below the bound
+    lucas_pseudoprimes = (5459, 5777, 10877, 16109, 18971)
+    assert all(places._strong_lucas(n) and not is_prime(n) for n in lucas_pseudoprimes)
 
 
 def test_log_abs_examples():
@@ -315,7 +332,7 @@ _P221 = ProjectivePointQ.parse("2:2:1")
     lambda p: valuation(12, p),
     lambda p: Place.finite(p),
     lambda p: LogValue({p: 1}),
-    lambda p: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), p),
+    lambda p: newton_polygon(PolyQ([-2, 0, 1]), p),
     lambda p: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), p),
     lambda p: instability_nonarch(_W214, _P221, p),
     lambda p: LogValue.from_json_dict({"finite": {str(p): 1}}),
@@ -336,7 +353,7 @@ def test_public_entry_points_refuse_non_primes(call, p):
     lambda: LogValue.from_json_dict({"finite": {"2.9": 1}}),
     lambda: valuation(4, 2.5),
     lambda: is_prime(2.5),
-    lambda: newton_polygon(PolyQ.from_coeffs([-2, 0, 1]), 2.5),
+    lambda: newton_polygon(PolyQ([-2, 0, 1]), 2.5),
     lambda: is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), 2.9),
     lambda: factorize(True),
     lambda: factorize(12.0),

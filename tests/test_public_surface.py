@@ -12,7 +12,10 @@ _REMOVED = (
     "ZeroInputError", "AllZeroError", "NonSquareError", "ZeroMatrixError", "ZeroPolynomialError",
     "AllRootsZeroError", "LengthMismatchError", "UnsupportedSizeError", "NonPositiveError",
     "NORM_CHOICES", "_float_rows",
+    # the root layer returns a tuple of roots, and PolyQ keeps what a height reads
+    "ComplexMultiset",
 )
+_POLYQ_REMOVED = ("from_coeffs", "from_roots", "evaluate", "leading", "__mul__", "to_json", "from_json")
 
 
 def test_public_surface_holds():
@@ -23,3 +26,4 @@ def test_public_surface_holds():
                              for info in pkgutil.iter_modules(githeight.__path__)]
     assert [(module.__name__, name) for module in modules for name in _REMOVED
             if hasattr(module, name)] == []
+    assert [name for name in _POLYQ_REMOVED if hasattr(githeight.PolyQ, name)] == []
