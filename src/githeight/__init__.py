@@ -27,11 +27,9 @@ from .bounds import (
     explicit_lower_bound,
 )
 from .conjugation import (
-    EigenData,
     MatrixQ,
     MinimalityReport,
     charpoly_of,
-    eigen_data,
     fundamental_formula_residual_conj,
     instability_all_conj,
     instability_conj,
@@ -96,7 +94,6 @@ __all__ = [
     "CONVEX_LEMMA_VARIANTS",
     "DEFAULT_COMPARE_TOL",
     "DomainError",
-    "EigenData",
     "EpsilonNormResult",
     "GitHeightError",
     "InputError",
@@ -119,7 +116,6 @@ __all__ = [
     "convex_lemma_argmin",
     "convex_lemma_min",
     "destabilizing_1ps",
-    "eigen_data",
     "ell",
     "epsilon_map",
     "epsilon_norm_check",

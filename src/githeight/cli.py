@@ -119,7 +119,7 @@ def _parse_point(inputs: dict) -> ProjectivePointQ:
 def _parse_subject(inputs: dict):
     """The input's MatrixQ if it has a matrix, else its (action, point)."""
     if "matrix" in inputs:
-        return MatrixQ.from_json(inputs["matrix"])
+        return MatrixQ.from_lists(inputs["matrix"])
     if "action" in inputs:
         action = TorusAction.from_json(inputs["action"])
     elif "weights" in inputs:
@@ -239,7 +239,7 @@ def _cmd_quotient_height(args) -> dict:
 
 def _cmd_minimal(args) -> dict:
     inputs = _inputs(args, ("matrix",))
-    phi = MatrixQ.from_json(_need(inputs, "matrix"))
+    phi = MatrixQ.from_lists(_need(inputs, "matrix"))
     place = _parse_place(inputs["place"])
     if place.is_archimedean:
         report = is_minimal_arch(phi)

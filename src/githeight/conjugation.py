@@ -16,27 +16,33 @@ naive height plus their sum is the quotient height.  They vanish exactly
 when the matrix is minimal in its orbit, which is decidable: reduction mod p
 not nilpotent at finite places, normality at the archimedean place.  The
 moment map at phi is proportional to the commutator [phi, phi^*], so
-normality is decided exactly from the rational commutator
-phi phi^T - phi^T phi.
+normality is decided exactly from the integer commutator of d phi (d the
+lcm of the entry denominators).  Every entry point reads one record per
+matrix: the charpoly, roots, polygons, commutator and entry valuations are
+computed once, the minimality tests and the naive height included.  By
+Schur, sum |lambda_i|^2 <= |phi|_F^2 with equality iff phi is normal, so a
+normal matrix gets the Frobenius value at oo and its term there is exactly 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NilpotentError
 from .exactpoly import NewtonPolygon, PolyQ, charpoly, complex_roots, log_root_norm
-from .heights import _naive_height, naive_height_coords
+from .heights import _naive_height
 from .places import (
     ARCHIMEDEAN,
     LogValue,
     Place,
     RationalLike,
     _LastInput,
+    _log_ratio,
     _log_sum_squares,
     _require_place,
     _valuation,
@@ -69,14 +75,9 @@ class MatrixQ:
             raise InputError("a matrix must be an array of rows, each an array")
         return cls(tuple(rows))
 
-    from_json = from_lists
-
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
 
     @property
     def n(self) -> int:
@@ -109,22 +110,6 @@ class MatrixQ:
 
 
 @dataclass(frozen=True)
-class EigenData:
-    """Characteristic polynomial plus its local root data.
-
-    ``polygons`` holds one Newton polygon per prime at which a nonzero root
-    may be a nonunit (see :func:`eigen_data`), none for a nilpotent matrix;
-    ``arch_roots`` is the tuple of all n roots (zeros included), one value
-    per root with no multiplicities merged, so its length is the matrix size.
-    """
-
-    charpoly: PolyQ
-    zero_multiplicity: int
-    polygons: tuple[tuple[int, NewtonPolygon], ...]
-    arch_roots: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class MinimalityReport:
     """Outcome of a minimal-vector test at one place."""
 
@@ -134,20 +119,18 @@ class MinimalityReport:
     witness: str
 
 
-def _require_nonzero(phi: MatrixQ) -> None:
-    if phi.is_zero:
-        raise InputError("the zero matrix has no projective class")
-
-
 class _MatrixRecord:
     """One matrix's local data, each part computed on first use and kept:
     the charpoly, its nonzero-root part and zero-root count, the complex
-    roots, d and g (see :func:`eigen_data`), the Newton polygon at each prime
-    asked for and the valuation table of the entries.  A part whose
-    computation raises is not kept, so the next call raises again.
+    roots and root norm, d and g (see :attr:`polygons`), the Newton polygon
+    at each prime asked for, the commutator and the valuation table of the
+    entries.  A part whose computation raises is not kept, so the next call
+    raises again.  The zero matrix has no record.
     """
 
     def __init__(self, phi: MatrixQ):
+        if phi.is_zero:
+            raise InputError("the zero matrix has no projective class")
         self.phi, self._polygons = phi, {}
 
     @functools.cached_property
@@ -167,9 +150,12 @@ class _MatrixRecord:
         return complex_roots(self.charpoly)
 
     @functools.cached_property
-    def d_and_g(self) -> tuple[int, int]:
-        return (math.lcm(*(x.denominator for x in self.phi.entries)),
-                math.gcd(*(c.numerator for c in self.reduced[0].coeffs[:-1])))
+    def d(self) -> int:
+        return math.lcm(*(x.denominator for x in self.phi.entries))
+
+    @functools.cached_property
+    def g(self) -> int:
+        return math.gcd(*(c.numerator for c in self.reduced[0].coeffs[:-1]))
 
     def polygon(self, p: int) -> NewtonPolygon:
         """The polygon at a proven prime p, from the nonzero-root part's coefficients."""
@@ -180,20 +166,46 @@ class _MatrixRecord:
 
     @functools.cached_property
     def polygons(self) -> tuple[tuple[int, NewtonPolygon], ...]:
-        d, g = self.d_and_g
-        return tuple((p, self.polygon(p)) for p in (valuation_table([d, g]) if g else ()))
+        """(p, polygon) at each prime where a nonzero root may be a nonunit.
+
+        The nonzero-root part T^m + c_(m-1) T^(m-1) + ... + c_0 has c_0 != 0,
+        so its smallest root valuation min_j v_p(c_j)/(m - j) is negative only
+        if p divides d, the lcm of the entry denominators, and positive away
+        from d only if p divides g, the gcd of the numerators of the c_j.
+        Polygons are built at the primes of d and g; a nilpotent matrix has g = 0.
+        """
+        return tuple((p, self.polygon(p)) for p in (valuation_table([self.d, self.g]) if self.g else ()))
 
     def finite_term(self, p: int, vmin: int) -> LogValue:
         """The exact term log (largest |eigenvalue|_p / largest |entry|_p) at a
         proven prime p, vmin the smallest entry valuation there.  The root
         valuation is 0 unless p divides d or g: only then is a polygon built."""
-        d, g = self.d_and_g
-        root_valuation = 0 if d % p and g % p else self.polygon(p).min_root_valuation
+        root_valuation = 0 if self.d % p and self.g % p else self.polygon(p).min_root_valuation
         return LogValue._of_primes({p: Fraction(vmin - root_valuation)})
+
+    @functools.cached_property
+    def commutator(self) -> list[int]:
+        """The entries of B B^T - B^T B, B = d phi the integer matrix: d^2 [phi, phi^T]."""
+        b = [[x.numerator * (self.d // x.denominator) for x in row] for row in self.phi.rows]
+        cols = list(zip(*b))
+        return [sum(map(operator.mul, bi, bj)) - sum(map(operator.mul, ci, cj))
+                for bi, ci in zip(b, cols) for bj, cj in zip(b, cols)]
+
+    @functools.cached_property
+    def frobenius(self) -> float:
+        return 0.5 * _log_sum_squares(self.phi.entries)
+
+    @functools.cached_property
+    def root_norm(self) -> float:
+        """log sqrt(sum of squared root moduli).  By Schur it is at most the
+        Frobenius value, with equality iff phi is normal: a normal matrix
+        whose roots read at or above it gets the Frobenius value itself."""
+        norm = log_root_norm(self.roots)
+        return self.frobenius if norm >= self.frobenius and not any(self.commutator) else norm
 
     def arch_term(self) -> LogValue:
         """log (sqrt(sum of squared root moduli) / Frobenius norm)."""
-        return LogValue.from_arch(log_root_norm(self.roots) - 0.5 * _log_sum_squares(self.phi.entries))
+        return LogValue.from_arch(self.root_norm - self.frobenius)
 
     def height(self) -> LogValue:
         """Quotient height from the eigenvalues: steepest Newton-polygon slopes
@@ -201,7 +213,7 @@ class _MatrixRecord:
         if self.nilpotent:
             raise NilpotentError("nilpotent matrix: no image in the quotient")
         return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
-                                   log_root_norm(self.roots))
+                                   self.root_norm)
 
     @functools.cached_property
     def table(self) -> dict[int, list]:
@@ -227,38 +239,19 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
         >>> is_semistable_conj(MatrixQ.from_lists([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
         True
     """
-    _require_nonzero(phi)
     return not _MATRICES(phi).nilpotent
-
-
-def eigen_data(phi: MatrixQ) -> EigenData:
-    """All root data of the characteristic polynomial in one bundle: one
-    charpoly, one valuation table of two numbers and one root solve giving
-    the n roots as n values, unmerged, all read from the matrix's record,
-    which every other entry point on the same matrix shares.
-
-    The nonzero-root part T^m + c_(m-1) T^(m-1) + ... + c_0 has c_0 != 0,
-    so its smallest root valuation min_j v_p(c_j)/(m - j) is negative only
-    if p divides d, the lcm of the entry denominators, and positive away
-    from d only if p divides g, the gcd of the numerators of the c_j.
-    Polygons are built at the primes of d and g; a nilpotent matrix has g = 0.
-    """
-    _require_nonzero(phi)
-    record = _MATRICES(phi)
-    return EigenData(record.charpoly, record.reduced[1], record.polygons, record.roots)
 
 
 def naive_matrix_height(phi: MatrixQ) -> LogValue:
     """Height of [phi] in P(End): entry sup at finite places, Frobenius norm
-    at the archimedean one.
+    at the archimedean one, from the valuation table of the matrix's record.
 
     Examples:
         >>> h = naive_matrix_height(MatrixQ.from_lists([[1, 1], [0, 1]]))
         >>> abs(h.to_float() - 0.5 * math.log(3)) < 1e-15
         True
     """
-    _require_nonzero(phi)
-    return naive_height_coords(phi.entries)
+    return _naive_height(phi.entries, _MATRICES(phi).table)
 
 
 def quotient_height_conj(phi: MatrixQ) -> LogValue:
@@ -276,7 +269,6 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
         >>> dict(h.finite), abs(h.to_float() - 0.5 * math.log(13)) < 1e-12
         ({}, True)
     """
-    _require_nonzero(phi)
     return _MATRICES(phi).height()
 
 
@@ -288,9 +280,9 @@ def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
     the infimum the largest |eigenvalue|_p, and the result is exact; at the
     archimedean place the norm is Frobenius and the infimum
     sqrt(sum of squared root moduli).  Nilpotent matrices give -infinity.
-    The charpoly and the roots are the matrix's record (see
-    :func:`eigen_data`), and so is the term at p, which factors nothing and
-    builds a polygon only when p divides d or g.
+    The charpoly and the roots are the matrix's record, and so is the term
+    at p, which factors nothing and builds a polygon only when p divides d
+    or g (see :attr:`_MatrixRecord.polygons`).
 
     Examples:
         >>> phi = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -300,7 +292,6 @@ def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
         True
     """
     _require_place(place)
-    _require_nonzero(phi)
     record = _MATRICES(phi)
     if record.nilpotent:
         return LogValue.neg_infinity()
@@ -314,11 +305,11 @@ def instability_all_conj(phi: MatrixQ) -> dict[Place, LogValue]:
     """Instability measures at every place where they can be nonzero.
 
     The places are the primes of the entries and of g (see
-    :func:`eigen_data`), ascending, then oo; at other primes the term is 0.
+    :attr:`_MatrixRecord.polygons`), ascending, then oo; at other primes the
+    term is 0.
     Every term comes from the matrix's record, a finite one by the route a
     lone :func:`instability_conj` takes; nilpotent matrices give -infinity.
     """
-    _require_nonzero(phi)
     record = _MATRICES(phi)
     table = record.table
     primes = sorted(set(table) | {p for p, _ in record.polygons})
@@ -340,25 +331,22 @@ def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
         >>> is_minimal_arch(MatrixQ.from_lists([[1, 1], [0, 1]])).minimal
         False
     """
-    _require_nonzero(phi)
-    t = phi.transpose()
-    entries = [a - b for r1, r2 in zip(phi.mul(t).rows, t.mul(phi).rows) for a, b in zip(r1, r2)]
-    minimal = not any(entries)
-    # |comm|_F / |phi|_F^2 through logs, since either may lie beyond the double range
-    defect = 0.0 if minimal else math.exp(0.5 * _log_sum_squares(entries) - _log_sum_squares(phi.entries))
-    return MinimalityReport(
-        minimal,
-        ARCHIMEDEAN,
-        defect,
-        "commutator phi phi^T - phi^T phi vanishes" if minimal else f"relative commutator norm {defect:.3e}",
-    )
+    record = _MATRICES(phi)
+    minimal = not any(record.commutator)
+    # |[phi, phi^T]|_F / |phi|_F^2 through logs, since either may lie beyond the double range
+    squares = sum(c * c for c in record.commutator)
+    defect = 0.0 if minimal else math.exp(0.5 * _log_ratio(squares, record.d ** 4) - _log_sum_squares(phi.entries))
+    witness = "commutator phi phi^T - phi^T phi vanishes" if minimal else f"relative commutator norm {defect:.3e}"
+    return MinimalityReport(minimal, ARCHIMEDEAN, defect, witness)
 
 
 def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
     """Minimal at p iff the unit-scaled reduction mod p is not nilpotent.
 
-    Scale so the smallest entry valuation is 0, reduce mod p, and test the
-    exact characteristic polynomial of the reduction against T^n.
+    Scale by c = p^(-vmin) so the smallest entry valuation is 0, and test
+    the characteristic polynomial of the reduction mod p against T^n.  That
+    polynomial is the reduction of the charpoly of c phi, whose coefficient
+    at T^j is c^(n-j) a_j for the record's charpoly sum a_j T^j.
 
     Examples:
         >>> is_minimal_nonarch(MatrixQ.from_lists([[1, 1], [0, 1]]), 2).minimal
@@ -368,17 +356,14 @@ def is_minimal_nonarch(phi: MatrixQ, p: int) -> MinimalityReport:
         >>> is_minimal_nonarch(MatrixQ.from_lists([[1, 0], [0, 2]]), 2).minimal
         True
     """
-    _require_nonzero(phi)
     place = Place.finite(p)
+    record = _MATRICES(phi)
     vmin = min(_valuation(x, p) for x in phi.entries)
-    scaled = phi.scaled(Fraction(p) ** (-vmin))
-    # every scaled entry is p-integral, so its denominator is a unit mod p
-    cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled.rows])
-    mod_coeffs = [int(c) % p for c in cp.coeffs]
+    # every coefficient of the scaled charpoly is p-integral, so its denominator is a unit mod p
+    scaled = [a * Fraction(p) ** (-vmin * (phi.n - j)) for j, a in enumerate(record.charpoly.coeffs)]
+    mod_coeffs = [c.numerator * pow(c.denominator, -1, p) % p for c in scaled]
     minimal = any(c != 0 for c in mod_coeffs[:-1])
-    witness = "charpoly of reduction mod {}: [{}]".format(
-        p, ", ".join(str(c) for c in mod_coeffs)
-    )
+    witness = f"charpoly of reduction mod {p}: [{', '.join(map(str, mod_coeffs))}]"
     return MinimalityReport(minimal, place, 0.0 if minimal else 1.0, witness)
 
 
@@ -388,7 +373,6 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    _require_nonzero(phi)
     record = _MATRICES(phi)
     height = record.height()
     total = LogValue._sum([_naive_height(phi.entries, record.table), *instability_all_conj(phi).values()])

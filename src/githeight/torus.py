@@ -67,11 +67,6 @@ class TorusAction:
                 raise InputError(f"weight {row} has an entry that is not an integer")
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def ambient_dim(self) -> int:
-        """Number of homogeneous coordinates acted on."""
-        return len(self.weights)
-
     @classmethod
     def from_json(cls, data: Mapping) -> "TorusAction":
         try:

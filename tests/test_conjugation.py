@@ -11,7 +11,6 @@ from githeight import conjugation
 from githeight.conjugation import (
     MatrixQ,
     charpoly_of,
-    eigen_data,
     fundamental_formula_residual_conj,
     instability_all_conj,
     instability_conj,
@@ -22,9 +21,9 @@ from githeight.conjugation import (
     quotient_height_conj,
 )
 from githeight.errors import InputError, NilpotentError
-from githeight.exactpoly import newton_polygon
+from githeight.exactpoly import charpoly, complex_roots, log_root_norm, newton_polygon
 from githeight.heights import ProjectivePointQ
-from githeight.places import ARCHIMEDEAN, LogValue, Place, valuation_table
+from githeight.places import ARCHIMEDEAN, LogValue, Place, _log_sum_squares, valuation, valuation_table
 from githeight.torus import TorusAction, instability_all, is_semistable, quotient_height
 
 UNIPOTENT = MatrixQ.from_lists([[1, 1], [0, 1]])
@@ -54,15 +53,13 @@ def test_matrix_type():
     assert UNIPOTENT.n == 2
     with pytest.raises(InputError, match="matrix must be square and nonempty"):
         MatrixQ.from_lists([[1, 2, 3], [4, 5, 6]])
-    m = MatrixQ.from_json([["1/2", 1], [0, "3"]])
+    m = MatrixQ.from_lists([["1/2", 1], [0, "3"]])
     assert m.rows[0][0] == Fraction(1, 2)
-    assert MatrixQ.from_json(m.to_json()) == m
+    assert MatrixQ.from_lists([[str(x) for x in row] for row in m.rows]) == m
 
 
 @pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], ["12", "34"], 5, None])
 def test_matrix_rows_that_are_not_lists_are_refused(rows):
-    with pytest.raises(InputError):
-        MatrixQ.from_json(rows)
     with pytest.raises(InputError):
         MatrixQ.from_lists(rows)
 
@@ -95,25 +92,26 @@ def test_quotient_height_diagonal_formula():
     assert abs(h.arch - 0.5 * math.log(16 + Fraction(1, 36))) < 1e-9
 
 
-def test_eigen_data_structure():
+def test_charpoly_roots_and_polygons_structure():
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n)
         if all(x == 0 for x in m.entries):
             continue
-        data = eigen_data(m)
-        assert data.charpoly.degree == n
-        assert len(data.arch_roots) == n
-        for p, polygon in data.polygons:
-            assert data.zero_multiplicity + sum(
-                length for _, length in polygon.segments
-            ) == n
+        f = charpoly_of(m)
+        assert f.degree == n
+        assert len(complex_roots(f)) == n
+        _, zeros = f.shift_out_zero_roots()
+        for p in valuation_table(f.coeffs):
+            polygon = newton_polygon(f, p)
+            assert polygon.zero_root_multiplicity == zeros
+            assert zeros + sum(length for _, length in polygon.segments) == n
 
 
-def test_eigen_data_polygons_match_newton_polygon():
-    # each polygon is the charpoly's own, zero roots counted in, and every
-    # prime of a charpoly coefficient left out carries smallest root valuation 0
+def test_height_finite_parts_match_newton_polygon():
+    # at every prime of a charpoly coefficient the finite part is the charpoly's
+    # own steepest slope, zero roots counted in, also where the record builds no polygon
     rng = random.Random(53)
     matrices = [
         MatrixQ.from_lists([[0, 0, 0], [0, 2, 1], [0, 0, 6]]),
@@ -133,23 +131,24 @@ def test_eigen_data_polygons_match_newton_polygon():
         matrices.append(MatrixQ.from_lists(
             [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 9, 25])) for _ in range(n)]
              for _ in range(n)]))
-    zero_counts = set()
+    zero_counts, checked = set(), 0
     for m in matrices:
         if m.is_zero:
             continue
-        data = eigen_data(m)
-        zero_counts.add(data.zero_multiplicity > 0)
-        for p, polygon in data.polygons:
-            assert polygon == newton_polygon(data.charpoly, p)
-        if data.zero_multiplicity == m.n:
-            assert data.polygons == ()
+        f = charpoly_of(m)
+        _, zeros = f.shift_out_zero_roots()
+        if zeros == m.n:
+            with pytest.raises(NilpotentError):
+                quotient_height_conj(m)
             continue
-        # the old route: every prime of a coefficient of the nonzero-root part
-        built = {p for p, _ in data.polygons}
-        reduced, _ = data.charpoly.shift_out_zero_roots()
-        for p in valuation_table(reduced.coeffs):
-            assert p in built or newton_polygon(data.charpoly, p).min_root_valuation == 0
-    assert zero_counts == {False, True}
+        zero_counts.add(zeros > 0)
+        h = quotient_height_conj(m)
+        primes = set(valuation_table(f.coeffs))
+        assert set(h.finite) <= primes
+        for p in primes:
+            assert h.finite.get(p, 0) == -newton_polygon(f, p).min_root_valuation, (m, p)
+            checked += 1
+    assert zero_counts == {False, True} and checked >= 100
 
 
 def test_instability_examples():
@@ -306,6 +305,119 @@ def test_minimal_arch_iff_moment_map_vanishes():
         # the moment map of a real matrix is proportional to [m, m^T]; small integers multiply exactly
         a = np.array(m.rows, dtype=float)
         assert is_minimal_arch(m).minimal == (not (a @ a.T - a.T @ a).any())
+
+
+def _minimal_nonarch_by_reduction(phi, p):
+    """(flag, witness) of minimality at p the direct way: scale phi so its
+    smallest entry valuation is 0, reduce mod p and run Berkowitz on the reduction."""
+    vmin = min(valuation(x, p) for x in phi.entries if x)
+    scaled = phi.scaled(Fraction(p) ** -vmin)
+    cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled.rows])
+    mod_coeffs = [int(c) % p for c in cp.coeffs]
+    return any(mod_coeffs[:-1]), "charpoly of reduction mod {}: [{}]".format(p, ", ".join(map(str, mod_coeffs)))
+
+
+def test_minimality_at_p_matches_the_reduction_mod_p():
+    # the record's charpoly, scaled and reduced coefficient by coefficient, against
+    # the charpoly of the reduced matrix: same flag and same witness
+    rng = random.Random(61)
+    pairs = flags = 0
+    for k in range(560):
+        n = rng.randint(1, 5)
+        p = rng.choice((2, 3, 5, 7))
+        scale = Fraction(p) ** rng.randint(-3, 3)
+        rows = [[scale * Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 7, 9]))
+                 for _ in range(n)] for _ in range(n)]
+        if k % 5 == 0:  # strictly upper triangular: nilpotent
+            rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        elif k % 5 == 1:  # p times a unimodular shear of a nilpotent: nilpotent mod p, not over Q
+            rows = [[x * p if i != j else 1 + p * rng.randint(-2, 2) for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+            rows = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        m = MatrixQ.from_lists(rows)
+        if m.is_zero:
+            continue
+        for q in (2, 3, 5, 7):
+            report = is_minimal_nonarch(m, q)
+            assert (report.minimal, report.witness) == _minimal_nonarch_by_reduction(m, q), (m, q)
+            assert report.place == Place.finite(q) and report.defect == (0.0 if report.minimal else 1.0)
+            pairs += 1
+            flags += report.minimal
+    assert pairs >= 2000 and 300 <= pairs - flags <= pairs - 300
+
+
+def _minimal_arch_by_products(phi):
+    """(flag, |[phi, phi^T]|_F / |phi|_F^2) from the commutator built as Fraction matrix products."""
+    t = phi.transpose()
+    entries = [a - b for r1, r2 in zip(phi.mul(t).rows, t.mul(phi).rows) for a, b in zip(r1, r2)]
+    if not any(entries):
+        return True, 0.0
+    return False, math.exp(0.5 * _log_sum_squares(entries) - _log_sum_squares(phi.entries))
+
+
+def test_minimality_at_oo_matches_the_fraction_commutator():
+    # the record's integer commutator of d phi gives the same float, bit for bit; the
+    # last fixed matrix is not normal, though its defect underflows to 0.0
+    rng = random.Random(67)
+    matrices = [MatrixQ.from_lists([[big, big], [0, big]]) for big in ("1e400", "1e-400")]
+    matrices += [MatrixQ.from_lists([["1e-400", 0], [0, "1e-400"]]), MatrixQ.from_lists([["1e400", 1], [0, "1e-400"]])]
+    for k in range(300):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)] for _ in range(n)]
+        if k % 3 == 0:  # symmetric, hence normal
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        m = MatrixQ.from_lists(rows)
+        if not m.is_zero:
+            matrices += [m, m.scaled(Fraction(10) ** rng.choice((-400, 400)))]
+    normal = 0
+    for m in matrices:
+        report = is_minimal_arch(m)
+        assert (report.minimal, report.defect) == _minimal_arch_by_products(m), m
+        normal += report.minimal
+    assert 100 <= normal <= len(matrices) - 100
+
+
+@pytest.mark.parametrize("call", [
+    charpoly_of, is_semistable_conj, naive_matrix_height, quotient_height_conj, instability_all_conj,
+    fundamental_formula_residual_conj, is_minimal_arch,
+    lambda m: is_minimal_nonarch(m, 2),
+    lambda m: instability_conj(m, ARCHIMEDEAN),
+    lambda m: instability_conj(m, Place.finite(2)),
+], ids=["charpoly", "semistable", "naive", "height", "all", "residual", "minimal_oo", "minimal_p", "oo", "p"])
+def test_zero_matrix_is_refused_by_every_entry_point(call):
+    with pytest.raises(InputError, match="^the zero matrix has no projective class$"):
+        call(MatrixQ.from_lists([[0, 0], [0, 0]]))
+
+
+def _diagonal(*entries):
+    return MatrixQ.from_lists([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def test_term_at_oo_of_a_normal_matrix_is_exact():
+    # Schur: sum |lambda|^2 <= |phi|_F^2, equal iff phi is normal, so a normal
+    # matrix's term at oo is 0 exactly and the residual has nothing to round
+    normal = [_diagonal(10**200, 1), _diagonal(2, 2, 2, 5, 5), MatrixQ.from_lists([[0, -1], [1, 0]]),
+              MatrixQ.from_lists([[1, 2], [2, 1]])] + [MatrixQ.identity(n) for n in range(2, 13)]
+    for m in normal:
+        assert instability_conj(m, ARCHIMEDEAN) == LogValue.zero(), m
+        assert instability_all_conj(m)[ARCHIMEDEAN].arch == 0.0
+        assert fundamental_formula_residual_conj(m) == 0.0
+    for n in range(2, 13):
+        assert quotient_height_conj(MatrixQ.identity(n)) == LogValue.from_arch(0.5 * math.log(n))
+
+
+def test_term_at_oo_of_a_non_normal_matrix_reads_the_roots():
+    # a Jordan block J_3(1) and seeded non-normal matrices keep the root value, also
+    # the nearly normal one whose roots read 4e-15 above the Frobenius value
+    rng = random.Random(71)
+    matrices = [MatrixQ.from_lists([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), MatrixQ.from_lists([[2, "1e-20"], [0, 3]])]
+    matrices += [random_matrix(rng, rng.randint(2, 4)) for _ in range(40)]
+    for m in matrices:
+        if not is_semistable_conj(m) or is_minimal_arch(m).minimal:
+            continue
+        roots = log_root_norm(complex_roots(charpoly_of(m)))
+        assert instability_conj(m, ARCHIMEDEAN).arch == roots - 0.5 * _log_sum_squares(m.entries)
+        assert quotient_height_conj(m).arch == roots
 
 
 def test_quotient_height_is_conjugation_invariant():
@@ -465,7 +577,8 @@ def _conj_entry_points(phi):
     primes.add(next(p for p in (2, 3, 5, 7, 11, 13) if p not in primes))
     calls = {
         "charpoly": lambda: charpoly_of(phi),
-        "eigen": lambda: eigen_data(phi),
+        "naive": lambda: naive_matrix_height(phi),
+        "minimal oo": lambda: is_minimal_arch(phi),
         "semistable": lambda: is_semistable_conj(phi),
         "height": lambda: quotient_height_conj(phi),
         "residual": lambda: fundamental_formula_residual_conj(phi),
@@ -473,6 +586,7 @@ def _conj_entry_points(phi):
         "oo": lambda: instability_conj(phi, ARCHIMEDEAN),
     }
     calls.update({p: lambda p=p: instability_conj(phi, Place.finite(p)) for p in primes})
+    calls.update({("minimal", p): lambda p=p: is_minimal_nonarch(phi, p) for p in primes})
     return calls
 
 

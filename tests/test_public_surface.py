@@ -14,8 +14,11 @@ _REMOVED = (
     "NORM_CHOICES", "_float_rows",
     # the root layer returns a tuple of roots, and PolyQ keeps what a height reads
     "ComplexMultiset",
+    # a matrix's local data has one route, its record
+    "EigenData", "eigen_data",
 )
 _POLYQ_REMOVED = ("from_coeffs", "from_roots", "evaluate", "leading", "__mul__", "to_json", "from_json")
+_ATTRIBUTES_REMOVED = {"MatrixQ": ("from_json", "to_json"), "TorusAction": ("ambient_dim",)}
 
 
 def test_public_surface_holds():
@@ -27,3 +30,5 @@ def test_public_surface_holds():
     assert [(module.__name__, name) for module in modules for name in _REMOVED
             if hasattr(module, name)] == []
     assert [name for name in _POLYQ_REMOVED if hasattr(githeight.PolyQ, name)] == []
+    assert [(cls, name) for cls, names in _ATTRIBUTES_REMOVED.items() for name in names
+            if hasattr(getattr(githeight, cls), name)] == []
