@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NilpotentError
-from .exactpoly import NewtonPolygon, PolyQ, charpoly, complex_roots, log_root_norm
+from .exactpoly import NewtonPolygon, PolyQ, _fraction_rows, charpoly, complex_roots, log_root_norm
 from .heights import _naive_height
 from .places import (
     ARCHIMEDEAN,
@@ -43,7 +43,6 @@ from .places import (
     RationalLike,
     _LastInput,
     _log_ratio,
-    _log_sum_squares,
     _require_place,
     _valuation,
     as_fraction,
@@ -62,7 +61,7 @@ class MatrixQ:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in self.rows)
+        rows = _fraction_rows(self.rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InputError("matrix must be square and nonempty")
@@ -70,10 +69,7 @@ class MatrixQ:
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[RationalLike]]) -> "MatrixQ":
-        # a row that is not a list would fail later as a TypeError on iteration
-        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-            raise InputError("a matrix must be an array of rows, each an array")
-        return cls(tuple(rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
@@ -122,8 +118,9 @@ class MinimalityReport:
 class _MatrixRecord:
     """One matrix's local data, each part computed on first use and kept:
     the charpoly, its nonzero-root part and zero-root count, the complex
-    roots and root norm, d and g (see :attr:`polygons`), the Newton polygon
-    at each prime asked for, the commutator and the valuation table of the
+    roots and root norm, d and g (see :attr:`polygons`), the integer matrix
+    B = d phi, the Newton polygon at each prime asked for, the commutator
+    and the Frobenius value (both read B) and the valuation table of the
     entries.  A part whose computation raises is not kept, so the next call
     raises again.  The zero matrix has no record.
     """
@@ -152,6 +149,10 @@ class _MatrixRecord:
     @functools.cached_property
     def d(self) -> int:
         return math.lcm(*(x.denominator for x in self.phi.entries))
+
+    @functools.cached_property
+    def b(self) -> list[list[int]]:
+        return [[x.numerator * (self.d // x.denominator) for x in row] for row in self.phi.rows]
 
     @functools.cached_property
     def g(self) -> int:
@@ -186,14 +187,15 @@ class _MatrixRecord:
     @functools.cached_property
     def commutator(self) -> list[int]:
         """The entries of B B^T - B^T B, B = d phi the integer matrix: d^2 [phi, phi^T]."""
-        b = [[x.numerator * (self.d // x.denominator) for x in row] for row in self.phi.rows]
+        b = self.b
         cols = list(zip(*b))
         return [sum(map(operator.mul, bi, bj)) - sum(map(operator.mul, ci, cj))
                 for bi, ci in zip(b, cols) for bj, cj in zip(b, cols)]
 
     @functools.cached_property
     def frobenius(self) -> float:
-        return 0.5 * _log_sum_squares(self.phi.entries)
+        """log |phi|_F = 1/2 log (sum of B's squared entries / d^2)."""
+        return 0.5 * _log_ratio(sum(x * x for row in self.b for x in row), self.d * self.d)
 
     @functools.cached_property
     def root_norm(self) -> float:
@@ -251,7 +253,8 @@ def naive_matrix_height(phi: MatrixQ) -> LogValue:
         >>> abs(h.to_float() - 0.5 * math.log(3)) < 1e-15
         True
     """
-    return _naive_height(phi.entries, _MATRICES(phi).table)
+    record = _MATRICES(phi)
+    return _naive_height(record.table, record.frobenius)
 
 
 def quotient_height_conj(phi: MatrixQ) -> LogValue:
@@ -335,7 +338,7 @@ def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
     minimal = not any(record.commutator)
     # |[phi, phi^T]|_F / |phi|_F^2 through logs, since either may lie beyond the double range
     squares = sum(c * c for c in record.commutator)
-    defect = 0.0 if minimal else math.exp(0.5 * _log_ratio(squares, record.d ** 4) - _log_sum_squares(phi.entries))
+    defect = 0.0 if minimal else math.exp(0.5 * _log_ratio(squares, record.d ** 4) - 2 * record.frobenius)
     witness = "commutator phi phi^T - phi^T phi vanishes" if minimal else f"relative commutator norm {defect:.3e}"
     return MinimalityReport(minimal, ARCHIMEDEAN, defect, witness)
 
@@ -375,5 +378,5 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     """
     record = _MATRICES(phi)
     height = record.height()
-    total = LogValue._sum([_naive_height(phi.entries, record.table), *instability_all_conj(phi).values()])
+    total = LogValue._sum([_naive_height(record.table, record.frobenius), *instability_all_conj(phi).values()])
     return (total - height).to_float()

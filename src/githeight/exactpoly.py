@@ -11,13 +11,17 @@ Three views of the same root multiset feed the height computations:
 
 Characteristic polynomials are exact and run on Python ints: the entry
 denominators are cleared first, then Berkowitz's division-free recurrence
-runs over Z.  Newton polygons take their hull on integer points too and
-build a Fraction only for each vertex and slope.
+runs over Z on the integer matrix's columns, each matrix-vector product a
+``sum(map(operator.mul, ...))``.  Newton polygons take their hull on integer
+points too and build a Fraction only for each vertex and slope.  The root
+solver's float coefficients come from the coefficients over one common
+denominator, one correctly rounded int division each.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,6 +67,14 @@ class PolyQ:
         return PolyQ(self.coeffs[k:]), k
 
 
+def _fraction_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of a matrix as Fractions.  A matrix or a row that is not a
+    list or tuple raises InputError here, not TypeError on iteration."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InputError("a matrix must be an array of rows, each an array")
+    return tuple(tuple(as_fraction(x) for x in row) for row in rows)
+
+
 def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
     """Exact characteristic polynomial det(T*I - A), ascending coefficients.
 
@@ -73,6 +85,9 @@ def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
     leading (k-1) x (k-1) block M, the coefficients of chi_k are the lower
     triangular Toeplitz matrix with first column
     [1, -b_kk, -r s, -r M s, ..., -r M^(k-2) s] applied to those of chi_(k-1).
+    The row vectors r M^j are products with M's columns, read once from B's
+    columns, and every product of two integer vectors is one
+    ``sum(map(operator.mul, ...))``, the Toeplitz product's included.
 
     Examples:
         >>> charpoly([[2, 0], [0, 3]]).coeffs
@@ -80,24 +95,28 @@ def charpoly(rows: Sequence[Sequence[RationalLike]]) -> PolyQ:
         >>> charpoly([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]).coeffs
         (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 1))
     """
-    a = [[as_fraction(x) for x in row] for row in rows]
+    a = _fraction_rows(rows)
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
         raise InputError("characteristic polynomial needs a square matrix")
     d = math.lcm(*(x.denominator for row in a for x in row))
     b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    cols = list(zip(*b))
+    mul = operator.mul
     # descending coefficients of chi of the leading k x k block, chi_1 = T - b_11
     chi = [1, -b[0][0]]
     for k in range(1, n):
-        m = [row[:k] for row in b[:k]]
-        r = b[k][:k]
-        v = [row[k] for row in b[:k]]  # M^j s, from j = 0
-        col = [1, -b[k][k], -sum(x * y for x, y in zip(r, v))]
+        m = [c[:k] for c in cols[:k]]
+        s = cols[k][:k]
+        v = b[k][:k]  # r M^j, from j = 0
+        col = [1, -b[k][k], -sum(map(mul, v, s))]
         for _ in range(k - 1):
-            v = [sum(x * y for x, y in zip(row, v)) for row in m]
-            col.append(-sum(x * y for x, y in zip(r, v)))
-        chi = [sum(col[i - j] * chi[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-               for i in range(k + 2)]
+            v = [sum(map(mul, v, c)) for c in m]
+            col.append(-sum(map(mul, v, s)))
+        # chi_(k+1)[i] = sum_j col[i - j] chi_k[j], with col reversed and
+        # map stopping at the shorter list
+        rev = col[::-1]
+        chi = [sum(map(mul, rev[k + 1 - i:], chi)) for i in range(k + 2)]
     # chi_A(T) = d^-n chi_B(d T), so the coefficient of T^(n-i) is chi[i] / d^i
     return PolyQ(tuple(Fraction(c, d ** i) for i, c in enumerate(chi))[::-1])
 
@@ -193,9 +212,9 @@ def _horner(coeffs: list[float], z: complex) -> complex:
     return acc
 
 
-def _residual_scale(coeffs: list[float], z: complex) -> float:
-    """sum |c_i| |z|^i of real c_i by Horner's rule, so no power of |z| overflows alone."""
-    scale = _horner([abs(c) for c in coeffs], abs(z)).real
+def _residual_scale(abs_coeffs: list[float], z: complex) -> float:
+    """sum |c_i| |z|^i from the |c_i| by Horner's rule, so no power of |z| overflows alone."""
+    scale = _horner(abs_coeffs, abs(z)).real
     if not math.isfinite(scale):
         raise NoConvergenceError("root size exceeds double precision")
     return scale or 1.0
@@ -212,12 +231,13 @@ def _aberth(coeffs: list[float]) -> list[complex]:
     """
     deg = len(coeffs) - 1
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    abs_coeffs = [abs(c) for c in coeffs]
     z = [complex(w) for w in np.roots(coeffs[::-1])]
     # pairs by exact equality, never by distance
     upper = {i for i in range(deg - 1) if z[i].imag > 0 and z[i + 1] == z[i].conjugate()}
     movers = sorted(upper | {i for i in range(deg) if z[i].imag == 0})
     sweeps = 0
-    while not all(abs(_horner(coeffs, zi)) <= _ROOT_TOL * _residual_scale(coeffs, zi) for zi in z):
+    while not all(abs(_horner(coeffs, zi)) <= _ROOT_TOL * _residual_scale(abs_coeffs, zi) for zi in z):
         if sweeps == _ABERTH_MAX_SWEEPS:
             raise NoConvergenceError(
                 f"root refinement did not reach tolerance {_ROOT_TOL} in {_ABERTH_MAX_SWEEPS} sweeps")
@@ -244,9 +264,10 @@ def complex_roots(f: PolyQ) -> tuple[complex, ...]:
     and closed under conjugation: real roots exactly real, the others in
     exact conjugate pairs.  A repeated root comes back as that many values.
 
-    :func:`_aberth` runs on the real coefficients, scaled to at most 1, until
-    every residual satisfies |f(z)| <= 1e-9 * scale(z), for at most 200
-    sweeps.  NoConvergenceError beyond the cap or the double range.
+    :func:`_aberth` runs on the real coefficients, scaled to at most 1 by one
+    int division each over a common denominator, until every residual
+    satisfies |f(z)| <= 1e-9 * scale(z), for at most 200 sweeps.
+    NoConvergenceError beyond the cap or the double range.
 
     Examples:
         >>> roots = complex_roots(PolyQ([1, -2, 1]))  # (T-1)^2
@@ -254,8 +275,15 @@ def complex_roots(f: PolyQ) -> tuple[complex, ...]:
         ([1.0, 1.0], [0.0, 0.0])
     """
     g, k = f.shift_out_zero_roots()
-    scale = max(abs(c) for c in g.coeffs)
-    coeffs = [float(c / scale) for c in g.coeffs]
+    # g's coefficients over one common denominator D are the ints A_i = D c_i,
+    # and c_i / max|c_j| = A_i / max|A_j|.  CPython rounds int true division
+    # correctly, and float(Fraction) is that division on the reduced pair of the
+    # same rational, so each float, and so each root, is what the Fraction
+    # quotient gives, bit for bit.
+    den = math.lcm(*(c.denominator for c in g.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in g.coeffs]
+    scale = max(map(abs, ints))
+    coeffs = [a / scale for a in ints]
     # np.roots divides by the leading coefficient
     if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(
             math.isfinite(c / coeffs[-1]) for c in coeffs):

@@ -78,14 +78,15 @@ class ProjectivePointQ:
 def naive_height_coords(coords: Sequence[RationalLike]) -> LogValue:
     """Height of a coordinate vector; shared by points and matrices."""
     xs = [as_fraction(c) for c in coords]
-    return _naive_height(xs, valuation_table(xs))
+    return _naive_height(valuation_table(xs), 0.5 * _log_sum_squares(xs))
 
 
-def _naive_height(xs: Sequence[Fraction], table: dict[int, list]) -> LogValue:
-    """Height of the coordinates xs with their valuation table (zeros may be left out)."""
+def _naive_height(table: dict[int, list], arch: float) -> LogValue:
+    """Height of coordinates from their valuation table (zeros may be left
+    out) and arch, the log of their euclidean norm."""
     # the table's keys are proven primes, and some entry at each is finite
     finite = {p: Fraction(-min(vals)) for p, vals in table.items()}
-    return LogValue._of_primes(finite, 0.5 * _log_sum_squares(xs))
+    return LogValue._of_primes(finite, arch)
 
 
 def naive_height(x: ProjectivePointQ) -> LogValue:

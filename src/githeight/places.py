@@ -401,13 +401,13 @@ def _valuation(x: RationalLike, p: int) -> int | float:
 def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
     """{p: [v_p(x) for x in xs]} over the support primes p, ascending.
 
-    All nonzero numerators and denominators are factored together: after
-    trial division below 1000, their cofactors are split by gcds into one
-    pairwise coprime base, so numbers that share a large prime split one
-    another without Pollard-Brent, and a composite root split before in
-    this process is read from the memo, charged the budget its split cost
-    (see :func:`factorize`).  A zero entry has valuation +infinity at
-    every prime.
+    The distinct nonzero numerators and denominators are factored together,
+    each once: after trial division below 1000, their cofactors are split by
+    gcds into one pairwise coprime base, so numbers that share a large prime
+    split one another without Pollard-Brent, and a composite root split
+    before in this process is read from the memo, charged the budget its
+    split cost (see :func:`factorize`).  A zero entry has valuation
+    +infinity at every prime.
 
     Examples:
         >>> valuation_table([Fraction(9, 10), 0, 4])
@@ -417,18 +417,14 @@ def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
         {2147483647: [1, 0], 2305843009213693951: [1, -1]}
     """
     qs = [as_fraction(x) for x in xs]
-    nonzero = [q for q in qs if q]
-    if not nonzero:
+    if not any(qs):
         raise InputError("support is undefined for an all-zero family")
-    factored = _factor_all([abs(q.numerator) for q in nonzero] + [q.denominator for q in nonzero])
-    exponents = factored[:len(nonzero)]
-    for e, d in zip(exponents, factored[len(nonzero):]):
-        # a Fraction is in lowest terms, so no prime divides both parts
-        e.update((p, -k) for p, k in d.items())
-    primes = sorted(set().union(*exponents))
-    found = iter(exponents)
-    rows = [next(found) if q else None for q in qs]
-    return {p: [math.inf if e is None else e.get(p, 0) for e in rows] for p in primes}
+    # entries repeat, so each distinct numerator or denominator is factored once
+    parts = list(dict.fromkeys(n for q in qs if q for n in (abs(q.numerator), q.denominator)))
+    factored = dict(zip(parts, _factor_all(parts)))
+    primes = sorted(set().union(*factored.values()))
+    rows = [(factored[abs(q.numerator)], factored[q.denominator]) if q else None for q in qs]
+    return {p: [math.inf if e is None else e[0].get(p, 0) - e[1].get(p, 0) for e in rows] for p in primes}
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,8 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
         raise UnstableError("unstable point: no image in the quotient")
     record = _record(action, x)
     reports = record.reports(tol).values()
-    return LogValue._sum([_naive_height(record.xs, record.table), *(r.value for r in reports)])
+    naive = _naive_height(record.table, 0.5 * _log_sum_squares(record.xs))
+    return LogValue._sum([naive, *(r.value for r in reports)])
 
 
 def kempf_ness_profile(

@@ -58,10 +58,12 @@ def test_matrix_type():
     assert MatrixQ.from_lists([[str(x) for x in row] for row in m.rows]) == m
 
 
-@pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], ["12", "34"], 5, None])
-def test_matrix_rows_that_are_not_lists_are_refused(rows):
-    with pytest.raises(InputError):
-        MatrixQ.from_lists(rows)
+@pytest.mark.parametrize("rows", [[1, 2], (1, 2), [[1, 2], 3], ["12", "34"], 5, None])
+@pytest.mark.parametrize("build", [MatrixQ.from_lists, MatrixQ, charpoly], ids=["from_lists", "MatrixQ", "charpoly"])
+def test_matrix_rows_that_are_not_lists_are_refused(build, rows):
+    # every constructor reads one row check, so none ends in a TypeError
+    with pytest.raises(InputError, match="array of rows"):
+        build(rows)
 
 
 def test_semistable_examples():

@@ -282,6 +282,53 @@ def test_complex_roots_refuse_coefficients_beyond_double_range(coeffs):
         complex_roots(PolyQ(coeffs))
 
 
+def _fraction_route_coeffs(f):
+    """The float coefficients of f's nonzero-root part, each scaled as the
+    Fraction c / max|c| and then rounded by float(), and the zero-root count:
+    the reference for complex_roots' int division."""
+    g, k = f.shift_out_zero_roots()
+    scale = max(abs(c) for c in g.coeffs)
+    return [float(c / scale) for c in g.coeffs], k
+
+
+def _fraction_route_roots(f, aberth):
+    coeffs, k = _fraction_route_coeffs(f)
+    if coeffs[0] == 0.0 or coeffs[-1] == 0.0 or not all(math.isfinite(c / coeffs[-1]) for c in coeffs):
+        raise NoConvergenceError("coefficient range exceeds double precision")
+    return tuple(sorted([0j] * k + aberth(coeffs), key=lambda z: (z.real, z.imag)))
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except NoConvergenceError as exc:
+        return repr(exc)
+
+
+def test_complex_roots_coefficients_match_the_fraction_route_bit_for_bit(monkeypatch):
+    aberth, seen = exactpoly._aberth, []
+    monkeypatch.setattr(exactpoly, "_aberth", lambda coeffs: seen.append(coeffs) or aberth(coeffs))
+    rng = random.Random(41)
+    kinds = Counter()
+    for _ in range(300):
+        deg = rng.randint(1, 8)
+        spread = rng.choice([0, 5, 30, 150, 300])  # coefficients out to 10^+-300
+        coeffs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                  * Fraction(10) ** rng.randint(-spread, spread) for _ in range(deg + 1)]
+        coeffs[0] = coeffs[0] or Fraction(1, 3)
+        coeffs[-1] = coeffs[-1] or Fraction(-7, 2)
+        f = PolyQ([0] * rng.choice([0, 0, 1, 3]) + coeffs)  # zero roots too
+        seen.clear()
+        got = _outcome(lambda: complex_roots(f))
+        if seen:
+            # every float coefficient bit for bit, then the roots Aberth gives on them
+            assert [c.hex() for c in seen[0]] == [c.hex() for c in _fraction_route_coeffs(f)[0]]
+        assert got == _outcome(lambda: _fraction_route_roots(f, aberth))
+        kinds["solved" if got.startswith("(") else "range" if "range" in got else "sweeps"] += 1
+    # solved, refused for the double range and stopped at the sweep cap, each often
+    assert min(kinds["solved"], kinds["range"], kinds["sweeps"]) >= 20, kinds
+
+
 def test_aberth_sweeps_keep_exact_conjugate_pairs(monkeypatch):
     # (T^2 - 2T + 5)(T^2 + T + 13/16)(T - 3)(T + 2): roots 1 +- 2i, -1/2 +- 3/4 i, 3, -2
     f = poly(Fraction(-195, 8), Fraction(-389, 16), Fraction(-355, 16), Fraction(89, 16),
