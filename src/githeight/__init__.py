@@ -11,21 +11,11 @@ multiples of log p and isolating floating point to the archimedean place.
 Supporting machinery: Newton polygons for p-adic root valuations, an exact
 Bland-rule simplex for piecewise-linear instability, a damped
 Newton minimizer for the archimedean one, minimality tests (normality at
-the archimedean place, non-nilpotent reduction mod p elsewhere), and
-explicit slope lower bounds with the antisymmetrization maps whose norms
-they rest on, checked exactly in integers.
+the archimedean place, non-nilpotent reduction mod p elsewhere), and a
+lower bound for the height of every semistable point, read from its input.
 """
 
-from .bounds import (
-    CONVEX_LEMMA_VARIANTS,
-    EpsilonNormResult,
-    convex_lemma_argmin,
-    convex_lemma_min,
-    ell,
-    epsilon_map,
-    epsilon_norm_check,
-    explicit_lower_bound,
-)
+from .bounds import lower_bound, lower_bound_conj
 from .conjugation import (
     MatrixQ,
     MinimalityReport,
@@ -58,7 +48,6 @@ from .heights import (
     ProjectivePointQ,
     naive_height,
     naive_height_coords,
-    twist_shift,
 )
 from .places import (
     ARCHIMEDEAN,
@@ -91,10 +80,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARCHIMEDEAN",
-    "CONVEX_LEMMA_VARIANTS",
     "DEFAULT_COMPARE_TOL",
     "DomainError",
-    "EpsilonNormResult",
     "GitHeightError",
     "InputError",
     "InstabilityReport",
@@ -113,14 +100,8 @@ __all__ = [
     "charpoly",
     "charpoly_of",
     "complex_roots",
-    "convex_lemma_argmin",
-    "convex_lemma_min",
     "destabilizing_1ps",
-    "ell",
-    "epsilon_map",
-    "epsilon_norm_check",
     "exact_log_abs_arch",
-    "explicit_lower_bound",
     "factorize",
     "fundamental_formula_residual_conj",
     "instability_all",
@@ -135,6 +116,8 @@ __all__ = [
     "is_semistable_conj",
     "kempf_ness_profile",
     "log_abs",
+    "lower_bound",
+    "lower_bound_conj",
     "naive_height",
     "naive_height_coords",
     "naive_matrix_height",
@@ -143,7 +126,6 @@ __all__ = [
     "quotient_height",
     "quotient_height_conj",
     "support_primes",
-    "twist_shift",
     "valuation",
     "valuation_table",
 ]

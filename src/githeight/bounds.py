@@ -1,247 +1,79 @@
-"""Explicit slope bounds, antisymmetrization maps, and convex minima.
+"""Lower bounds for the height of a semistable point, read from its input.
 
-The minimal height of a nonzero invariant-defined class admits an explicit
-lower bound in terms of the slopes of the factor lattices:
+After Bost (Duke 1994) and Zhang (1996): an invariant that takes a nonzero
+rational value c on the point bounds the quotient height below.  At every
+place v the norm of each point of the orbit is at least |c|_v times a
+local constant, the product formula sums log |c|_v to 0 over the places,
+so the quotient height is at least the sum of the local constants.  At the
+finite places the constant is 1, so only the one at oo is left.
 
-    h_min >= - sum_i b_i mu_i - sum_{rank_i >= 3} (|b_i| / 2) ell(rank_i),
+* Torus.  For lam in the zero-sum polytope of the active weights
+  (lam >= 0, sum lam_i = 1, sum lam_i m_i = 0) the monomial
+  prod x_i^lam_i is invariant.  At p, max_i |x_i|_p >= prod |x_i|_p^lam_i;
+  at oo, by Gibbs' inequality, sum x_i^2 >= prod (x_i^2 / lam_i)^lam_i.
+  So the quotient height is at least (1/2) sum lam_i log(1/lam_i).
+* Conjugation.  The product of the k nonzero eigenvalues is a nonzero
+  rational up to sign.  At p the largest |lambda_i|_p is at least their
+  geometric mean; at oo, by AM-GM, sum |lambda_i|^2 >= k prod
+  |lambda_i|^(2/k).  So the quotient height is at least (1/2) log k.
 
-with ell(n) = log(n!) / n <= log(n), asymptotically log(n) - 1, and
-equality when every twisting exponent b_i vanishes.
-
-The correction term comes from the norms of the antisymmetrization maps
-eps_w on a rank-w space.  For w = 2 the map E tensor E -> End(E) tensor det
-is an isometric isomorphism (operator norm 1); for w > 2 the map
-t -> sum_R sum_gamma sign(gamma) t_R x_R tensor x_gamma^dual tensor det
-has operator norm exactly sqrt(w!), which `epsilon_norm_check` checks in
-integers: no two columns share a row, so the Gram matrix is diagonal, with
-w! on the diagonal for w > 2.
+Both read the record the height paths build, and neither reads a root or
+runs a minimizer.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from fractions import Fraction
 
-import numpy as np
-
-from .errors import InputError
-from .heights import twist_shift
-from .places import LogValue, RationalLike, _is_int, as_fraction
-
-CONVEX_LEMMA_VARIANTS = ("log3", "log_sqrt3")
-_EXACT_FACTORIAL_MAX = 170  # the largest n whose n! is a double
-_GRID_TOL = 1e-10  # golden-section bracket width: 55 steps from [-10, 10]
+from . import conjugation, torus
+from .conjugation import MatrixQ
+from .heights import ProjectivePointQ
+from .places import LogValue, _log_ratio
+from .torus import TorusAction
 
 
-def ell(n: int) -> float:
-    """log(n!) / n, the per-rank archimedean defect.
+def lower_bound(action: TorusAction, x: ProjectivePointQ) -> LogValue:
+    """(1/2) sum lam_i log(1/lam_i), a lower bound for the quotient height of x.
 
-    Up to 170, where n! is a double, the exact factorial and one float log,
-    so ell(2) is bit-identical to 0.5 * log(2); beyond it lgamma(n + 1) / n,
-    since the exact n! grows to about n log10(n) digits.
+    lam is x_i^2 / sum x^2 when sum x_i^2 m_i = 0 exactly, which runs no
+    LP, and otherwise the exact point of the zero-sum polytope, positive on
+    the face of zero, that :meth:`~githeight.exactlp.ZeroSumPolytope.face_of_zero`
+    stores; after :func:`~githeight.torus.quotient_height` on the same
+    input that face is already solved.  An unstable point raises
+    UnstableError.
 
     Examples:
-        >>> ell(2) == 0.5 * math.log(2)
+        >>> bound = lower_bound(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:1"))
+        >>> bound.arch == 0.5 * math.log(2)  # the quotient height itself
         True
-        >>> abs(ell(10000) - (math.log(10000) - 1)) < 0.01  # Stirling
+        >>> act = TorusAction(1, ((-2,), (1,), (4,)))
+        >>> bound = lower_bound(act, ProjectivePointQ.parse("2:2:1"))  # lam = (4, 4, 1) / 9
+        >>> abs(bound.arch - (math.log(3) - 8 / 9 * math.log(2))) < 1e-15
         True
     """
-    if not _is_int(n) or n < 1:
-        raise InputError(f"ell needs a positive integer, got {n!r}")
-    if n <= _EXACT_FACTORIAL_MAX:
-        return math.log(math.factorial(n)) / n
-    return math.lgamma(n + 1) / n
+    record = torus._semistable_record(action, x)
+    if record.balanced:
+        ints2 = record.squares[0]
+        lam = [Fraction(w, sum(ints2)) for w in ints2]
+    else:
+        record.polytope.face_of_zero()  # solved once per polytope, which keeps its interior point
+        lam = record.polytope._interior
+    return LogValue.from_arch(0.5 * math.fsum(float(l) * _log_ratio(l.denominator, l.numerator)
+                                              for l in lam if l))
 
 
-def _require_finite(name: str, value) -> None:
-    """Refuse a number or LogValue whose double is infinite or nan."""
-    try:
-        ok = math.isfinite(value.to_float() if isinstance(value, LogValue) else float(value))
-    except (OverflowError, ValueError):  # float(10**400), fsum([inf, -inf])
-        ok = False
-    if not ok:
-        raise InputError(f"{name} is not finite as a double")
+def lower_bound_conj(phi: MatrixQ) -> LogValue:
+    """(1/2) log k, k the number of nonzero eigenvalues of phi counted with
+    multiplicity, a lower bound for the quotient height of [phi].
 
-
-def explicit_lower_bound(
-    multipliers: Sequence[RationalLike],
-    slopes: Sequence[LogValue],
-    ranks: Sequence[int],
-) -> LogValue:
-    """Lower bound for the minimal height after twisting.
-
-    multipliers are the twisting exponents b_i, slopes the factor slopes
-    mu_i (exact LogValues), ranks the factor ranks.  The bound is an
-    equality when all multipliers vanish.  A multiplier, slope or bound
-    whose double is not finite raises InputError.
+    k is the degree of the charpoly with its zero roots split off.  A
+    nilpotent matrix raises NilpotentError.
 
     Examples:
-        >>> explicit_lower_bound([0], [LogValue({2: 1})], [2]).is_exact_zero
+        >>> lower_bound_conj(MatrixQ.identity(3)).arch == 0.5 * math.log(3)
         True
-        >>> slopes = [LogValue({2: 1}), LogValue.from_arch(0.25)]
-        >>> explicit_lower_bound([0, 0], slopes, [2, 3]).is_exact_zero
-        True
-
-        A lattice of rank r with Gram determinant D has the exact slope
-        -(1/2r) log D; Z^2 with Gram matrix diag(2, 2) has D = 4 and r = 2:
-
-        >>> from githeight.places import exact_log_abs_arch
-        >>> explicit_lower_bound([1], [exact_log_abs_arch(4).scaled("-1/4")], [2])
-        LogValue(finite={2: 1/2}, arch=0.0)
-    """
-    if not (len(multipliers) == len(slopes) == len(ranks)):
-        raise InputError("multipliers, slopes and ranks must align")
-    bs = [as_fraction(b) for b in multipliers]
-    penalty = 0.0
-    for i, (b, mu, r) in enumerate(zip(bs, slopes, ranks)):
-        if not _is_int(r) or r < 1:
-            raise InputError(f"rank must be a positive integer, got {r!r}")
-        _require_finite(f"multiplier {i}", b)
-        _require_finite(f"slope {i}", mu)
-        if r >= 3 and b != 0:
-            penalty += abs(float(b)) / 2.0 * ell(r)
-    try:
-        total = twist_shift(LogValue.zero(), bs, slopes) + LogValue.from_arch(-penalty)
-    except InputError:  # LogValue refuses an arch part past the double range
-        raise InputError("the bound is not finite as a double") from None
-    _require_finite("the bound", total)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# antisymmetrization maps
-# ---------------------------------------------------------------------------
-
-class EpsilonMap(NamedTuple):
-    """A +-1 matrix stored by columns: column c has the entry signs[c, j]
-    in row rows[c, j], and every other entry of it is 0."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    signs: np.ndarray
-
-
-def epsilon_map(w: int) -> EpsilonMap:
-    """The antisymmetrization map on a rank-w space, by its nonzero entries.
-
-    w = 2: the 4 x 4 isometric isomorphism E tensor E -> End(E) tensor det,
-    whose inverse sends phi tensor (e1 wedge e2) to
-    phi(e1) tensor e2 - phi(e2) tensor e1.
-
-    w = 3, 4: the (w^2w) x (w^w) map sending the basis tensor x_R to
-    sum_gamma sign(gamma) x_R tensor x_gamma^dual (tensor the volume form);
-    rows are indexed by pairs (R, gamma-image) packed base w, so each
-    column has w! entries.
-
-    Examples:
-        >>> eps = epsilon_map(2)
-        >>> eps.rows.ravel().tolist(), eps.signs.ravel().tolist()
-        ([1, 0, 3, 2], [-1, 1, -1, 1])
-        >>> eps = epsilon_map(3)
-        >>> eps.shape, eps.rows.shape
-        ((729, 27), (27, 6))
-    """
-    if not isinstance(w, int) or not 2 <= w <= 4:
-        raise InputError(f"implemented for sizes 2 to 4, got {w!r}")
-    if w == 2:
-        rows = np.array([[1], [0], [3], [2]])
-        signs = np.array([[-1], [1], [-1], [1]], dtype=np.int8)
-        return EpsilonMap((4, 4), rows, signs)
-    size = w ** w
-    perms = np.array(list(itertools.permutations(range(w))))
-    # a permutation's sign is -1 to the number of its inversions
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    rows = np.arange(size)[:, None] * size + np.ravel_multi_index(perms.T, (w,) * w)
-    signs = np.tile((-1) ** inversions, (size, 1)).astype(np.int8)
-    return EpsilonMap((size * size, size), rows, signs)
-
-
-@dataclass(frozen=True)
-class EpsilonNormResult:
-    size: int
-    norm: float
-    bound: float
-    ok: bool
-
-
-def epsilon_norm_check(w: int) -> EpsilonNormResult:
-    """The operator norm of epsilon_map(w) against the bound sqrt(w!), exactly.
-
-    When no two entries of the map share a row, the Gram matrix is diagonal
-    with the columns' sums of squares on it, so the norm is the square root
-    of the largest one.  ok holds when the rows are pairwise distinct and
-    that largest sum is at most w!, both decided in integers; norm reports
-    the largest column norm, a lower bound when rows are shared.  At w = 2
-    the map is an isometry, norm exactly 1; at w = 3, 4 the bound is met.
-
-    Examples:
-        >>> epsilon_norm_check(2).norm, epsilon_norm_check(4).norm == math.sqrt(24)
-        (1.0, True)
-        >>> [epsilon_norm_check(w).ok for w in (2, 3, 4)]
-        [True, True, True]
-    """
-    eps = epsilon_map(w)
-    disjoint = len(np.unique(eps.rows)) == eps.rows.size
-    largest = int(np.square(eps.signs, dtype=np.int64).sum(axis=1).max())
-    bound = math.factorial(w)
-    return EpsilonNormResult(
-        w, math.sqrt(largest), math.sqrt(bound), disjoint and largest <= bound
-    )
-
-
-# ---------------------------------------------------------------------------
-# one-variable convex minima
-# ---------------------------------------------------------------------------
-
-def _lemma_profile(variant: str):
-    if variant == "log3":
-        return lambda x: 2.0 * max(x, -2.0 * x) + 0.5 * math.log(
-            4.0 * math.exp(-4.0 * x) + 4.0 * math.exp(2.0 * x) + math.exp(8.0 * x)
-        )
-    if variant == "log_sqrt3":
-        return lambda x: max(0.0, -x) + 0.5 * math.log(2.0 + math.exp(2.0 * x))
-    raise InputError(f"variant must be one of {CONVEX_LEMMA_VARIANTS}, got {variant!r}")
-
-
-def _golden_section(f, a: float, b: float) -> tuple[float, float]:
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _GRID_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def convex_lemma_min(variant: str) -> float:
-    """Global minimum of a named one-variable convex height profile.
-
-    Both profiles take their minimum at 0: value log(3) for "log3" and
-    log(sqrt(3)) for "log_sqrt3".
-
-    Examples:
-        >>> abs(convex_lemma_min("log3") - math.log(3)) <= 1e-8
-        True
-        >>> abs(convex_lemma_min("log_sqrt3") - 0.5 * math.log(3)) <= 1e-8
+        >>> lower_bound_conj(MatrixQ.from_lists([[1, 1], [0, 0]])).is_exact_zero
         True
     """
-    return _golden_section(_lemma_profile(variant), -10.0, 10.0)[1]
-
-
-def convex_lemma_argmin(variant: str) -> float:
-    """Location of the minimum (0 for both shipped profiles).
-
-    Examples:
-        >>> abs(convex_lemma_argmin("log3")) <= 1e-6, abs(convex_lemma_argmin("log_sqrt3")) <= 1e-6
-        (True, True)
-    """
-    return _golden_section(_lemma_profile(variant), -10.0, 10.0)[0]
+    return LogValue.from_arch(0.5 * math.log(conjugation._semistable_record(phi).reduced[0].degree))

@@ -23,13 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import (
-    convex_lemma_argmin,
-    convex_lemma_min,
-    ell,
-    epsilon_norm_check,
-    explicit_lower_bound,
-)
+from .bounds import lower_bound, lower_bound_conj
 from .conjugation import (
     MatrixQ,
     instability_all_conj,
@@ -42,7 +36,7 @@ from .conjugation import (
 )
 from .errors import DomainError, InputError, NoConvergenceError
 from .heights import ProjectivePointQ, naive_height
-from .places import ARCHIMEDEAN, LogValue, Place, as_fraction
+from .places import ARCHIMEDEAN, LogValue, Place
 from .torus import (
     TorusAction,
     destabilizing_1ps,
@@ -68,7 +62,6 @@ _JSON_TYPES = {
     "action": ((dict,), "an object or its JSON text"),
     "matrix": ((list,), "an array of rows or its JSON text"),
     "place": ((str, int), "a string or an integer"),
-    "slopes_json": ((list,), "a JSON array of slope objects"),
     "stdin": ((dict,), "a JSON object of the inputs"),
 }
 # a command takes its subject from stdin unless one of these flags is given
@@ -253,46 +246,10 @@ def _cmd_minimal(args) -> dict:
     }
 
 
-def _cmd_ell(args) -> dict:
-    return {"n": args.n, "ell": ell(args.n)}
-
-
-def _cmd_epsilon(args) -> dict:
-    result = epsilon_norm_check(args.w)
-    return {
-        "size": result.size,
-        "norm": result.norm,
-        "bound": result.bound,
-        "ok": result.ok,
-    }
-
-
 def _cmd_lower(args) -> dict:
-    multipliers = [as_fraction(b) for b in args.b.split(",")]
-    ranks = [int(r) for r in args.ranks.split(",")]
-    if args.slopes_json is not None:
-        # from_json_dict refuses an element that is not an object
-        slopes = [LogValue.from_json_dict(d) for d in _checked("slopes_json", args.slopes_json)]
-    else:
-        slopes = [LogValue.from_arch(float(s)) for s in args.slopes.split(",")]
-    value = explicit_lower_bound(multipliers, slopes, ranks)
+    subject = _parse_subject(_inputs(args, _SUBJECT))
+    value = lower_bound_conj(subject) if isinstance(subject, MatrixQ) else lower_bound(*subject)
     return _logvalue_json(value, args.format)
-
-
-# the convex profiles by name, "-" read as "_" and spaces dropped
-_VARIANTS = {"log3": "log3", "log_sqrt3": "log_sqrt3", "logsqrt3": "log_sqrt3", "sqrt3": "log_sqrt3"}
-
-
-def _cmd_convex_lemma(args) -> dict:
-    key = args.variant.strip().lower().replace("-", "_").replace(" ", "")
-    if key not in _VARIANTS:
-        raise InputError(f"unknown convex profile {args.variant!r}")
-    variant = _VARIANTS[key]
-    return {
-        "variant": variant,
-        "min": convex_lemma_min(variant),
-        "argmin": convex_lemma_argmin(variant),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="githeight",
         description="Heights of points on GIT quotients over Q: naive and "
         "quotient heights, per-place instability measures, minimality "
-        "tests, and explicit slope bounds.",
+        "tests, and lower bounds for quotient heights.",
     )
     # the same options are accepted after the subcommand; SUPPRESS keeps an
     # absent trailing flag from clobbering a value parsed at the top level
@@ -382,19 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "minimal", _cmd_minimal, "norm minimality on the orbit at a place",
             _MATRIX, ("--place", dict(help="'oo' or a prime")))
 
-    bounds = sub.add_parser("bounds", help="slope bounds and related constants")
+    bounds = sub.add_parser("bounds", help="lower bounds for quotient heights")
     bsub = bounds.add_subparsers(dest="bounds_cmd", required=True)
-    command(bsub, "ell", _cmd_ell, "(log n!)/n", ("n", dict(type=int)))
-    command(bsub, "epsilon", _cmd_epsilon, "antisymmetrization norm check",
-            ("w", dict(type=int)))
-    lower = command(bsub, "lower", _cmd_lower, "explicit lower bound for twisted heights",
-                    ("--b", dict(required=True, help="comma-separated twisting exponents")),
-                    ("--ranks", dict(required=True, help="comma-separated ranks")))
-    slopes = lower.add_mutually_exclusive_group(required=True)
-    slopes.add_argument("--slopes", help="comma-separated slopes (floats)")
-    slopes.add_argument("--slopes-json", help="JSON list of exact slope values")
-    command(bsub, "convex-lemma", _cmd_convex_lemma, "named one-variable convex minimum",
-            ("variant", dict(help="log3 or log_sqrt3")))
+    command(bsub, "lower", _cmd_lower, "a lower bound for the quotient height of a semistable input",
+            *_TORUS, _MATRIX)
 
     command(sub, "paper-suite", _cmd_suite,
             "run the bundled regression suite of worked examples")

@@ -210,10 +210,9 @@ class _MatrixRecord:
         return LogValue.from_arch(self.root_norm - self.frobenius)
 
     def height(self) -> LogValue:
-        """Quotient height from the eigenvalues: steepest Newton-polygon slopes
-        at the primes, log sqrt(sum of squared root moduli) at oo."""
-        if self.nilpotent:
-            raise NilpotentError("nilpotent matrix: no image in the quotient")
+        """Quotient height of a matrix that is not nilpotent, from the
+        eigenvalues: steepest Newton-polygon slopes at the primes,
+        log sqrt(sum of squared root moduli) at oo."""
         return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
                                    self.root_norm)
 
@@ -224,6 +223,16 @@ class _MatrixRecord:
 
 # The record of the last matrix, keyed on MatrixQ, whose == is exact on the rows.
 _MATRICES = _LastInput(_MatrixRecord)
+
+
+def _semistable_record(phi: MatrixQ) -> _MatrixRecord:
+    """The record of a matrix with an image in the quotient; NilpotentError
+    when it is nilpotent."""
+    # no local of this frame holds the record, so the traceback of a
+    # NilpotentError, which a caller may keep, keeps no local data alive
+    if _MATRICES(phi).nilpotent:
+        raise NilpotentError("nilpotent matrix: no image in the quotient")
+    return _MATRICES(phi)
 
 
 def charpoly_of(phi: MatrixQ) -> PolyQ:
@@ -272,7 +281,7 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
         >>> dict(h.finite), abs(h.to_float() - 0.5 * math.log(13)) < 1e-12
         ({}, True)
     """
-    return _MATRICES(phi).height()
+    return _semistable_record(phi).height()
 
 
 def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
@@ -376,7 +385,7 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    record = _MATRICES(phi)
+    record = _semistable_record(phi)
     height = record.height()
     total = LogValue._sum([_naive_height(record.table, record.frobenius), *instability_all_conj(phi).values()])
     return (total - height).to_float()

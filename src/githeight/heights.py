@@ -1,4 +1,4 @@
-"""Naive projective heights and their shift under twisting.
+"""Naive projective heights.
 
 The naive height of a point (x_0 : ... : x_n) over Q is
 
@@ -6,9 +6,6 @@ The naive height of a point (x_0 : ... : x_n) over Q is
 
 the finite part exact in the log(p) basis, the archimedean part the log of
 the euclidean norm.  It is scaling-invariant by the product formula.
-
-Twisting by metrized lines shifts minimal heights by exact multiples of
-the line slopes.
 """
 
 from __future__ import annotations
@@ -19,13 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .places import (
-    LogValue,
-    RationalLike,
-    _log_sum_squares,
-    as_fraction,
-    valuation_table,
-)
+from .places import LogValue, RationalLike, _log_sum_squares, as_fraction, valuation_table
 
 
 @dataclass(frozen=True)
@@ -98,26 +89,3 @@ def naive_height(x: ProjectivePointQ) -> LogValue:
         ({}, True)
     """
     return naive_height_coords(x.coords)
-
-
-def twist_shift(
-    base_min_height: LogValue,
-    multipliers: Sequence[RationalLike],
-    line_slopes: Sequence[LogValue],
-) -> LogValue:
-    """Minimal height after twisting by metrized lines with given exponents.
-
-    Twisting by the a_i-th powers of lines of slope mu_i shifts every
-    height, hence the minimum, by -sum a_i mu_i.  Zero exponents leave the
-    height unchanged.
-
-    Examples:
-        >>> twist_shift(LogValue.zero(), [0, 0], [LogValue({2: 1}), LogValue({3: 1})])
-        LogValue(finite={}, arch=0.0)
-    """
-    if len(multipliers) != len(line_slopes):
-        raise InputError(f"{len(multipliers)} multipliers vs {len(line_slopes)} slopes")
-    shift = LogValue.zero()
-    for a, mu in zip(multipliers, line_slopes):
-        shift = shift + mu.scaled(as_fraction(a))
-    return base_min_height - shift

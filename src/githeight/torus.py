@@ -136,13 +136,26 @@ class _PointRecord:
         self.finite[place.prime] = report
         return report
 
+    @functools.cached_property
+    def squares(self) -> tuple[list[int], int]:
+        """(the squares of the integers D x_i, D^2), D the lcm of the
+        denominators: x_i^2 is squares[0][i] / D^2."""
+        scale = math.lcm(*(c.denominator for c in self.xs))
+        return [(c.numerator * (scale // c.denominator)) ** 2 for c in self.xs], scale * scale
+
+    @functools.cached_property
+    def balanced(self) -> bool:
+        """sum x_i^2 m_i = 0 exactly, so lam_i = x_i^2 / sum x^2 lies in the polytope."""
+        ms, ints2 = self.polytope.slopes, self.squares[0]
+        return not any(sum(m[k] * w for m, w in zip(ms, ints2)) for k in range(self.rank))
+
     def arch_report(self, tol: float) -> InstabilityReport:
         # before the lookup: a nan or negative tol would run every Newton step and fail
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
             raise InputError(f"tolerance {tol!r} is not a finite positive number")
         report = self.arch.get(tol)
         if report is None:
-            report = self.arch[tol] = _arch_report(self.rank, self.xs, self.polytope, tol)
+            report = self.arch[tol] = _arch_report(self, tol)
         return report
 
     def reports(self, tol: float) -> dict[Place, InstabilityReport]:
@@ -165,6 +178,16 @@ _POINTS = _LastInput(_PointRecord)
 
 def _record(action: TorusAction, x: ProjectivePointQ) -> _PointRecord:
     return _POINTS((action.rank, action.weights, x.coords))
+
+
+def _semistable_record(action: TorusAction, x: ProjectivePointQ) -> _PointRecord:
+    """The record of a point with an image in the quotient; UnstableError
+    from phase 1 alone, so nothing is factored first."""
+    # no local of this frame holds the record, so the traceback of an
+    # UnstableError, which a caller may keep, keeps no local data alive
+    if _record(action, x).polytope.is_empty:
+        raise UnstableError("unstable point: no image in the quotient")
+    return _record(action, x)
 
 
 def _unstable_report(place: Place) -> InstabilityReport:
@@ -266,22 +289,19 @@ def instability_arch(
     return _record(action, x).arch_report(tol)
 
 
-def _arch_report(rank: int, xs, polytope: exactlp.ZeroSumPolytope, tol: float) -> InstabilityReport:
+def _arch_report(record: _PointRecord, tol: float) -> InstabilityReport:
     """The archimedean report; -infinity when the face of zero is empty.
-    The polytope runs an LP only when the exact balance test fails.  The test
-    reads sum x_i^2 m_i = 0 on the squares of the integers D x_i, D the lcm
-    of the denominators, and the logs of x_i^2 and of their sum are read off
-    the same squares."""
-    ms, scale = polytope.slopes, math.lcm(*(c.denominator for c in xs))
-    ints2 = [(c.numerator * (scale // c.denominator)) ** 2 for c in xs]
-    if not any(sum(m[k] * w for m, w in zip(ms, ints2)) for k in range(rank)):
-        return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * rank, None)
+    The polytope runs an LP only when the exact balance test fails.  The
+    logs of x_i^2 and of their sum are read off the record's squares."""
+    if record.balanced:
+        return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * record.rank, None)
+    polytope = record.polytope
     face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
-    # ints2[j] / scale^2 = x_j^2 and sum(ints2) / scale^2 = sum x^2, each logged in lowest terms
-    scale2 = scale * scale
-    xi, value = _newton_minimize(np.array([[float(w) for w in ms[j]] for j in face]),
+    # ints2[j] / scale2 = x_j^2 and sum(ints2) / scale2 = sum x^2, each logged in lowest terms
+    ints2, scale2 = record.squares
+    xi, value = _newton_minimize(np.array([[float(w) for w in polytope.slopes[j]] for j in face]),
                                  np.array([_log_ratio(ints2[j], scale2) for j in face]), tol)
     best = value - 0.5 * _log_ratio(sum(ints2), scale2)
     return InstabilityReport(ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), tuple(float(v) for v in xi), None)
@@ -387,11 +407,7 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
         >>> dict(h.finite), abs(h.arch - math.log(3)) <= 1e-9
         ({2: Fraction(-2, 3)}, True)
     """
-    # no local of this frame holds the record, so the traceback of an
-    # UnstableError, which a caller may keep, keeps no local data alive
-    if _record(action, x).polytope.is_empty:
-        raise UnstableError("unstable point: no image in the quotient")
-    record = _record(action, x)
+    record = _semistable_record(action, x)
     reports = record.reports(tol).values()
     naive = _naive_height(record.table, 0.5 * _log_sum_squares(record.xs))
     return LogValue._sum([naive, *(r.value for r in reports)])

@@ -10,11 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from githeight.bounds import (
-    convex_lemma_min,
-    ell,
-    epsilon_norm_check,
-)
+from githeight.bounds import lower_bound, lower_bound_conj
 from githeight.conjugation import (
     MatrixQ,
     charpoly_of,
@@ -196,13 +192,14 @@ def test_criterion_08_kempf_ness_convexity():
 
 
 def test_criterion_09_bounds_suite():
-    assert ell(2) == 0.5 * math.log(2)
-    assert abs(ell(10000) - (math.log(10000) - 1.0)) < 0.01
-    for w in (2, 3, 4):
-        assert epsilon_norm_check(w).ok
-    assert abs(convex_lemma_min("log3") - math.log(3)) <= 1e-8
-    assert abs(convex_lemma_min("log_sqrt3") - 0.5 * math.log(3)) <= 1e-8
-    report(9, "ell values, antisymmetrization norm bounds and convex minima hold")
+    # (1/2) sum lam_i log(1/lam_i) with lam = (4, 4, 1) / 9, below log 3 - (2/3) log 2
+    bound = lower_bound(W214, P221)
+    assert abs(bound.to_float() - (math.log(3) - 8 / 9 * math.log(2))) <= 1e-15
+    assert bound.to_float() <= quotient_height(W214, P221).to_float()
+    # one nonzero eigenvalue of multiplicity 2: (1/2) log 2, met by the unipotent matrix
+    assert lower_bound_conj(UNIPOTENT).arch == 0.5 * math.log(2)
+    assert abs(quotient_height_conj(UNIPOTENT).to_float() - 0.5 * math.log(2)) <= 1e-15
+    report(9, "the semistable lower bounds hold, and the unipotent matrix meets its bound")
 
 
 def test_criterion_10_product_formula():

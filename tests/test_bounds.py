@@ -1,246 +1,136 @@
 import math
-from collections import defaultdict
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from githeight import bounds
-from githeight.bounds import (
-    convex_lemma_argmin,
-    convex_lemma_min,
-    ell,
-    epsilon_map,
-    epsilon_norm_check,
-    explicit_lower_bound,
-)
-from githeight.errors import InputError
-from githeight.places import LogValue, as_fraction
+from githeight import torus
+from githeight.bounds import lower_bound, lower_bound_conj
+from githeight.conjugation import MatrixQ, quotient_height_conj
+from githeight.errors import NilpotentError, UnstableError
+from githeight.heights import ProjectivePointQ
+from githeight.torus import TorusAction, quotient_height
 
 
-def test_ell_examples():
-    assert ell(1) == 0.0
-    assert ell(2) == 0.5 * math.log(2)
-    assert abs(ell(10000) - (math.log(10000) - 1.0)) < 0.01
-    for bad in (0, -3, 2.5, True):
-        with pytest.raises(InputError, match="ell needs a positive integer"):
-            ell(bad)
+def _holds(h, bound):
+    """h >= bound, up to a rounding slack of 1e-12 (1 + |h|)."""
+    h, bound = h.to_float(), bound.to_float()
+    return h >= bound - 1e-12 * (1 + abs(h))
 
 
-def test_ell_is_continuous_where_lgamma_takes_over():
-    exact = {n: math.log(math.factorial(n)) / n for n in (169, 170, 171, 172)}
-    assert ell(169) == exact[169] and ell(170) == exact[170]
-    for n in (171, 172):
-        assert abs(ell(n) - exact[n]) <= 4 * math.ulp(exact[n])
-    assert ell(169) < ell(170) < ell(171) < ell(172)
+def _within_one_ulp(h, want):
+    return abs(h.to_float() - want) <= math.ulp(want)
 
 
-def test_ell_of_a_billion_takes_no_factorial(time_limit):
-    n = 10 ** 9
-    with time_limit(1):
-        got = ell(n)
-    # Stirling: log(n!) / n = log n - 1 + log(2 pi n) / (2 n) + O(n^-2)
-    assert abs(got - (math.log(n) - 1 + math.log(2 * math.pi * n) / (2 * n))) < 1e-12
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_identity_meets_the_conjugation_bound(n):
+    identity = MatrixQ.identity(n)
+    bound = lower_bound_conj(identity)
+    assert bound.arch == 0.5 * math.log(n) and not bound.finite
+    assert _within_one_ulp(quotient_height_conj(identity), bound.arch)
 
 
-def test_ell_monotone_and_below_log():
-    # incremental oracle: ell(n) = (sum_{i<=n} ln i)/n, scan every n to 1e5
-    s = 0.0
-    prev = -1.0
-    for n in range(1, 100001):
-        s += math.log(n)
-        val = s / n
-        assert val >= prev - 1e-15
-        assert val <= math.log(n) + 1e-12
-        prev = val
-        if n in (1, 2, 100, 5000, 100000):
-            assert abs(ell(n) - val) < 1e-8
+def test_a_complex_spectrum_meets_the_conjugation_bound():
+    rotation = MatrixQ.from_lists([[0, -1], [1, 0]])  # eigenvalues +-i
+    bound = lower_bound_conj(rotation)
+    assert bound.arch == 0.5 * math.log(2)
+    assert _within_one_ulp(quotient_height_conj(rotation), bound.arch)
 
 
-def test_explicit_lower_bound_examples():
-    z = explicit_lower_bound(
-        [0, 0], [LogValue({2: 1}), LogValue.from_arch(0.3)], [2, 3]
-    )
-    assert z.is_exact_zero
-    b1 = explicit_lower_bound([1], [LogValue({2: Fraction(-1)})], [2])
-    assert dict(b1.finite) == {2: Fraction(1)} and b1.arch == 0.0
-    b2 = explicit_lower_bound([2], [LogValue.zero()], [3])
-    assert abs(b2.to_float() + math.log(6) / 3) < 1e-15
-    with pytest.raises(InputError, match="multipliers, slopes and ranks must align"):
-        explicit_lower_bound([1], [LogValue.zero()], [2, 2])
-    for bad in (0, True):
-        with pytest.raises(InputError, match="rank must be a positive integer"):
-            explicit_lower_bound([1], [LogValue.zero()], [bad])
+def test_a_balanced_point_meets_the_torus_bound():
+    action, x = TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:1")
+    bound = lower_bound(action, x)
+    assert bound.arch == 0.5 * math.log(2) and not bound.finite
+    assert _within_one_ulp(quotient_height(action, x), bound.arch)
 
 
-# LogValue refuses a nan or infinite arch part, so the slopes whose double is
-# nan or infinite have exact finite parts: 10^308 log 7 overflows to inf
-_INF = LogValue({7: 10**308})
+def test_the_conjugation_bound_counts_nonzero_eigenvalues():
+    # T^2 (T - 1): one nonzero eigenvalue, so the bound is log 1 = 0
+    assert lower_bound_conj(MatrixQ.from_lists([[0, 1, 0], [0, 0, 0], [0, 0, 1]])).is_exact_zero
+    # T (T^2 - 2): two
+    bound = lower_bound_conj(MatrixQ.from_lists([[0, 0, 0], [0, 0, 2], [0, 1, 0]]))
+    assert bound.arch == 0.5 * math.log(2)
 
 
-@pytest.mark.parametrize("multipliers, slopes, ranks", [
-    (["1e400"], [LogValue.zero()], [2]),
-    (["1e400"], [LogValue.zero()], [3]),
-    ([1], [_INF + LogValue({11: -10**308})], [2]),  # inf - inf
-    ([1], [_INF], [3]),
-    ([1], [LogValue.neg_infinity()], [2]),
-    (["1e300"], [LogValue.from_arch(1e300)], [2]),  # the product overflows
-    (["1.7e308"], [LogValue.zero()], [100]),  # the rank penalty overflows
+def test_the_torus_bound_off_balance_reads_the_face_of_zero():
+    # 1:1:1 under -2, 1, 4 is not balanced, and the face of zero is every weight;
+    # the stored interior point gives the bound
+    action, x = TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("1:1:1")
+    bound = lower_bound(action, x)
+    lam = torus._record(action, x).polytope._interior
+    assert sum(lam) == 1 and sum(l * m for l, (m,) in zip(lam, action.weights)) == 0
+    assert bound.arch == pytest.approx(0.5 * sum(float(l) * math.log(1 / l) for l in lam), rel=1e-15)
+    assert _holds(quotient_height(action, x), bound)
+    # a weight off the face gets lam = 0 and adds nothing: 0 lies on the edge of
+    # the triangle (1, 0), (-1, 0), (0, 1) that misses (0, 1)
+    action = TorusAction(2, ((1, 0), (-1, 0), (0, 1)))
+    bound = lower_bound(action, x)
+    assert torus._record(action, x).polytope._interior == (Fraction(1, 2), Fraction(1, 2), 0)
+    assert bound.arch == 0.5 * math.log(2)
+
+
+def _entropy(*lam):
+    return 0.5 * sum(l * math.log(1 / l) for l in lam)
+
+
+# (weights, point, lam): balanced points take lam_i = x_i^2 / sum x^2; the
+# others the one point of the zero-sum polytope
+@pytest.mark.parametrize("weights, point, lam", [
+    (((-1,), (1,)), "1:1", (1 / 2, 1 / 2)),
+    (((-1,), (1,)), "1:5", (1 / 2, 1 / 2)),
+    (((-1,), (2,)), "2:1", (2 / 3, 1 / 3)),
+    (((3,), (-1,)), "1:1", (1 / 4, 3 / 4)),
+    (((1,), (1,), (-2,)), "1:1:1", (1 / 3, 1 / 3, 1 / 3)),
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), "1:1:1:1", (1 / 4,) * 4),
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), "1:1:2:2", (1 / 10, 1 / 10, 4 / 10, 4 / 10)),
 ])
-def test_explicit_lower_bound_refuses_values_beyond_doubles(multipliers, slopes, ranks):
-    with pytest.raises(InputError, match="is not finite as a double"):  # the bound's own check
-        explicit_lower_bound(multipliers, slopes, ranks)
+def test_the_torus_bound_matches_its_closed_form(weights, point, lam):
+    action, x = TorusAction(len(weights[0]), weights), ProjectivePointQ.parse(point)
+    bound = lower_bound(action, x)
+    assert not bound.finite and bound.arch == pytest.approx(_entropy(*lam), rel=1e-15)
+    assert _holds(quotient_height(action, x), bound)
 
 
-def test_explicit_lower_bound_rank_two_has_no_penalty():
-    got = explicit_lower_bound(
-        [3, -2],
-        [LogValue({2: Fraction(1, 2)}), LogValue({3: Fraction(-1)})],
-        [2, 2],
-    )
-    assert dict(got.finite) == {2: Fraction(-3, 2), 3: Fraction(-2)}
-    assert got.arch == 0.0
+def test_unstable_and_nilpotent_inputs_have_no_bound():
+    with pytest.raises(UnstableError):
+        lower_bound(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:0"))
+    with pytest.raises(NilpotentError):
+        lower_bound_conj(MatrixQ.from_lists([[0, 1], [0, 0]]))
 
 
-def _term_by_term_bound(bs, slopes, ranks):
-    """The bound summed slope by slope, as before twist_shift carried the sum."""
-    total = LogValue.zero()
-    for b, mu in zip(bs, slopes):
-        total = total - mu.scaled(b)
-    penalty = 0.0
-    for b, r in zip(bs, ranks):
-        if r >= 3 and b != 0:
-            penalty += abs(float(b)) / 2.0 * ell(r)
-    return total + LogValue.from_arch(-penalty)
-
-
-def test_explicit_lower_bound_is_the_term_by_term_sum():
-    rng = np.random.default_rng(21)
-    arch = (0.0, -0.0, 1e308, -1e308, 0.1, -2.5, 1 / 3)
-    for _ in range(500):
-        n = int(rng.integers(1, 5))
-        bs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) if rng.random() < 0.7
-              else repr(float(rng.uniform(-4, 4))) for _ in range(n)]
-        slopes = [LogValue({int(p): Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-                            for p in rng.choice([2, 3, 5, 7], size=int(rng.integers(0, 3)))})
-                  + LogValue.from_arch(arch[int(rng.integers(len(arch)))]) for _ in range(n)]
-        ranks = [int(rng.integers(1, 6)) for _ in range(n)]
-        try:
-            want = _term_by_term_bound([as_fraction(b) for b in bs], slopes, ranks)
-            if not math.isfinite(want.to_float()):
-                raise InputError("not finite")
-        except InputError:
-            with pytest.raises(InputError):
-                explicit_lower_bound(bs, slopes, ranks)
+def test_both_bounds_hold_on_seeded_inputs():
+    rng = random.Random(27)
+    points = matrices = 0
+    for _ in range(120):
+        rank = rng.randint(1, 4)
+        count = rng.randint(rank + 1, rank + 4)
+        action = TorusAction(rank, tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)))
+        coords = [Fraction(rng.choice((0, 1, 1, 2, 3, -4, 6)), rng.choice((1, 1, 5, 7))) for _ in range(count)]
+        if not any(coords):
             continue
-        got = explicit_lower_bound(bs, slopes, ranks)
-        assert dict(got.finite) == dict(want.finite)
-        assert got.arch.hex() == want.arch.hex()
-
-
-def test_epsilon_map_rank_two_inverse():
-    m = epsilon_map(2)
-    eps = np.zeros(m.shape, dtype=int)
-    eps[m.rows, np.arange(4)[:, None]] = m.signs
-    # inverse: phi (x) (e1 ^ e2) -> phi(e1) (x) e2 - phi(e2) (x) e1
-    inv = np.zeros((4, 4), dtype=int)
-    inv[1, 0] = 1   # E11 -> e1 (x) e2
-    inv[0, 1] = -1  # E12 -> -e1 (x) e1
-    inv[3, 2] = 1   # E21 -> e2 (x) e2
-    inv[2, 3] = -1  # E22 -> -e2 (x) e1
-    eye = np.eye(4, dtype=int)
-    assert (eps @ inv == eye).all()
-    assert (inv @ eps == eye).all()
-
-
-def test_epsilon_map_shapes_and_signed_sum():
-    m3 = epsilon_map(3)
-    assert m3.shape == (729, 27) and m3.rows.shape == m3.signs.shape == (27, 6)
-    c = 0 * 9 + 1 * 3 + 2  # e1(x)e2(x)e3
-    col = dict(zip(m3.rows[c].tolist(), m3.signs[c].tolist()))  # its image, row -> sign
-    assert len(col) == 6
-    assert sorted(col.values()) == [-1, -1, -1, 1, 1, 1]
-    # identity permutation carries sign +1
-    base = c * 27
-    assert col[base + (0 * 9 + 1 * 3 + 2)] == 1
-    # a transposition flips the sign
-    assert col[base + (1 * 9 + 0 * 3 + 2)] == -1
-    m4 = epsilon_map(4)
-    assert m4.shape == (65536, 256) and m4.rows.shape == (256, 24)
-    for bad in (1, 5, 0):
-        with pytest.raises(InputError, match="implemented for sizes 2 to 4"):
-            epsilon_map(bad)
-
-
-def test_epsilon_gram_is_factorial_times_identity():
-    for w in (2, 3, 4):
-        eps = epsilon_map(w)
-        # Gram = sum over rows of the outer product of the row's entries; the
-        # dense w = 4 map would be 65536 x 256
-        by_row = defaultdict(list)
-        for c, (rows, signs) in enumerate(zip(eps.rows.tolist(), eps.signs.tolist())):
-            for r, sign in zip(rows, signs):
-                by_row[r].append((c, sign))
-        gram = np.zeros((eps.shape[1],) * 2, dtype=np.int64)
-        for entries in by_row.values():
-            for a, sa in entries:
-                for b, sb in entries:
-                    gram[a, b] += sa * sb
-        scale = math.factorial(w) if w != 2 else 1
-        assert (gram == scale * np.eye(eps.shape[1], dtype=np.int64)).all()
-
-
-def test_epsilon_norm_check():
-    r2 = epsilon_norm_check(2)
-    assert r2.norm == 1.0 and r2.bound == math.sqrt(2) and r2.ok
-    for w in (3, 4):
-        r = epsilon_norm_check(w)
-        assert r.ok
-        assert r.norm == r.bound == math.sqrt(math.factorial(w))
-
-
-def test_epsilon_norm_check_refuses_columns_that_share_a_row(monkeypatch):
-    # three columns on one row: the Gram matrix has an all-ones 3 x 3 block, so
-    # the norm is sqrt(3), past the bound sqrt(2!), though each column has norm 1
-    shared = bounds.EpsilonMap((4, 4), np.array([[0], [0], [0], [3]]), np.ones((4, 1), dtype=np.int8))
-    monkeypatch.setattr(bounds, "epsilon_map", lambda w: shared)
-    r = epsilon_norm_check(2)
-    assert r.ok is False
-    assert r.norm == 1.0  # the largest column norm alone would pass
-
-
-def test_epsilon_norm_check_refuses_a_column_past_the_bound(monkeypatch):
-    # rows pairwise distinct, so the Gram matrix is diagonal, but one column's
-    # sum of squares is 3 > 2!
-    heavy = bounds.EpsilonMap((6, 2), np.array([[0, 1, 2], [3, 4, 5]]),
-                              np.array([[1, 1, -1], [1, -1, 1]], dtype=np.int8))
-    monkeypatch.setattr(bounds, "epsilon_map", lambda w: heavy)
-    r = epsilon_norm_check(2)
-    assert r.norm == math.sqrt(3) and r.ok is False
-
-
-def test_epsilon_norm_check_refuses_unsupported_sizes():
-    for bad in (0, 1, 5, 2.0, "3", None):
-        with pytest.raises(InputError, match="implemented for sizes 2 to 4"):
-            epsilon_norm_check(bad)
-
-
-def test_convex_lemma_values():
-    assert abs(convex_lemma_min("log3") - math.log(3)) < 1e-8
-    assert abs(convex_lemma_min("log_sqrt3") - 0.5 * math.log(3)) < 1e-8
-    assert abs(convex_lemma_argmin("log3")) < 1e-10
-    assert abs(convex_lemma_argmin("log_sqrt3")) < 1e-10
-    with pytest.raises(InputError):
-        convex_lemma_min("cubic")
-
-
-def test_convex_lemma_profiles_are_convex_on_a_grid():
-    from githeight.bounds import _lemma_profile
-
-    for variant in ("log3", "log_sqrt3"):
-        f = _lemma_profile(variant)
-        xs = [i / 8 - 2.5 for i in range(41)]
-        vals = [f(x) for x in xs]
-        for a, b, c in zip(vals, vals[1:], vals[2:]):
-            assert a + c - 2 * b >= -1e-9
-        assert min(vals) >= convex_lemma_min(variant) - 1e-9
+        x = ProjectivePointQ(tuple(coords))
+        try:
+            h = quotient_height(action, x)
+        except UnstableError:
+            with pytest.raises(UnstableError):
+                lower_bound(action, x)
+            continue
+        points += 1
+        assert _holds(h, lower_bound(action, x))
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        rows = [[rng.choice((0, 0, 1, -1, 2, 3, Fraction(1, 2))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:  # strictly upper triangular: nilpotent
+            rows = [[v if j > i else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        if not any(map(any, rows)):
+            continue
+        phi = MatrixQ.from_lists(rows)
+        try:
+            h = quotient_height_conj(phi)
+        except NilpotentError:
+            with pytest.raises(NilpotentError):
+                lower_bound_conj(phi)
+            continue
+        matrices += 1
+        assert _holds(h, lower_bound_conj(phi))
+    assert points >= 50 and matrices >= 30

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from githeight import conjugation
+from githeight.bounds import lower_bound_conj
 from githeight.conjugation import (
     MatrixQ,
     charpoly_of,
@@ -586,6 +587,7 @@ def _conj_entry_points(phi):
         "residual": lambda: fundamental_formula_residual_conj(phi),
         "all": lambda: instability_all_conj(phi),
         "oo": lambda: instability_conj(phi, ARCHIMEDEAN),
+        "lower bound": lambda: lower_bound_conj(phi),
     }
     calls.update({p: lambda p=p: instability_conj(phi, Place.finite(p)) for p in primes})
     calls.update({("minimal", p): lambda p=p: is_minimal_nonarch(phi, p) for p in primes})
@@ -640,6 +642,20 @@ def test_matrix_memo_is_bounded():
     gc.collect()
     assert [r() is not None for r in records] == [False] * 49 + [True]
     assert conjugation._MATRICES.key == phi
+
+
+def test_a_kept_nilpotent_error_keeps_no_record_alive():
+    phi = MatrixQ.from_lists([[0, 1], [0, 0]])
+    conjugation._MATRICES.cache_clear()
+    record = weakref.ref(conjugation._MATRICES(phi))
+    kept = []
+    for call in (quotient_height_conj, fundamental_formula_residual_conj, lower_bound_conj):
+        with pytest.raises(NilpotentError) as info:
+            call(phi)
+        kept.append(info.value)  # with its traceback and every frame on it
+    conjugation._MATRICES.cache_clear()
+    assert record() is None
+    assert all(error.__traceback__ is not None for error in kept)
 
 
 def _torus_inside_conjugation(rng, kind, n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from githeight.errors import InputError
 from githeight.exactpoly import charpoly
-from githeight.heights import ProjectivePointQ, naive_height, twist_shift
+from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import LogValue, exact_log_abs_arch
 
 
@@ -111,7 +111,7 @@ def test_arakelov_degree_examples():
     ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], {2: Fraction(-1, 3)}),
 ], ids=["Z3", "2Z", "diag22", "A2", "A3"])
 def test_slope_examples(rows, expected):
-    # the slope deg / rank, the exact LogValue explicit_lower_bound takes
+    # the slope deg / rank, exact in the log(p) basis
     assert _arakelov_degree(rows).scaled(Fraction(1, len(rows))) == LogValue(expected)
 
 
@@ -143,18 +143,3 @@ def test_slope_of_a_scaled_lattice_drops_by_log_c():
         scaled = [[c * c * x for x in row] for row in gram]
         mu = _arakelov_degree(gram).scaled(Fraction(1, n))
         assert _arakelov_degree(scaled).scaled(Fraction(1, n)) == mu - exact_log_abs_arch(c)
-
-
-def test_twist_shift():
-    base = LogValue.from_arch(0.7)
-    assert twist_shift(base, [0, 0], [LogValue({2: 1}), LogValue({3: 1})]) == base
-    up = twist_shift(LogValue.zero(), [1], [LogValue({2: Fraction(-1)})])
-    assert dict(up.finite) == {2: Fraction(1)}
-    mixed = twist_shift(
-        LogValue.zero(),
-        [2, -1],
-        [LogValue({2: Fraction(1, 2)}), LogValue({3: Fraction(1)})],
-    )
-    assert dict(mixed.finite) == {2: Fraction(-1), 3: Fraction(1)}
-    with pytest.raises(InputError, match="1 multipliers vs 2 slopes"):
-        twist_shift(base, [1], [LogValue.zero(), LogValue.zero()])

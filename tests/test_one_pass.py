@@ -29,6 +29,7 @@ from githeight import (
     support_primes,
     torus,
 )
+from githeight.bounds import lower_bound, lower_bound_conj
 from githeight.places import ARCHIMEDEAN, Place
 
 _rng = random.Random(8)
@@ -92,6 +93,26 @@ def test_conjugation_height_and_residual_share_one_record(calls):
     fundamental_formula_residual_conj(DENSE8)
     assert calls["charpoly"] == 1
     assert calls["roots"] == 1
+
+
+@pytest.mark.parametrize("point", ["1:1:1", "2:2:1", "3:0:5"])
+def test_the_torus_bound_after_the_height_solves_nothing(calls, point):
+    action, x = TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse(point)
+    quotient_height(action, x)
+    solved = calls.copy()
+    lower_bound(action, x)
+    assert calls == solved
+
+
+def test_the_bounds_read_no_root_and_run_no_minimizer(calls):
+    # 2:2:1 is balanced, so phase 1 alone; 1:1:1 is not, so one face solve on the shared polytope
+    lower_bound(TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("2:2:1"))
+    assert calls["phase 1"] == 1 and calls["shift"] == 0
+    lower_bound(TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("1:1:1"))
+    assert calls["phase 1"] == 1 and calls["shift"] == 1
+    lower_bound_conj(DENSE8)
+    assert calls["charpoly"] == 1
+    assert calls["newton"] == calls["roots"] == calls["lp"] == calls["factored"] == 0
 
 
 def test_conjugation_residual_factors_each_number_once(calls):

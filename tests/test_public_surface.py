@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 
 import githeight
+from githeight import cli
 
 # Names that left the package: each was reached only by its own tests.
 _REMOVED = (
@@ -16,7 +17,12 @@ _REMOVED = (
     "ComplexMultiset",
     # a matrix's local data has one route, its record
     "EigenData", "eigen_data",
+    # bounds reads the input: nothing that reads no point or matrix stays
+    "convex_lemma_min", "convex_lemma_argmin", "_lemma_profile", "_golden_section",
+    "CONVEX_LEMMA_VARIANTS", "ell", "explicit_lower_bound", "_require_finite", "EpsilonMap",
+    "epsilon_map", "EpsilonNormResult", "epsilon_norm_check", "twist_shift",
 )
+_CLI_REMOVED = ("_VARIANTS", "_cmd_ell", "_cmd_epsilon", "_cmd_convex_lemma")
 _POLYQ_REMOVED = ("from_coeffs", "from_roots", "evaluate", "leading", "__mul__", "to_json", "from_json")
 _ATTRIBUTES_REMOVED = {"MatrixQ": ("from_json", "to_json"), "TorusAction": ("ambient_dim",)}
 
@@ -29,6 +35,8 @@ def test_public_surface_holds():
                              for info in pkgutil.iter_modules(githeight.__path__)]
     assert [(module.__name__, name) for module in modules for name in _REMOVED
             if hasattr(module, name)] == []
+    assert [name for name in _CLI_REMOVED if hasattr(cli, name)] == []
+    assert "slopes_json" not in cli._JSON_TYPES
     assert [name for name in _POLYQ_REMOVED if hasattr(githeight.PolyQ, name)] == []
     assert [(cls, name) for cls, names in _ATTRIBUTES_REMOVED.items() for name in names
             if hasattr(getattr(githeight, cls), name)] == []

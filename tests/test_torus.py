@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from githeight import exactlp, places, torus
+from githeight.bounds import lower_bound
 from githeight.errors import InputError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import ARCHIMEDEAN, LogValue, Place, support_primes, valuation
@@ -332,6 +333,7 @@ def _entry_points(action, x):
         "arch 1e-6": lambda: instability_arch(action, x, 1e-6),
         "semistable": lambda: is_semistable(action, x),
         "destabilizing": lambda: destabilizing_1ps(action, x),
+        "lower bound": lambda: lower_bound(action, x),
         "outside": lambda: instability_nonarch(action, x, outside),
     }
     calls.update({p: lambda p=p: instability_nonarch(action, x, p) for p in primes})
@@ -767,6 +769,47 @@ def test_profile_discrete_convexity():
             vals = kempf_ness_profile(action, x, lam, grid, place=place)
             for a, b, c in zip(vals, vals[1:], vals[2:]):
                 assert a + c - 2 * b >= -1e-9
+
+
+# Two convex profiles, each the archimedean profile along (1) plus a finite one
+# along (-1): (weights, point, the finite place, the closed form in s)
+_SUMMED_PROFILES = {
+    "log3": (((-2,), (1,), (4,)), "2:2:1", 3, lambda s: 2 * max(s, -2 * s) + 0.5 * math.log(
+        4 * math.exp(-4 * s) + 4 * math.exp(2 * s) + math.exp(8 * s))),
+    "log_sqrt3": (((0,), (0,), (1,)), "1:1:1", 2, lambda s: max(0.0, -s) + 0.5 * math.log(2 + math.exp(2 * s))),
+}
+
+
+@pytest.mark.parametrize("name", _SUMMED_PROFILES)
+def test_summed_profiles_match_their_closed_forms(name):
+    weights, point, p, closed_form = _SUMMED_PROFILES[name]
+    action, x = act(*weights), pt(point)
+    grid = [i / 8 - 2.5 for i in range(41)]
+    arch = kempf_ness_profile(action, x, (1,), grid)
+    finite = kempf_ness_profile(action, x, (-1,), grid, place=Place.finite(p))
+    total = [a + f for a, f in zip(arch, finite)]
+    for s, got in zip(grid, total):
+        want = closed_form(s)
+        assert abs(got - want) <= 4 * np.finfo(float).eps * (1 + abs(want))
+    # at s = 0 the sum is the naive height, log 3 and 1/2 log 3, which the quotient height does not exceed
+    at_zero = total[grid.index(0.0)]
+    naive = naive_height(x).to_float()
+    assert abs(at_zero - naive) <= math.ulp(naive)
+    assert naive == pytest.approx({"log3": math.log(3), "log_sqrt3": 0.5 * math.log(3)}[name], rel=1e-15)
+    assert quotient_height(action, x).to_float() <= at_zero
+
+
+@pytest.mark.parametrize("name", _SUMMED_PROFILES)
+def test_summed_profiles_are_convex_with_their_minimum_at_zero(name):
+    weights, point, p, _ = _SUMMED_PROFILES[name]
+    action, x = act(*weights), pt(point)
+    grid = [i / 8 - 2.5 for i in range(41)]
+    arch = kempf_ness_profile(action, x, (1,), grid)
+    finite = kempf_ness_profile(action, x, (-1,), grid, place=Place.finite(p))
+    total = [a + f for a, f in zip(arch, finite)]
+    for a, b, c in zip(total, total[1:], total[2:]):
+        assert a + c - 2 * b >= -1e-9
+    assert min(total) == total[grid.index(0.0)]
 
 
 def test_fundamental_formula_assembles_naive_height():
