@@ -51,7 +51,6 @@ from .heights import (
 )
 from .places import (
     ARCHIMEDEAN,
-    DEFAULT_COMPARE_TOL,
     LogValue,
     Place,
     as_fraction,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARCHIMEDEAN",
-    "DEFAULT_COMPARE_TOL",
     "DomainError",
     "GitHeightError",
     "InputError",

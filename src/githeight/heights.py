@@ -45,10 +45,6 @@ class ProjectivePointQ:
             raise InputError(f"expected colon-separated coordinates, got {text!r}")
         return cls(tuple(as_fraction(s) for s in parts))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def normalized(self) -> tuple[Fraction, ...]:
         """Scale so the first nonzero coordinate is 1 (canonical form)."""
         pivot = next(c for c in self.coords if c != 0)
@@ -67,7 +63,7 @@ class ProjectivePointQ:
 
 
 def naive_height_coords(coords: Sequence[RationalLike]) -> LogValue:
-    """Height of a coordinate vector; shared by points and matrices."""
+    """Height of a coordinate vector: the naive height of the point they give."""
     xs = [as_fraction(c) for c in coords]
     return _naive_height(valuation_table(xs), 0.5 * _log_sum_squares(xs))
 

@@ -10,10 +10,10 @@ never store them as floats: a :class:`LogValue` is a formal sum
 
 with exact rational coefficients ``q_p`` and a single float slack ``t`` for
 genuinely archimedean quantities (like log of a sum of squares).  Finite
-parts add, scale and cancel exactly; only :meth:`LogValue.to_float` rounds.
+parts add and cancel exactly; only :meth:`LogValue.to_float` rounds.
 
 A ``neg_inf`` flag represents the value -infinity, which is the instability
-measure of an unstable point.  It absorbs addition and positive scaling.
+measure of an unstable point.  It absorbs addition.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -28,9 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import InputError, NoConvergenceError
 
 RationalLike = Union[Fraction, int, str]
-
-#: Default absolute tolerance for comparing float images of values.
-DEFAULT_COMPARE_TOL = 1e-9
 
 # Fraction("1e10000000") takes seconds: Python's 4300-digit limit does not bound the exponent
 _MAX_EXPONENT = 100_000
@@ -431,6 +429,7 @@ def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
 # places
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Place:
     """A place of Q: a rational prime or the archimedean place.
 
@@ -441,15 +440,11 @@ class Place:
         'oo'
     """
 
-    __slots__ = ("prime",)
+    prime: int | None = None
 
-    def __init__(self, prime: int | None = None):
-        if prime is not None and not is_prime(prime):
-            raise InputError(f"{prime} is not prime")
-        object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Place is immutable")
+    def __post_init__(self):
+        if self.prime is not None and not is_prime(self.prime):
+            raise InputError(f"{self.prime} is not prime")
 
     @classmethod
     def _of_prime(cls, p: int) -> "Place":
@@ -470,12 +465,6 @@ class Place:
     @property
     def is_archimedean(self) -> bool:
         return self.prime is None
-
-    def __eq__(self, other):
-        return isinstance(other, Place) and self.prime == other.prime
-
-    def __hash__(self):
-        return hash(("Place", self.prime))
 
     def __str__(self):
         return "oo" if self.prime is None else str(self.prime)
@@ -514,9 +503,9 @@ class LogValue:
 
     ``finite`` maps primes to exact rational coefficients (zeros dropped),
     ``arch`` is a float, ``neg_inf`` flags the value -infinity.  The
-    constructors (``LogValue(...)``, ``from_arch``, ``from_json_dict``) and
-    the arithmetic refuse a nan or infinite arch part with InputError, so a
-    sum or multiple past the double range raises.  Instances are immutable;
+    constructors (``LogValue(...)``, ``from_arch``) and the arithmetic
+    refuse a nan or infinite arch part with InputError, so a sum past the
+    double range raises.  Instances are immutable;
     arithmetic returns new values and keeps the finite coefficients exact.
     The finite part is stored as one flat tuple p1, q1, p2, q2, ...
     ascending in p, and ``finite`` is a read-only view of it built on access.
@@ -636,17 +625,6 @@ class LogValue:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, c: RationalLike) -> "LogValue":
-        """Multiply by an exact rational scalar."""
-        c = as_fraction(c)
-        if self.neg_inf:
-            if c > 0:
-                return LogValue.neg_infinity()
-            if c == 0:
-                return LogValue.zero()
-            raise InputError("cannot scale -infinity by a negative factor")
-        return LogValue._of_primes({p: q * c for p, q in self._pairs()}, self.arch * float(c))
-
     # -- queries -------------------------------------------------------------
 
     def to_float(self) -> float:
@@ -659,16 +637,6 @@ class LogValue:
     def is_exact_zero(self) -> bool:
         """True iff the representation itself is zero (no rounding)."""
         return not self.neg_inf and not self._items and self.arch == 0.0
-
-    def finite_coefficient(self, p: int) -> Fraction:
-        return dict(self._pairs()).get(p, Fraction(0))
-
-    def close_to(self, other: "LogValue", tol: float | None = None) -> bool:
-        """Compare float images within an absolute tolerance (default 1e-9)."""
-        tol = DEFAULT_COMPARE_TOL if tol is None else tol
-        if self.neg_inf or other.neg_inf:
-            return self.neg_inf and other.neg_inf
-        return abs(self.to_float() - other.to_float()) <= tol
 
     def __eq__(self, other):
         if not isinstance(other, LogValue):
@@ -697,21 +665,6 @@ class LogValue:
             "arch": self.arch,
             "neg_inf": self.neg_inf,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "LogValue":
-        try:
-            finite = {int(p) if isinstance(p, str) else p: as_fraction(q)
-                      for p, q in dict(d.get("finite", {})).items()}
-            arch, neg_inf = d.get("arch", 0.0), d.get("neg_inf", False)
-        except InputError:
-            raise
-        except (TypeError, AttributeError, ValueError) as exc:  # ValueError: a prime key int("x")
-            raise InputError(f"malformed LogValue payload: {d!r}") from exc
-        # neg_inf a JSON boolean, not the truthy string "false"; arch a JSON number, not true
-        if not isinstance(neg_inf, bool) or isinstance(arch, bool) or not isinstance(arch, (int, float)):
-            raise InputError(f"malformed LogValue payload: {d!r}")
-        return cls(finite, arch, neg_inf)
 
 
 _NO_PRIMES: Mapping[int, Fraction] = MappingProxyType({})

@@ -33,8 +33,8 @@ import numpy as np
 from . import exactlp
 from .errors import InputError, NoConvergenceError, UnstableError
 from .heights import ProjectivePointQ, _naive_height
-from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_ratio, _log_sum_squares,
-                     _require_place, _valuation, valuation_table)
+from .places import (ARCHIMEDEAN, LogValue, Place, _is_int, _LastInput, _log_ratio, _require_place, _valuation,
+                     valuation_table)
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_ITERS = 200
@@ -73,9 +73,6 @@ class TorusAction:
             return cls(data["rank"], tuple(tuple(w) for w in data["weights"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed torus action payload: {data!r}") from exc
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "weights": [list(w) for w in self.weights]}
 
 
 @dataclass(frozen=True)
@@ -142,6 +139,12 @@ class _PointRecord:
         denominators: x_i^2 is squares[0][i] / D^2."""
         scale = math.lcm(*(c.denominator for c in self.xs))
         return [(c.numerator * (scale // c.denominator)) ** 2 for c in self.xs], scale * scale
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """log of the euclidean norm of the coordinates, read off ``squares``."""
+        ints2, scale2 = self.squares
+        return 0.5 * _log_ratio(sum(ints2), scale2)
 
     @functools.cached_property
     def balanced(self) -> bool:
@@ -292,18 +295,18 @@ def instability_arch(
 def _arch_report(record: _PointRecord, tol: float) -> InstabilityReport:
     """The archimedean report; -infinity when the face of zero is empty.
     The polytope runs an LP only when the exact balance test fails.  The
-    logs of x_i^2 and of their sum are read off the record's squares."""
+    logs of x_i^2 and the norm are read off the record's squares."""
     if record.balanced:
         return InstabilityReport(ARCHIMEDEAN, LogValue.zero(), (0.0,) * record.rank, None)
     polytope = record.polytope
     face = polytope.face_of_zero()
     if not face:
         return _unstable_report(ARCHIMEDEAN)
-    # ints2[j] / scale2 = x_j^2 and sum(ints2) / scale2 = sum x^2, each logged in lowest terms
+    # ints2[j] / scale2 = x_j^2, logged in lowest terms
     ints2, scale2 = record.squares
     xi, value = _newton_minimize(np.array([[float(w) for w in polytope.slopes[j]] for j in face]),
                                  np.array([_log_ratio(ints2[j], scale2) for j in face]), tol)
-    best = value - 0.5 * _log_ratio(sum(ints2), scale2)
+    best = value - record.norm
     return InstabilityReport(ARCHIMEDEAN, LogValue.from_arch(min(best, 0.0)), tuple(float(v) for v in xi), None)
 
 
@@ -409,7 +412,7 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
     """
     record = _semistable_record(action, x)
     reports = record.reports(tol).values()
-    naive = _naive_height(record.table, 0.5 * _log_sum_squares(record.xs))
+    naive = _naive_height(record.table, record.norm)
     return LogValue._sum([naive, *(r.value for r in reports)])
 
 
@@ -442,10 +445,10 @@ def kempf_ness_profile(
     if len(lam) != action.rank:
         raise InputError(f"one-parameter subgroup must have {action.rank} entries")
     record = _record(action, x)
-    xs = record.xs
     pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]
     if place.is_archimedean:
-        logs = [_log_sum_squares([c]) for c in xs]
+        ints2, scale2 = record.squares
+        logs = [_log_ratio(w, scale2) for w in ints2]
         return [0.5 * _logsumexp(np.array([l + 2.0 * c * s for l, c in zip(logs, pairings)])) for s in grid]
-    logp, vals = math.log(place.prime), [_valuation(c, place.prime) for c in xs]
+    logp, vals = math.log(place.prime), [_valuation(c, place.prime) for c in record.xs]
     return [max(c * s - v * logp for c, v in zip(pairings, vals)) for s in grid]

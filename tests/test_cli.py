@@ -494,6 +494,12 @@ def test_readme_examples(capsys, argv, printed):
     assert code == 0 and _same_json(data, printed)
 
 
+def test_readme_library_example_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^## Library use\n\n```python\n(.*?)```", text, re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 _EVERY_SUBCOMMAND = [
     ("height", "2:2:1"),
     ("semistable", "--weights=-2,1,4", "--point", "2:2:1"),

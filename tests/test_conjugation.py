@@ -504,7 +504,7 @@ def test_orbit_bound_of_a_one_by_one_matrix(orbit_bound, time_limit):
     with time_limit(5):
         bound = orbit_bound(five, samples=2, seed=0)
     assert bound == naive_matrix_height(five)
-    assert bound.close_to(quotient_height_conj(five), 1e-12)
+    assert abs(bound.to_float() - quotient_height_conj(five).to_float()) <= 1e-12
 
 
 def test_quotient_height_of_repeated_eigenvalues():
@@ -706,7 +706,7 @@ def test_the_diagonal_torus_never_goes_lower_than_conjugation():
                 assert t.arch >= c.arch - 1e-9, (phi, place)
                 assert kind != "triangular" or abs(t.arch - c.arch) <= 1e-9, (phi, place)
             else:
-                assert t.finite_coefficient(place.prime) >= c.finite_coefficient(place.prime), (phi, place)
+                assert t.finite.get(place.prime, 0) >= c.finite.get(place.prime, 0), (phi, place)
                 assert kind != "triangular" or t == c, (phi, place)
         h_torus, h_conj = quotient_height(action, x).to_float(), quotient_height_conj(phi).to_float()
         assert h_torus >= h_conj - 1e-9 * (1 + abs(h_conj)), phi

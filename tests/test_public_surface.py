@@ -21,10 +21,17 @@ _REMOVED = (
     "convex_lemma_min", "convex_lemma_argmin", "_lemma_profile", "_golden_section",
     "CONVEX_LEMMA_VARIANTS", "ell", "explicit_lower_bound", "_require_finite", "EpsilonMap",
     "epsilon_map", "EpsilonNormResult", "epsilon_norm_check", "twist_shift",
+    # value types keep what a caller reads; == is exact, and to_float images compare with a tolerance
+    "DEFAULT_COMPARE_TOL",
 )
 _CLI_REMOVED = ("_VARIANTS", "_cmd_ell", "_cmd_epsilon", "_cmd_convex_lemma")
 _POLYQ_REMOVED = ("from_coeffs", "from_roots", "evaluate", "leading", "__mul__", "to_json", "from_json")
-_ATTRIBUTES_REMOVED = {"MatrixQ": ("from_json", "to_json"), "TorusAction": ("ambient_dim",)}
+_ATTRIBUTES_REMOVED = {
+    "MatrixQ": ("from_json", "to_json"),
+    "TorusAction": ("ambient_dim", "to_json"),
+    "LogValue": ("scaled", "from_json_dict", "finite_coefficient", "close_to"),
+    "ProjectivePointQ": ("dim",),
+}
 
 
 def test_public_surface_holds():

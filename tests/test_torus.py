@@ -391,6 +391,24 @@ def test_record_memo_is_bounded():
     assert torus._POINTS.key == (1, ((-1,), (200,)), x.coords)
 
 
+@pytest.mark.parametrize("coords", [
+    (2, 2, 1),
+    (0, 3, 4),
+    (Fraction(1, 3), Fraction(2, 7), 5),
+    (10**400, 1, 1),
+    (Fraction(1, 10**400), 3, Fraction(1, 7)),
+], ids=["small", "zero", "denominators", "huge", "tiny"])
+def test_record_norm_reads_the_sum_of_squares_bit_for_bit(coords):
+    # the norm and the per-coordinate logs come off the record's squares, and
+    # are the floats the Fraction route gives, so the naive height is unchanged
+    x = ProjectivePointQ(tuple(Fraction(c) for c in coords))
+    record = torus._record(W214, x)
+    assert record.norm == 0.5 * places._log_sum_squares(x.coords)
+    assert record.norm == naive_height(x).arch
+    ints2, scale2 = record.squares
+    assert [places._log_ratio(w, scale2) for w in ints2] == [places._log_sum_squares([c]) for c in record.xs]
+
+
 # ---------------------------------------------------------------------------
 # semistability
 # ---------------------------------------------------------------------------
@@ -451,7 +469,6 @@ def test_action_validation_and_json():
         TorusAction(rank=2, weights=((1,), (1, 2)))
     a = TorusAction.from_json({"rank": 1, "weights": [[-2], [1], [4]]})
     assert a == W214
-    assert TorusAction.from_json(a.to_json()) == a
 
 
 @pytest.mark.parametrize("weight", [0.5, 1.0, math.inf, math.nan, True])
@@ -703,7 +720,7 @@ def test_rank_four_quotient_height_with_sixteen_weights():
     for p in support_primes(x.coords):
         offsets = [Fraction(-valuation(c, p)) for c in x.coords]
         _, value = _highs_min_max([tuple(Fraction(w) for w in m) for m in action.weights], offsets)
-        assert abs(float(h.finite_coefficient(p)) - (value - float(max(offsets)))) < 1e-9
+        assert abs(float(h.finite.get(p, 0)) - (value - float(max(offsets)))) < 1e-9
     assert abs(h.to_float() - quotient_height(action, ProjectivePointQ(
         tuple(c * Fraction(3) ** m[0] for c, m in zip(x.coords, action.weights)))).to_float()) < 1e-9
 
