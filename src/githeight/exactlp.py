@@ -94,10 +94,19 @@ class _Simplex:
         return Fraction(s, shift.d), x, y, [j for j in columns if shift.reduced[j] < 0]
 
     def _pivot(self, i, j):
-        p, pivot_row, d = self.t[i][j], self.t[i], self.d
-        sign = 1 if p > 0 else -1
-        self.t = [[sign * (p * v - row[j] * w) // d for v, w in zip(row, pivot_row)] for row in self.t]
-        self.t[i], self.d, self.basis[i] = [sign * w for w in pivot_row], abs(p), j
+        t, d, pivot_row = self.t, self.d, self.t[i]
+        if pivot_row[j] < 0:
+            pivot_row = [-w for w in pivot_row]
+        p = pivot_row[j]
+        # each updated row is a new list in t, so a row list shared with a copy never changes
+        for k, row in enumerate(t):
+            if k == i:
+                t[k] = pivot_row
+            elif r := row[j]:
+                t[k] = [(p * v - r * w) // d for v, w in zip(row, pivot_row)]
+            elif p != d:  # entries are minors, so p v / d is exact
+                t[k] = [p * v // d for v in row]
+        self.d, self.basis[i] = p, j
 
     def _leaving_row(self, j):
         """Bland's ratio test on column j: the least t_i,rhs / t_ij over t_ij > 0,

@@ -18,6 +18,7 @@ measure of an unstable point.  It absorbs addition.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -48,10 +49,17 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)  # gcd with it finds every prime factor below 1000
 
-# Every odd composite below _MR_BOUND fails one of the 13 primes up to 41 (OEIS A014233).
+# The first k bases expose every odd composite below _MR_PSI[k - 1], psi_k of
+# OEIS A014233 (Jaeschke 1993; Sorenson and Webster 2017 for psi_12, psi_13).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 
 # Pollard-Brent budget of one family, shared by all its splits.  A step on
 # an n-bit number costs ceil(n / 64) units, roughly its time in word
@@ -75,7 +83,9 @@ def _is_int(v) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the 13 primes up to 41, deterministic below
+    """A set lookup up to 997 and one gcd with the primes below 1000, then
+    Miller-Rabin on as many of the 13 primes up to 41 as n's size needs
+    (see :func:`_probable_prime`), deterministic below
     3 317 044 064 679 887 385 961 981, and a strong Lucas test above it:
     Baillie-PSW above the bound; no known counterexample.
 
@@ -85,21 +95,18 @@ def is_prime(n: int) -> bool:
     """
     if not _is_int(n):
         raise InputError(f"{n!r} is not an integer")
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    return _probable_prime(n)
+    if n < 1000:
+        return n in _SMALL_PRIME_SET
+    return math.gcd(n, _PRIMORIAL) == 1 and _probable_prime(n)
 
 
 def _probable_prime(n: int) -> bool:
-    """Miller-Rabin on the fixed bases, and strong Lucas from _MR_BOUND, for odd n > 41."""
+    """Miller-Rabin on the first k bases for the least k with n < psi_k, all
+    13 bases and strong Lucas from psi_13, for odd n > 41.  Below psi_13
+    the verdict is the one all 13 bases give, since both are exact."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -109,7 +116,7 @@ def _probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_BOUND or _strong_lucas(n)
+    return n < _MR_PSI[-1] or _strong_lucas(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -280,7 +287,9 @@ def _split(b: int, budget: int) -> tuple[list[int], int]:
 def _factor_all(ns: list[int]) -> list[dict[int, int]]:
     """{prime: exponent} of each positive integer in ns.
 
-    Trial division below 1000 first; the cofactors left over are refined by
+    One gcd of the family's product with the primes below 1000 finds the
+    small primes of the family, and each number is trial-divided by those
+    alone; the cofactors left over are refined by
     gcds into one pairwise coprime base, so numbers of one family that share
     a large prime split one another without any Pollard-Brent step.  Each
     base element's perfect-power root is then split by :func:`_split`, or
@@ -288,7 +297,17 @@ def _factor_all(ns: list[int]) -> list[dict[int, int]]:
     the primes come back as the memo's own int objects.
     """
     exponents = [{} for _ in ns]
-    cofactors = [_divide_out(n, _SMALL_PRIMES, e) for n, e in zip(ns, exponents)]
+    # the product is reduced once it passes the primorial, so its cost stays
+    # linear in the family's size
+    g = 1
+    for n in ns:
+        g *= n
+        if g >= _PRIMORIAL:
+            g %= _PRIMORIAL
+    found: dict[int, int] = {}
+    _divide_out(math.gcd(g, _PRIMORIAL), _SMALL_PRIMES, found)
+    small = list(found)
+    cofactors = [_divide_out(n, small, e) for n, e in zip(ns, exponents)]
     base: list[int] = []
     for n in set(cofactors):
         _refine(base, n)
@@ -316,7 +335,8 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}.
 
     The one-number case of :func:`valuation_table`'s factoring: trial
-    division below 1000, the cofactor's perfect-power root, then
+    division by the primes below 1000 that a gcd with their product finds,
+    the cofactor's perfect-power root, then
     Pollard-Brent on what :func:`is_prime`'s test finds composite, all its splits
     within one budget of 2^20 units (NoConvergenceError beyond it).  A
     composite root is split once per process: a memo capped at 4096 roots
@@ -400,7 +420,8 @@ def valuation_table(xs: Iterable[RationalLike]) -> dict[int, list[int | float]]:
     """{p: [v_p(x) for x in xs]} over the support primes p, ascending.
 
     The distinct nonzero numerators and denominators are factored together,
-    each once: after trial division below 1000, their cofactors are split by
+    each once: after trial division by the primes below 1000 that one gcd
+    with their product finds, their cofactors are split by
     gcds into one pairwise coprime base, so numbers that share a large prime
     split one another without Pollard-Brent, and a composite root split
     before in this process is read from the memo, charged the budget its

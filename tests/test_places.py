@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import math
 import random
@@ -127,6 +128,77 @@ def test_the_strong_lucas_step_refuses_psi13():
     assert all(places._strong_lucas(n) and not is_prime(n) for n in lucas_pseudoprimes)
 
 
+# psi_1..psi_13 of OEIS A014233: the least odd composite that passes Miller-Rabin
+# on the first k prime bases (Jaeschke 1993, Sorenson and Webster 2017)
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+SMALL_PRIMES = [q for q in range(2, 1000) if all(q % r for r in range(2, q))]
+
+
+def _passes_miller_rabin(n, a):
+    """n passes the strong probable-prime test to base a, for odd n > a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _reference_is_prime(n):
+    """Trial division by the 168 primes below 1000, Miller-Rabin on all 13
+    bases up to 41, and the strong Lucas step from psi_13."""
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    return (all(_passes_miller_rabin(n, a) for a in SMALL_PRIMES[:13])
+            and (n < A014233[-1] or places._strong_lucas(n)))
+
+
+def test_the_base_count_table_is_a014233():
+    assert places._MR_PSI == A014233
+    assert places._MR_BASES == tuple(SMALL_PRIMES[:13])
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_each_psi_passes_its_first_k_bases(k):
+    # so the first k bases do not decide at psi_k: no threshold is one too high
+    psi = A014233[k - 1]
+    assert all(_passes_miller_rabin(psi, a) for a in SMALL_PRIMES[:k])
+    assert not is_prime(psi) and not _reference_is_prime(psi)
+
+
+def test_is_prime_agrees_with_all_thirteen_bases_below_200000():
+    assert [n for n in range(200_000) if is_prime(n) != _reference_is_prime(n)] == []
+
+
+def _primes_from(n, count):
+    """The first count primes from n up, by the reference test."""
+    return list(itertools.islice(filter(_reference_is_prime, itertools.count(n)), count))
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_agrees_with_all_thirteen_bases_around_each_psi(k):
+    psi, rng = A014233[k - 1], random.Random(k)
+    # odd n next to psi_k and across the range its base count covers
+    ns = [psi + d for d in range(-400, 401, 2)]
+    ns += [rng.randrange(psi // 4, 4 * psi) | 1 for _ in range(300)]
+    # products of two primes near sqrt(psi_k), on both sides of it
+    near = _primes_from(max(2, math.isqrt(psi) - 200), 12)
+    ns += [p * q for p in near for q in near]
+    assert [n for n in ns if is_prime(n) != _reference_is_prime(n)] == []
+
+
 def test_log_abs_examples():
     v = log_abs(Fraction(1, 3), Place.finite(3))
     assert dict(v.finite) == {3: Fraction(1)}
@@ -237,6 +309,59 @@ def test_valuation_table_equals_per_number_factoring():
         assert valuation_table(xs) == _reference_table(xs)
         for x in filter(None, xs):
             assert factorize(abs(x.numerator)) == _reference_factorization(abs(x.numerator))
+
+
+# the primes of the big-primes benchmark's products
+PRODUCT_PRIMES = (998244353, 999999937, 1000000007, 1000000009, M31, P32, M61)
+PRODUCTS = (1000000007 * 998244353, 999999937 * 1000000009, M61, M31 * P32, Fraction(M61 * M31, 999999937))
+
+
+def _trial_division(n):
+    """{p: e} of n by plain trial division over SMALL_PRIMES and PRODUCT_PRIMES."""
+    out = {}
+    for p in SMALL_PRIMES + list(PRODUCT_PRIMES):
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+    assert n == 1
+    return out
+
+
+def _trial_division_table(xs):
+    rows = [None if x == 0 else (_trial_division(abs(x.numerator)), _trial_division(x.denominator)) for x in xs]
+    primes = sorted(set().union(*(a.keys() | b.keys() for a, b in filter(None, rows))))
+    return {p: [math.inf if r is None else r[0].get(p, 0) - r[1].get(p, 0) for r in rows] for p in primes}
+
+
+def _smooth(rng, primes=SMALL_PRIMES):
+    n = 1
+    for p in rng.sample(primes, rng.randint(0, 4)):
+        n *= p ** rng.randint(1, 5)
+    return n
+
+
+def _factoring_families():
+    rng = random.Random(29)
+    yield [math.prod(SMALL_PRIMES), 2**64, 997**7, 1]
+    yield [math.prod(SMALL_PRIMES) * M61, 997**7 * P32**2, Fraction(1, 2**64)]
+    for _ in range(40):
+        # products times smooth factors, a zero now and then after the first
+        yield [0 if i and rng.random() < 0.15
+               else Fraction(rng.choice((-1, 1)) * rng.choice(PRODUCTS) * _smooth(rng), _smooth(rng, [2, 3, 5, 997]))
+               for i in range(rng.randint(1, 7))]
+    for _ in range(20):
+        # only one part has a small factor
+        xs = [Fraction(rng.choice(PRODUCTS)) for _ in range(rng.randint(1, 5))]
+        i = rng.randrange(len(xs))
+        xs[i] *= rng.choice(SMALL_PRIMES) ** rng.randint(1, 3)
+        yield xs
+
+
+@pytest.mark.parametrize("family", list(_factoring_families()))
+def test_factoring_equals_trial_division(family):
+    xs = [Fraction(x) for x in family]
+    assert valuation_table(xs) == _trial_division_table(xs)
+    for n in {abs(x.numerator) for x in xs if x} | {x.denominator for x in xs}:
+        assert factorize(n) == _trial_division(n)
 
 
 @pytest.mark.parametrize("family", [[M61 * M31, M61], [P32**3, P32], [P32**2]],
