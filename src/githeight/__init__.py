@@ -15,7 +15,6 @@ the archimedean place, non-nilpotent reduction mod p elsewhere), and a
 lower bound for the height of every semistable point, read from its input.
 """
 
-from .bounds import lower_bound, lower_bound_conj
 from .conjugation import (
     MatrixQ,
     MinimalityReport,
@@ -26,6 +25,7 @@ from .conjugation import (
     is_minimal_arch,
     is_minimal_nonarch,
     is_semistable_conj,
+    lower_bound_conj,
     naive_matrix_height,
     quotient_height_conj,
 )
@@ -72,6 +72,7 @@ from .torus import (
     instability_nonarch,
     is_semistable,
     kempf_ness_profile,
+    lower_bound,
     quotient_height,
 )
 

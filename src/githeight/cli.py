@@ -23,7 +23,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import lower_bound, lower_bound_conj
 from .conjugation import (
     MatrixQ,
     instability_all_conj,
@@ -31,6 +30,7 @@ from .conjugation import (
     is_minimal_arch,
     is_minimal_nonarch,
     is_semistable_conj,
+    lower_bound_conj,
     naive_matrix_height,
     quotient_height_conj,
 )
@@ -44,6 +44,7 @@ from .torus import (
     instability_arch,
     instability_nonarch,
     is_semistable,
+    lower_bound,
     quotient_height,
 )
 
@@ -86,11 +87,17 @@ def _checked(key: str, value):
 def _inputs(args, primary) -> dict:
     """Every input the command takes, checked: each from its flag, else from
     the JSON object on stdin, which is read only when no flag of ``primary``
-    is given.  An absent place is oo."""
+    is given.  An absent place is oo.  Two subjects, a matrix beside torus
+    inputs or weights beside an action, raise InputError."""
     keys = [k for k in _JSON_TYPES if hasattr(args, k)]
     flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     payload = {} if any(k in flags for k in primary) else _checked("stdin", sys.stdin.read())
     found = {**{k: payload[k] for k in keys if k in payload}, **flags}
+    torus = found.keys() & {"point", "weights", "action"}
+    if "matrix" in found and torus:
+        raise InputError(f"give a matrix or torus inputs, not both: got matrix and {', '.join(sorted(torus))}")
+    if {"weights", "action"} <= torus:
+        raise InputError("give weights or an action, not both")
     if "place" in keys:
         found.setdefault("place", "oo")
     return {k: _checked(k, v) for k, v in found.items()}
@@ -118,7 +125,7 @@ def _parse_subject(inputs: dict):
     elif "weights" in inputs:
         weights = inputs["weights"]
         if isinstance(weights, str):
-            weights = [int(w) for w in weights.split(",") if w.strip()]
+            weights = [int(w) for w in weights.split(",")]
         rows = [w if isinstance(w, list) else [w] for w in weights]
         if not rows:
             raise InputError("empty weight list")

@@ -284,6 +284,28 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
     return _semistable_record(phi).height()
 
 
+def lower_bound_conj(phi: MatrixQ) -> LogValue:
+    """(1/2) log k, k the number of nonzero eigenvalues of phi counted with
+    multiplicity, a lower bound for the quotient height of [phi].
+
+    After Bost (Duke 1994) and Zhang (1996): the product of the k nonzero
+    eigenvalues is a nonzero rational up to sign.  At p the largest
+    |lambda_i|_p is at least their geometric mean; at oo, by AM-GM,
+    sum |lambda_i|^2 >= k prod |lambda_i|^(2/k); and the product formula
+    sums the product's log sizes to 0 over the places.
+
+    k is the degree of the charpoly with its zero roots split off, so no
+    root is read.  A nilpotent matrix raises NilpotentError.
+
+    Examples:
+        >>> lower_bound_conj(MatrixQ.identity(3)).arch == 0.5 * math.log(3)
+        True
+        >>> lower_bound_conj(MatrixQ.from_lists([[1, 1], [0, 0]])).is_exact_zero
+        True
+    """
+    return LogValue.from_arch(0.5 * math.log(_semistable_record(phi).reduced[0].degree))
+
+
 def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
     """Local instability measure of [phi]: log (inf conjugate norm / norm).
 

@@ -220,26 +220,30 @@ class ZeroSumPolytope:
         sum lam_j <m_j, xi> = 0 on P, every j with <m_j, xi> > 0 is off the
         face (Goldman-Tucker), so drop those and solve again.  One solve for a
         full face, at most (number of indices off the face) + 1 in all, none
-        when P is empty.  The elimination runs on the first call only; each
-        later call returns a copy of the stored face.
+        when P is empty.  The elimination runs once, on the first call or the
+        first read of :attr:`interior`; each later call copies the stored face.
 
-        The certificates stay on the polytope: ``_interior`` is the exact
-        lam in P that is positive on the face, and ``_eliminated`` holds each
+        The certificates stay on the polytope: :attr:`interior` is the exact
+        lam in P positive on the face, and ``_eliminated`` holds each
         round's (xi, dropped indices).
         """
-        return list(self._face)
+        return list(self._solved[0])
+
+    @property
+    def interior(self) -> tuple[Fraction, ...] | None:
+        """The exact lam in P positive on the face of zero, None when P is empty."""
+        return self._solved[1]
 
     @functools.cached_property
-    def _face(self) -> tuple[int, ...]:
-        self._interior, self._eliminated = None, []
+    def _solved(self) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
+        self._eliminated = []
         if self.is_empty:
-            return ()
+            return (), None
         face = list(range(self._program.n))
         while True:
             s, lam, y, drop = self._program.maximize_shift(face)
             if s > 0:
-                self._interior = tuple(lam)
-                return tuple(face)
+                return tuple(face), tuple(lam)
             self._eliminated.append((tuple(-v for v in y[1:]), tuple(drop)))
             face = [j for j in face if j not in drop]
 

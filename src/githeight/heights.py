@@ -40,10 +40,7 @@ class ProjectivePointQ:
 
     @classmethod
     def parse(cls, text: str) -> "ProjectivePointQ":
-        parts = [s for s in text.strip().split(":") if s.strip()]
-        if not parts:
-            raise InputError(f"expected colon-separated coordinates, got {text!r}")
-        return cls(tuple(as_fraction(s) for s in parts))
+        return cls(tuple(as_fraction(s) for s in text.split(":")))
 
     def normalized(self) -> tuple[Fraction, ...]:
         """Scale so the first nonzero coordinate is 1 (canonical form)."""

@@ -519,6 +519,7 @@ def _finite_arch(arch: float) -> float:
     return arch
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LogValue:
     """A real number written as  sum_p q_p log(p) + arch,  or -infinity.
 
@@ -540,7 +541,9 @@ class LogValue:
         True
     """
 
-    __slots__ = ("_items", "arch", "neg_inf")
+    _items: tuple
+    arch: float
+    neg_inf: bool
 
     def __init__(
         self,
@@ -593,9 +596,6 @@ class LogValue:
                 del _VALUES[next(iter(_VALUES))]  # the oldest value
             _VALUES[key] = value
         return value
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogValue is immutable")
 
     @property
     def finite(self) -> Mapping[int, Fraction]:
@@ -658,15 +658,6 @@ class LogValue:
     def is_exact_zero(self) -> bool:
         """True iff the representation itself is zero (no rounding)."""
         return not self.neg_inf and not self._items and self.arch == 0.0
-
-    def __eq__(self, other):
-        if not isinstance(other, LogValue):
-            return NotImplemented
-        return (
-            self.neg_inf == other.neg_inf
-            and self._items == other._items
-            and self.arch == other.arch
-        )
 
     def __hash__(self):
         return hash((tuple(self._pairs()), self.arch, self.neg_inf))

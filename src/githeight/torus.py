@@ -26,6 +26,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -414,6 +415,37 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
     reports = record.reports(tol).values()
     naive = _naive_height(record.table, record.norm)
     return LogValue._sum([naive, *(r.value for r in reports)])
+
+
+def lower_bound(action: TorusAction, x: ProjectivePointQ) -> LogValue:
+    """(1/2) sum lam_i log(1/lam_i), a lower bound for the quotient height of x.
+
+    After Bost (Duke 1994) and Zhang (1996): for lam in the zero-sum
+    polytope of the active weights the monomial prod x_i^lam_i is
+    invariant.  At p, max_i |x_i|_p >= prod |x_i|_p^lam_i; at oo, by
+    Gibbs' inequality, sum x_i^2 >= prod (x_i^2 / lam_i)^lam_i; and the
+    product formula sums the monomial's log sizes to 0 over the places.
+
+    lam is x_i^2 / sum x^2 when sum x_i^2 m_i = 0 exactly, which runs no
+    LP, and otherwise the polytope's exact ``interior``, positive on the
+    face of zero, which :func:`quotient_height` on the same input has
+    already solved.  No root is read and no minimizer runs.  An unstable
+    point raises UnstableError.
+
+    Examples:
+        >>> bound = lower_bound(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:1"))
+        >>> bound.arch == 0.5 * math.log(2)  # the quotient height itself
+        True
+        >>> act = TorusAction(1, ((-2,), (1,), (4,)))
+        >>> bound = lower_bound(act, ProjectivePointQ.parse("2:2:1"))  # lam = (4, 4, 1) / 9
+        >>> abs(bound.arch - (math.log(3) - 8 / 9 * math.log(2))) < 1e-15
+        True
+    """
+    record = _semistable_record(action, x)
+    ints2 = record.squares[0]
+    lam = [Fraction(w, sum(ints2)) for w in ints2] if record.balanced else record.polytope.interior
+    return LogValue.from_arch(0.5 * math.fsum(float(l) * _log_ratio(l.denominator, l.numerator)
+                                              for l in lam if l))
 
 
 def kempf_ness_profile(

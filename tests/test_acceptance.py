@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from githeight.bounds import lower_bound, lower_bound_conj
+from githeight import lower_bound, lower_bound_conj
 from githeight.conjugation import (
     MatrixQ,
     charpoly_of,

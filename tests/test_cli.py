@@ -265,7 +265,7 @@ _WORKED_EXAMPLES = {
     "githeight.torus.quotient_height", "githeight.conjugation.is_semistable_conj",
     "githeight.conjugation.quotient_height_conj", "githeight.conjugation.instability_conj",
     "githeight.conjugation.is_minimal_arch", "githeight.conjugation.is_minimal_nonarch",
-    "githeight.bounds.lower_bound", "githeight.bounds.lower_bound_conj",
+    "githeight.torus.lower_bound", "githeight.conjugation.lower_bound_conj",
 }
 
 
@@ -372,6 +372,42 @@ def test_exit_codes_as_a_process(argv, code):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+# each of these once exited 0: an empty field was dropped, so 1::2 was the point 1:2
+# and -1,,1 the weights -1, 1
+@pytest.mark.parametrize("argv", [
+    ("--weights=-1,1", "--point=1::2"), ("--weights=-1,1", "--point=1:2:"), ("--weights=-1,1", "--point=:1:2"),
+    ("--weights=-1,,1", "--point=1:2"), ("--weights=-1,1,", "--point=1:2"),
+])
+def test_an_empty_coordinate_or_weight_exits_two(capsys, argv):
+    assert cli.main(["quotient-height", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+_ACTION = {"rank": 1, "weights": [[-2], [1]]}
+
+
+# each of these once exited 0 on one subject and ignored the other
+@pytest.mark.parametrize("command, inputs", [
+    ("quotient-height", {"matrix": [[2]], "weights": "-1,1", "point": "1:2"}),
+    ("quotient-height", {"matrix": [[2]], "action": _ACTION}),
+    ("quotient-height", {"weights": "-1,1", "action": _ACTION, "point": "1:2"}),
+    ("height", {"matrix": [[1]], "point": "1:2"}),
+])
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_two_subjects_exit_two(capsys, monkeypatch, command, inputs, from_stdin):
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(inputs)))
+        argv = []
+    else:
+        argv = [f"--{k}={v if isinstance(v, str) else json.dumps(v)}" for k, v in inputs.items()]
+        if command == "height":  # its point is positional
+            argv = [inputs["point"], *(a for a in argv if not a.startswith("--point="))]
+    assert cli.main([command, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def _run_python(script):
@@ -640,6 +676,8 @@ def _cli_calls(draw):
         if key == "row":
             payload["matrix"][draw(st.integers(0, len(payload["matrix"]) - 1))] = draw(_wrong_json)
         else:
+            if key == "action":  # in place of the weights: an action beside them is a second subject
+                del payload["weights"]
             payload[key] = draw(_wrong_json)
     if command in ("height", "quotient-height", "semistable", "destabilize"):
         return [command], payload

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from githeight import conjugation
-from githeight.bounds import lower_bound_conj
+from githeight import conjugation, lower_bound_conj
 from githeight.conjugation import (
     MatrixQ,
     charpoly_of,

@@ -21,6 +21,8 @@ from githeight import (
     instability_arch,
     instability_conj,
     instability_nonarch,
+    lower_bound,
+    lower_bound_conj,
     naive_height,
     places,
     product_formula_residual,
@@ -29,7 +31,6 @@ from githeight import (
     support_primes,
     torus,
 )
-from githeight.bounds import lower_bound, lower_bound_conj
 from githeight.places import ARCHIMEDEAN, Place
 
 _rng = random.Random(8)

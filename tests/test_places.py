@@ -714,6 +714,9 @@ def test_logvalue_equality_hash_repr_and_json(parts):
         assert repr(v) == "LogValue(finite={" + ", ".join(f"{p}: {q}" for p, q in kept) + f"}}, arch={arch!r})"
         assert v.to_json_dict() == {"finite": {str(p): str(q) for p, q in kept}, "arch": arch,
                                     "neg_inf": False}
+        with pytest.raises(AttributeError):
+            v.arch = 1.0
+    assert LogValue.zero() != 0
 
 
 def test_no_negative_zero_arch():

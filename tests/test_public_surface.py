@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import githeight
 from githeight import cli
 
@@ -47,3 +49,11 @@ def test_public_surface_holds():
     assert [name for name in _POLYQ_REMOVED if hasattr(githeight.PolyQ, name)] == []
     assert [(cls, name) for cls, names in _ATTRIBUTES_REMOVED.items() for name in names
             if hasattr(getattr(githeight, cls), name)] == []
+
+
+def test_the_bounds_live_with_their_records():
+    # lower_bound is a torus path and lower_bound_conj a conjugation one; no bounds module is left
+    assert githeight.lower_bound.__module__ == "githeight.torus"
+    assert githeight.lower_bound_conj.__module__ == "githeight.conjugation"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("githeight.bounds")

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from githeight import exactlp, places, torus
-from githeight.bounds import lower_bound
+from githeight import exactlp, lower_bound, places, torus
 from githeight.errors import InputError, NoConvergenceError, UnstableError
 from githeight.heights import ProjectivePointQ, naive_height
 from githeight.places import ARCHIMEDEAN, LogValue, Place, support_primes, valuation
@@ -255,7 +254,7 @@ def test_face_of_zero_keeps_its_certificates():
         rank = len(slopes[0])
         polytope = exactlp.ZeroSumPolytope(slopes)
         face = polytope.face_of_zero()
-        lam = polytope._interior
+        lam = polytope.interior
         if not face:
             assert lam is None and polytope._eliminated == []
             continue
@@ -272,6 +271,9 @@ def test_face_of_zero_keeps_its_certificates():
             candidates -= set(dropped)
         assert sorted(candidates) == face
     assert partial >= 30
+    # read first, the interior solves the face itself: None when P is empty
+    assert exactlp.ZeroSumPolytope([(1,), (2,)]).interior is None
+    assert exactlp.ZeroSumPolytope([(-1,), (1,)]).interior == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_solves_leave_a_shared_polytope_unchanged():
