@@ -23,30 +23,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .conjugation import (
-    MatrixQ,
-    instability_all_conj,
-    instability_conj,
-    is_minimal_arch,
-    is_minimal_nonarch,
-    is_semistable_conj,
-    lower_bound_conj,
-    naive_matrix_height,
-    quotient_height_conj,
-)
+from .conjugation import MatrixQ, is_minimal_arch, is_minimal_nonarch, matrix_record
 from .errors import DomainError, InputError, NoConvergenceError
 from .heights import ProjectivePointQ, naive_height
 from .places import ARCHIMEDEAN, LogValue, Place
-from .torus import (
-    TorusAction,
-    destabilizing_1ps,
-    instability_all,
-    instability_arch,
-    instability_nonarch,
-    is_semistable,
-    lower_bound,
-    quotient_height,
-)
+from .torus import TorusAction, destabilizing_1ps, point_record
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +68,15 @@ def _checked(key: str, value):
 def _inputs(args, primary) -> dict:
     """Every input the command takes, checked: each from its flag, else from
     the JSON object on stdin, which is read only when no flag of ``primary``
-    is given.  An absent place is oo.  Two subjects, a matrix beside torus
-    inputs or weights beside an action, raise InputError."""
+    is given.  An absent place is oo.  A stdin key the command does not
+    take, or two subjects, a matrix beside torus inputs or weights beside
+    an action, raise InputError."""
     keys = [k for k in _JSON_TYPES if hasattr(args, k)]
     flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     payload = {} if any(k in flags for k in primary) else _checked("stdin", sys.stdin.read())
+    extra = sorted(payload.keys() - set(keys))
+    if extra:
+        raise InputError(f"this command takes no stdin key {extra[0]!r:.80}")
     found = {**{k: payload[k] for k in keys if k in payload}, **flags}
     torus = found.keys() & {"point", "weights", "action"}
     if "matrix" in found and torus:
@@ -116,16 +101,20 @@ def _parse_point(inputs: dict) -> ProjectivePointQ:
     return ProjectivePointQ.parse(point)
 
 
-def _parse_subject(inputs: dict):
-    """The input's MatrixQ if it has a matrix, else its (action, point)."""
-    if "matrix" in inputs:
-        return MatrixQ.from_lists(inputs["matrix"])
+def _weight(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"weight {text!r:.80} is not an integer") from None
+
+
+def _parse_torus(inputs: dict) -> tuple[TorusAction, ProjectivePointQ]:
     if "action" in inputs:
         action = TorusAction.from_json(inputs["action"])
     elif "weights" in inputs:
         weights = inputs["weights"]
         if isinstance(weights, str):
-            weights = [int(w) for w in weights.split(",")]
+            weights = [_weight(w) for w in weights.split(",")]
         rows = [w if isinstance(w, list) else [w] for w in weights]
         if not rows:
             raise InputError("empty weight list")
@@ -133,6 +122,14 @@ def _parse_subject(inputs: dict):
     else:
         raise InputError("need --weights, --action, or stdin JSON")
     return action, _parse_point(inputs)
+
+
+def _parse_subject(inputs: dict, semistable: bool = False):
+    """The record of the input's matrix, or of its point under its action;
+    with ``semistable``, the record's DomainError if the input has no image."""
+    if "matrix" in inputs:
+        return matrix_record(MatrixQ.from_lists(inputs["matrix"]), semistable)
+    return point_record(*_parse_torus(inputs), semistable)
 
 
 def _parse_place(value) -> Place:
@@ -181,45 +178,29 @@ def _minimizer_json(minimizer, fmt: str):
 
 def _cmd_height(args) -> dict:
     inputs = _inputs(args, ("point", "matrix"))
-    if "matrix" in inputs:
-        value = naive_matrix_height(_parse_subject(inputs))
-    else:
-        value = naive_height(_parse_point(inputs))
+    value = _parse_subject(inputs).naive() if "matrix" in inputs else naive_height(_parse_point(inputs))
     return _logvalue_json(value, args.format)
 
 
 def _cmd_semistable(args) -> dict:
-    subject = _parse_subject(_inputs(args, _SUBJECT))
-    if isinstance(subject, MatrixQ):
-        ok = is_semistable_conj(subject)
-    else:
-        ok = is_semistable(*subject)
-    return {"semistable": ok}
+    return {"semistable": _parse_subject(_inputs(args, _SUBJECT)).semistable}
 
 
 def _cmd_destabilize(args) -> dict:
-    one_ps = destabilizing_1ps(*_parse_subject(_inputs(args, _SUBJECT)))
+    one_ps = destabilizing_1ps(*_parse_torus(_inputs(args, _SUBJECT)))
     return {"semistable": one_ps is None, "one_ps": None if one_ps is None else list(one_ps)}
 
 
 def _cmd_instability(args) -> dict:
     inputs = _inputs(args, _SUBJECT)
     place = None if inputs["place"] == "all" else _parse_place(inputs["place"])
-    subject = _parse_subject(inputs)
+    record = _parse_subject(inputs)
     if place is None:
-        if isinstance(subject, MatrixQ):
-            values = instability_all_conj(subject)
-        else:
-            reports = instability_all(*subject, tol=args.arch_tol)
-            values = {pl: r.value for pl, r in reports.items()}
-        return {"instability": {str(pl): _logvalue_json(v, args.format) for pl, v in values.items()}}
-    if isinstance(subject, MatrixQ):
-        value = instability_conj(subject, place)
-        return {"place": str(place), "value": _logvalue_json(value, args.format)}
-    if place.is_archimedean:
-        report = instability_arch(*subject, tol=args.arch_tol)
-    else:
-        report = instability_nonarch(*subject, place.prime)
+        terms = record.terms(args.arch_tol)
+        return {"instability": {str(pl): _logvalue_json(v, args.format) for pl, v in terms.items()}}
+    if "matrix" in inputs:  # only a torus report has a minimizer
+        return {"place": str(place), "value": _logvalue_json(record.term(place), args.format)}
+    report = record.report(place, args.arch_tol)
     return {
         "place": str(report.place),
         "value": _logvalue_json(report.value, args.format),
@@ -229,12 +210,8 @@ def _cmd_instability(args) -> dict:
 
 
 def _cmd_quotient_height(args) -> dict:
-    subject = _parse_subject(_inputs(args, _SUBJECT))
-    if isinstance(subject, MatrixQ):
-        value = quotient_height_conj(subject)
-    else:
-        value = quotient_height(*subject, tol=args.arch_tol)
-    return _logvalue_json(value, args.format)
+    record = _parse_subject(_inputs(args, _SUBJECT), semistable=True)
+    return _logvalue_json(record.height(args.arch_tol), args.format)
 
 
 def _cmd_minimal(args) -> dict:
@@ -254,9 +231,8 @@ def _cmd_minimal(args) -> dict:
 
 
 def _cmd_lower(args) -> dict:
-    subject = _parse_subject(_inputs(args, _SUBJECT))
-    value = lower_bound_conj(subject) if isinstance(subject, MatrixQ) else lower_bound(*subject)
-    return _logvalue_json(value, args.format)
+    record = _parse_subject(_inputs(args, _SUBJECT), semistable=True)
+    return _logvalue_json(record.lower_bound(), args.format)
 
 
 # ---------------------------------------------------------------------------

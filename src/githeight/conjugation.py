@@ -18,10 +18,14 @@ not nilpotent at finite places, normality at the archimedean place.  The
 moment map at phi is proportional to the commutator [phi, phi^*], so
 normality is decided exactly from the integer commutator of d phi (d the
 lcm of the entry denominators).  Every entry point reads one record per
-matrix: the charpoly, roots, polygons, commutator and entry valuations are
-computed once, the minimality tests and the naive height included.  By
-Schur, sum |lambda_i|^2 <= |phi|_F^2 with equality iff phi is normal, so a
-normal matrix gets the Frobenius value at oo and its term there is exactly 0.
+matrix, :func:`matrix_record`: the charpoly, roots, polygons, commutator and
+entry valuations are computed once, the minimality tests and the naive
+height included.  The record has the interface a torus point's record
+shares: ``semistable``, ``naive()``, ``terms(tol)``, ``height(tol)``,
+``lower_bound()`` and ``no_image()``, the NilpotentError of a matrix with
+no image; the record memo makes the one semistability check.  By Schur,
+sum |lambda_i|^2 <= |phi|_F^2 with equality iff phi is normal, so a normal
+matrix gets the Frobenius value at oo and its term there is exactly 0.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .places import (
     _log_ratio,
     _require_place,
     _valuation,
-    as_fraction,
     valuation_table,
 )
 
@@ -87,23 +90,6 @@ class MatrixQ:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
-    def mul(self, other: "MatrixQ") -> "MatrixQ":
-        if self.n != other.n:
-            raise InputError("matrix sizes differ")
-        n = self.n
-        return MatrixQ(tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ))
-
-    def transpose(self) -> "MatrixQ":
-        n = self.n
-        return MatrixQ(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
-
-    def scaled(self, c: RationalLike) -> "MatrixQ":
-        c = as_fraction(c)
-        return MatrixQ(tuple(tuple(c * x for x in row) for row in self.rows))
-
 
 @dataclass(frozen=True)
 class MinimalityReport:
@@ -120,10 +106,14 @@ class _MatrixRecord:
     the charpoly, its nonzero-root part and zero-root count, the complex
     roots and root norm, d and g (see :attr:`polygons`), the integer matrix
     B = d phi, the Newton polygon at each prime asked for, the commutator
-    and the Frobenius value (both read B) and the valuation table of the
-    entries.  A part whose computation raises is not kept, so the next call
-    raises again.  The zero matrix has no record.
+    and the Frobenius value ``norm`` (both read B) and the valuation table
+    of the entries.  A part whose computation raises is not kept, so the
+    next call raises again.  The zero matrix has no record.  ``height`` and
+    ``lower_bound`` are those of a matrix that is not nilpotent; the roots
+    carry their own tolerance, so ``tol`` is not read.
     """
+
+    no_image = functools.partial(NilpotentError, "nilpotent matrix: no image in the quotient")
 
     def __init__(self, phi: MatrixQ):
         if phi.is_zero:
@@ -139,8 +129,9 @@ class _MatrixRecord:
         return self.charpoly.shift_out_zero_roots()
 
     @property
-    def nilpotent(self) -> bool:
-        return self.reduced[1] == self.phi.n
+    def semistable(self) -> bool:
+        """phi is not nilpotent: its charpoly is not T^n."""
+        return self.reduced[1] != self.phi.n
 
     @functools.cached_property
     def roots(self) -> tuple[complex, ...]:
@@ -193,7 +184,7 @@ class _MatrixRecord:
                 for bi, ci in zip(b, cols) for bj, cj in zip(b, cols)]
 
     @functools.cached_property
-    def frobenius(self) -> float:
+    def norm(self) -> float:
         """log |phi|_F = 1/2 log (sum of B's squared entries / d^2)."""
         return 0.5 * _log_ratio(sum(x * x for row in self.b for x in row), self.d * self.d)
 
@@ -203,36 +194,56 @@ class _MatrixRecord:
         Frobenius value, with equality iff phi is normal: a normal matrix
         whose roots read at or above it gets the Frobenius value itself."""
         norm = log_root_norm(self.roots)
-        return self.frobenius if norm >= self.frobenius and not any(self.commutator) else norm
-
-    def arch_term(self) -> LogValue:
-        """log (sqrt(sum of squared root moduli) / Frobenius norm)."""
-        return LogValue.from_arch(self.root_norm - self.frobenius)
-
-    def height(self) -> LogValue:
-        """Quotient height of a matrix that is not nilpotent, from the
-        eigenvalues: steepest Newton-polygon slopes at the primes,
-        log sqrt(sum of squared root moduli) at oo."""
-        return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
-                                   self.root_norm)
+        return self.norm if norm >= self.norm and not any(self.commutator) else norm
 
     @functools.cached_property
     def table(self) -> dict[int, list]:
         return valuation_table(self.phi.entries)
+
+    def term(self, place: Place) -> LogValue:
+        """The measure at a proven place: -infinity on a nilpotent matrix,
+        log (sqrt(sum of squared root moduli) / Frobenius norm) at oo, and
+        at p the finite term with the entries' smallest valuation there."""
+        if not self.semistable:
+            return LogValue.neg_infinity()
+        if place.is_archimedean:
+            return LogValue.from_arch(self.root_norm - self.norm)
+        return self.finite_term(place.prime, min(_valuation(x, place.prime) for x in self.phi.entries))
+
+    def terms(self, tol=None) -> dict[Place, LogValue]:
+        """The measure at the primes of the entries and of g, ascending, then oo."""
+        table = self.table
+        primes = sorted(set(table) | {p for p, _ in self.polygons})
+        places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]  # both lists are of proven primes
+        if not self.semistable:
+            return {place: LogValue.neg_infinity() for place in places}
+        # an entry valuation missing from the table is 0
+        terms = {place: self.finite_term(p, min(table.get(p, [0]))) for p, place in zip(primes, places)}
+        terms[ARCHIMEDEAN] = self.term(ARCHIMEDEAN)
+        return terms
+
+    def naive(self) -> LogValue:
+        return _naive_height(self.table, self.norm)
+
+    def height(self, tol=None) -> LogValue:
+        """From the eigenvalues: steepest Newton-polygon slopes at the
+        primes, log sqrt(sum of squared root moduli) at oo."""
+        return LogValue._of_primes({p: -polygon.min_root_valuation for p, polygon in self.polygons},
+                                   self.root_norm)
+
+    def lower_bound(self) -> LogValue:
+        """(1/2) log k, k the degree of the charpoly with its zero roots split off."""
+        return LogValue.from_arch(0.5 * math.log(self.reduced[0].degree))
 
 
 # The record of the last matrix, keyed on MatrixQ, whose == is exact on the rows.
 _MATRICES = _LastInput(_MatrixRecord)
 
 
-def _semistable_record(phi: MatrixQ) -> _MatrixRecord:
-    """The record of a matrix with an image in the quotient; NilpotentError
-    when it is nilpotent."""
-    # no local of this frame holds the record, so the traceback of a
-    # NilpotentError, which a caller may keep, keeps no local data alive
-    if _MATRICES(phi).nilpotent:
-        raise NilpotentError("nilpotent matrix: no image in the quotient")
-    return _MATRICES(phi)
+def matrix_record(phi: MatrixQ, semistable: bool = False) -> _MatrixRecord:
+    """The record of phi, the last matrix's when it is the same; with
+    ``semistable``, NilpotentError on a nilpotent matrix."""
+    return _MATRICES(phi, semistable)
 
 
 def charpoly_of(phi: MatrixQ) -> PolyQ:
@@ -250,7 +261,7 @@ def is_semistable_conj(phi: MatrixQ) -> bool:
         >>> is_semistable_conj(MatrixQ.from_lists([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
         True
     """
-    return not _MATRICES(phi).nilpotent
+    return _MATRICES(phi).semistable
 
 
 def naive_matrix_height(phi: MatrixQ) -> LogValue:
@@ -262,8 +273,7 @@ def naive_matrix_height(phi: MatrixQ) -> LogValue:
         >>> abs(h.to_float() - 0.5 * math.log(3)) < 1e-15
         True
     """
-    record = _MATRICES(phi)
-    return _naive_height(record.table, record.frobenius)
+    return _MATRICES(phi).naive()
 
 
 def quotient_height_conj(phi: MatrixQ) -> LogValue:
@@ -281,7 +291,7 @@ def quotient_height_conj(phi: MatrixQ) -> LogValue:
         >>> dict(h.finite), abs(h.to_float() - 0.5 * math.log(13)) < 1e-12
         ({}, True)
     """
-    return _semistable_record(phi).height()
+    return _MATRICES(phi, semistable=True).height()
 
 
 def lower_bound_conj(phi: MatrixQ) -> LogValue:
@@ -303,7 +313,7 @@ def lower_bound_conj(phi: MatrixQ) -> LogValue:
         >>> lower_bound_conj(MatrixQ.from_lists([[1, 1], [0, 0]])).is_exact_zero
         True
     """
-    return LogValue.from_arch(0.5 * math.log(_semistable_record(phi).reduced[0].degree))
+    return _MATRICES(phi, semistable=True).lower_bound()
 
 
 def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
@@ -326,13 +336,7 @@ def instability_conj(phi: MatrixQ, place: Place) -> LogValue:
         True
     """
     _require_place(place)
-    record = _MATRICES(phi)
-    if record.nilpotent:
-        return LogValue.neg_infinity()
-    if place.is_archimedean:
-        return record.arch_term()
-    p = place.prime  # a Place holds a proven prime
-    return record.finite_term(p, min(_valuation(x, p) for x in phi.entries))
+    return _MATRICES(phi).term(place)
 
 
 def instability_all_conj(phi: MatrixQ) -> dict[Place, LogValue]:
@@ -344,16 +348,7 @@ def instability_all_conj(phi: MatrixQ) -> dict[Place, LogValue]:
     Every term comes from the matrix's record, a finite one by the route a
     lone :func:`instability_conj` takes; nilpotent matrices give -infinity.
     """
-    record = _MATRICES(phi)
-    table = record.table
-    primes = sorted(set(table) | {p for p, _ in record.polygons})
-    places = [Place._of_prime(p) for p in primes] + [ARCHIMEDEAN]  # both lists are of proven primes
-    if record.nilpotent:
-        return {place: LogValue.neg_infinity() for place in places}
-    # an entry valuation missing from the table is 0
-    terms = {place: record.finite_term(p, min(table.get(p, [0]))) for p, place in zip(primes, places)}
-    terms[ARCHIMEDEAN] = record.arch_term()
-    return terms
+    return _MATRICES(phi).terms()
 
 
 def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
@@ -369,7 +364,7 @@ def is_minimal_arch(phi: MatrixQ) -> MinimalityReport:
     minimal = not any(record.commutator)
     # |[phi, phi^T]|_F / |phi|_F^2 through logs, since either may lie beyond the double range
     squares = sum(c * c for c in record.commutator)
-    defect = 0.0 if minimal else math.exp(0.5 * _log_ratio(squares, record.d ** 4) - 2 * record.frobenius)
+    defect = 0.0 if minimal else math.exp(0.5 * _log_ratio(squares, record.d ** 4) - 2 * record.norm)
     witness = "commutator phi phi^T - phi^T phi vanishes" if minimal else f"relative commutator norm {defect:.3e}"
     return MinimalityReport(minimal, ARCHIMEDEAN, defect, witness)
 
@@ -407,7 +402,6 @@ def fundamental_formula_residual_conj(phi: MatrixQ) -> float:
     The finite parts cancel dictionary-exactly by construction; the
     returned float only carries archimedean rounding.
     """
-    record = _semistable_record(phi)
+    record = _MATRICES(phi, semistable=True)
     height = record.height()
-    total = LogValue._sum([_naive_height(record.table, record.frobenius), *instability_all_conj(phi).values()])
-    return (total - height).to_float()
+    return (LogValue._sum([record.naive(), *record.terms().values()]) - height).to_float()

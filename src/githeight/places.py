@@ -777,15 +777,21 @@ class _LastInput:
     """A one-entry memo of local records: ``memo(key)`` is ``build(key)``
     for the last key, rebuilt when the key is not == to it.  Keys are
     compared, never hashed, so a call on the last call's objects costs an
-    identity test; a build that raises leaves the memo as it was."""
+    identity test; a build that raises leaves the memo as it was.  With
+    ``semistable``, an input with no image in the quotient raises its
+    record's ``no_image()`` error instead."""
 
     def __init__(self, build):
         self.build = build
         self.cache_clear()
 
-    def __call__(self, key):
+    def __call__(self, key, semistable: bool = False):
         if self.key is None or self.key != key:
             self.record, self.key = self.build(key), key
+        # no local of this frame holds the record, so the traceback of the
+        # error, which a caller may keep, keeps no local data alive
+        if semistable and not self.record.semistable:
+            raise self.build.no_image()
         return self.record
 
     def cache_clear(self) -> None:

@@ -18,6 +18,12 @@ weights and is minimized by a damped Newton iteration.
 
 Sum of the naive height and all local measures = height of the image point
 in the quotient; unstable points have iota = -infinity and no image.
+
+Each input's local data is one record, :func:`point_record`, with the
+interface a matrix's record shares: ``semistable``, ``naive()``,
+``terms(tol)``, ``height(tol)``, ``lower_bound()`` and ``no_image()``, the
+UnstableError of a point with no image.  Every entry point reads it, and
+the record memo makes the one semistability check.
 """
 
 from __future__ import annotations
@@ -100,8 +106,11 @@ class _PointRecord:
     weights, ``table`` their valuation table, ``finite`` one report per
     prime and ``arch`` one per tol.  Every public call on the input reads
     this record; a part whose computation raises is not kept, so the next
-    call raises again.
+    call raises again.  ``height`` and ``lower_bound`` are those of a
+    semistable point.
     """
+
+    no_image = functools.partial(UnstableError, "unstable point: no image in the quotient")
 
     def __init__(self, key):
         rank, weights, coords = key
@@ -116,6 +125,11 @@ class _PointRecord:
         self.polytope = last.polytope if last and last.polytope.slopes == ms else exactlp.ZeroSumPolytope(ms)
         self.finite: dict[int, InstabilityReport] = {}
         self.arch: dict[float, InstabilityReport] = {}
+
+    @property
+    def semistable(self) -> bool:
+        """0 lies in the convex hull of the active weights: phase 1 alone."""
+        return not self.polytope.is_empty
 
     @functools.cached_property
     def table(self) -> dict[int, list]:
@@ -162,6 +176,14 @@ class _PointRecord:
             report = self.arch[tol] = _arch_report(self, tol)
         return report
 
+    def report(self, place: Place, tol: float) -> InstabilityReport:
+        """The report at a place, kept; at p the valuations are read off the
+        coordinates, which are not factored."""
+        if place.is_archimedean:
+            return self.arch_report(tol)
+        report = self.finite.get(place.prime)
+        return report or self.nonarch_report(place, [_valuation(c, place.prime) for c in self.xs])
+
     def reports(self, tol: float) -> dict[Place, InstabilityReport]:
         """A new dict of the reports at the table's primes, ascending, then oo."""
         reports = {}
@@ -173,6 +195,23 @@ class _PointRecord:
         reports[ARCHIMEDEAN] = self.arch_report(tol)
         return reports
 
+    def terms(self, tol: float) -> dict[Place, LogValue]:
+        """The measure at each place of :meth:`reports`; -infinity at each on an unstable point."""
+        return {place: report.value for place, report in self.reports(tol).items()}
+
+    def naive(self) -> LogValue:
+        return _naive_height(self.table, self.norm)
+
+    def height(self, tol: float) -> LogValue:
+        return LogValue._sum([self.naive(), *self.terms(tol).values()])
+
+    def lower_bound(self) -> LogValue:
+        """(1/2) sum lam_i log(1/lam_i), lam read off the squares or the polytope."""
+        ints2 = self.squares[0]
+        lam = [Fraction(w, sum(ints2)) for w in ints2] if self.balanced else self.polytope.interior
+        return LogValue.from_arch(0.5 * math.fsum(float(l) * _log_ratio(l.denominator, l.numerator)
+                                                  for l in lam if l))
+
 
 # The record of the last input, keyed on (rank, weights, coordinates) and
 # not on the point, whose == is projective: 1:2 and 2:4 have different
@@ -180,18 +219,11 @@ class _PointRecord:
 _POINTS = _LastInput(_PointRecord)
 
 
-def _record(action: TorusAction, x: ProjectivePointQ) -> _PointRecord:
-    return _POINTS((action.rank, action.weights, x.coords))
-
-
-def _semistable_record(action: TorusAction, x: ProjectivePointQ) -> _PointRecord:
-    """The record of a point with an image in the quotient; UnstableError
-    from phase 1 alone, so nothing is factored first."""
-    # no local of this frame holds the record, so the traceback of an
-    # UnstableError, which a caller may keep, keeps no local data alive
-    if _record(action, x).polytope.is_empty:
-        raise UnstableError("unstable point: no image in the quotient")
-    return _record(action, x)
+def point_record(action: TorusAction, x: ProjectivePointQ, semistable: bool = False) -> _PointRecord:
+    """The record of x under action, the last input's when it is the same;
+    with ``semistable``, UnstableError from phase 1 alone on an unstable
+    point, so nothing is factored first."""
+    return _POINTS((action.rank, action.weights, x.coords), semistable)
 
 
 def _unstable_report(place: Place) -> InstabilityReport:
@@ -212,7 +244,7 @@ def is_semistable(action: TorusAction, x: ProjectivePointQ) -> bool:
         >>> is_semistable(TorusAction(1, ((-1,), (1,))), ProjectivePointQ.parse("1:0"))
         False
     """
-    return not _record(action, x).polytope.is_empty
+    return point_record(action, x).semistable
 
 
 def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
@@ -230,7 +262,7 @@ def destabilizing_1ps(action: TorusAction, x: ProjectivePointQ):
         >>> destabilizing_1ps(TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("2:2:1")) is None
         True
     """
-    xi = _record(action, x).polytope.separating_direction()
+    xi = point_record(action, x).polytope.separating_direction()
     if xi is None:
         return None
     scale = math.lcm(*(c.denominator for c in xi))
@@ -258,13 +290,9 @@ def instability_nonarch(action: TorusAction, x: ProjectivePointQ, p: int) -> Ins
         >>> rep.value.is_exact_zero, rep.residually_semistable
         (True, True)
     """
-    record = _record(action, x)
+    record = point_record(action, x)
     # a float p must not find an int key: 2.0 == 2
-    report = record.finite.get(p) if _is_int(p) else None
-    if report is None:
-        place = Place.finite(p)
-        report = record.nonarch_report(place, [_valuation(c, place.prime) for c in record.xs])
-    return report
+    return (record.finite.get(p) if _is_int(p) else None) or record.report(Place.finite(p), None)
 
 
 def instability_arch(
@@ -290,7 +318,7 @@ def instability_arch(
         >>> rep.value.is_exact_zero, rep.minimizer
         (True, (0.0,))
     """
-    return _record(action, x).arch_report(tol)
+    return point_record(action, x).arch_report(tol)
 
 
 def _arch_report(record: _PointRecord, tol: float) -> InstabilityReport:
@@ -324,7 +352,7 @@ def instability_all(action: TorusAction, x: ProjectivePointQ,
     report another call on the same input made is not solved again; each
     call returns a new dict of the record's frozen reports.
     """
-    return _record(action, x).reports(tol)
+    return point_record(action, x).reports(tol)
 
 
 def _logsumexp(a) -> float:
@@ -411,10 +439,7 @@ def quotient_height(action: TorusAction, x: ProjectivePointQ, tol: float = 1e-12
         >>> dict(h.finite), abs(h.arch - math.log(3)) <= 1e-9
         ({2: Fraction(-2, 3)}, True)
     """
-    record = _semistable_record(action, x)
-    reports = record.reports(tol).values()
-    naive = _naive_height(record.table, record.norm)
-    return LogValue._sum([naive, *(r.value for r in reports)])
+    return point_record(action, x, semistable=True).height(tol)
 
 
 def lower_bound(action: TorusAction, x: ProjectivePointQ) -> LogValue:
@@ -441,11 +466,7 @@ def lower_bound(action: TorusAction, x: ProjectivePointQ) -> LogValue:
         >>> abs(bound.arch - (math.log(3) - 8 / 9 * math.log(2))) < 1e-15
         True
     """
-    record = _semistable_record(action, x)
-    ints2 = record.squares[0]
-    lam = [Fraction(w, sum(ints2)) for w in ints2] if record.balanced else record.polytope.interior
-    return LogValue.from_arch(0.5 * math.fsum(float(l) * _log_ratio(l.denominator, l.numerator)
-                                              for l in lam if l))
+    return point_record(action, x, semistable=True).lower_bound()
 
 
 def kempf_ness_profile(
@@ -476,7 +497,7 @@ def kempf_ness_profile(
         raise InputError("a grid point is not a finite real double")
     if len(lam) != action.rank:
         raise InputError(f"one-parameter subgroup must have {action.rank} entries")
-    record = _record(action, x)
+    record = point_record(action, x)
     pairings = [sum(m[k] * lam[k] for k in range(action.rank)) for m in record.polytope.slopes]
     if place.is_archimedean:
         ints2, scale2 = record.squares

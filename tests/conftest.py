@@ -34,6 +34,21 @@ def time_limit():
     return limit
 
 
+def mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
+    """The product a b of two n x n matrices."""
+    cols = list(zip(*b.rows))
+    return MatrixQ(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows))
+
+
+def transpose(a: MatrixQ) -> MatrixQ:
+    return MatrixQ(tuple(zip(*a.rows)))
+
+
+def scaled(a: MatrixQ, c) -> MatrixQ:
+    """c a, c an int or a Fraction."""
+    return MatrixQ(tuple(tuple(c * x for x in row) for row in a.rows))
+
+
 def _orbit_bound_by_products(phi, samples, seed):
     """Minimum naive height over sampled SL_n(Q) conjugates of phi.
 
@@ -58,10 +73,10 @@ def _orbit_bound_by_products(phi, samples, seed):
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             shear_rows = [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
             shear_rows[i][j] = c
-            g = g.mul(MatrixQ.from_lists(shear_rows))
+            g = mul(g, MatrixQ.from_lists(shear_rows))
             shear_rows[i][j] = -c
-            ginv = MatrixQ.from_lists(shear_rows).mul(ginv)
-        h = naive_matrix_height(g.mul(phi).mul(ginv))
+            ginv = mul(MatrixQ.from_lists(shear_rows), ginv)
+        h = naive_matrix_height(mul(mul(g, phi), ginv))
         if h.to_float() < best.to_float():
             best = h
     return best

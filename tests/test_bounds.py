@@ -56,7 +56,7 @@ def test_the_torus_bound_off_balance_reads_the_face_of_zero():
     # the stored interior point gives the bound
     action, x = TorusAction(1, ((-2,), (1,), (4,))), ProjectivePointQ.parse("1:1:1")
     bound = lower_bound(action, x)
-    lam = torus._record(action, x).polytope.interior
+    lam = torus.point_record(action, x).polytope.interior
     assert sum(lam) == 1 and sum(l * m for l, (m,) in zip(lam, action.weights)) == 0
     assert bound.arch == pytest.approx(0.5 * sum(float(l) * math.log(1 / l) for l in lam), rel=1e-15)
     assert _holds(quotient_height(action, x), bound)
@@ -64,7 +64,7 @@ def test_the_torus_bound_off_balance_reads_the_face_of_zero():
     # the triangle (1, 0), (-1, 0), (0, 1) that misses (0, 1)
     action = TorusAction(2, ((1, 0), (-1, 0), (0, 1)))
     bound = lower_bound(action, x)
-    assert torus._record(action, x).polytope.interior == (Fraction(1, 2), Fraction(1, 2), 0)
+    assert torus.point_record(action, x).polytope.interior == (Fraction(1, 2), Fraction(1, 2), 0)
     assert bound.arch == 0.5 * math.log(2)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from githeight import cli
+from githeight import cli, conjugation, torus
 from githeight.errors import NoConvergenceError
 
 
@@ -165,13 +165,22 @@ def test_small_eigenvalues_stay_apart(capsys):
     assert code == 0 and abs(data["total"] - 0.5 * math.log(2)) < 1e-12
 
 
-def test_convergence_failure_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize("target, argv", [
+    ("githeight.torus._newton_minimize", ("quotient-height", "--weights=-1,1", "--point", "1:2")),
+    ("githeight.torus._newton_minimize", ("instability", "--weights=-1,1", "--point", "1:2", "--place", "all")),
+    ("githeight.conjugation.complex_roots", ("quotient-height", "--matrix", "[[1,1],[0,1]]")),
+    ("githeight.conjugation.complex_roots", ("instability", "--matrix", "[[1,1],[0,1]]", "--place", "oo")),
+])
+def test_convergence_failure_exits_three(capsys, monkeypatch, target, argv):
+    # the commands read the input's record, whose minimizer or root solver fails here
     def boom(*args, **kwargs):
         raise NoConvergenceError("stalled")
 
-    monkeypatch.setattr(cli, "quotient_height", boom)
-    code, _ = run(capsys, "quotient-height", "--weights", "0", "--point", "1")
-    assert code == 3
+    torus._POINTS.cache_clear()
+    conjugation._MATRICES.cache_clear()
+    monkeypatch.setattr(target, boom)
+    code = cli.main(list(argv))
+    assert (code, *capsys.readouterr()) == (3, "", "error: stalled\n")
 
 
 def test_minimal_command(capsys):
@@ -408,6 +417,27 @@ def test_two_subjects_exit_two(capsys, monkeypatch, command, inputs, from_stdin)
     assert cli.main([command, *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# each of these once exited 0 and ignored the key that the command does not take
+@pytest.mark.parametrize("command, payload, key", [
+    ("destabilize", {"matrix": [[2]], "weights": "-1,1", "point": "1:1"}, "matrix"),
+    ("minimal", {"matrix": [[2]], "point": "1:2"}, "point"),
+    ("height", {"weights": "-1,1", "point": "1:2"}, "weights"),
+    ("semistable", {"weights": "-1,1", "point": "1:2", "place": "oo"}, "place"),
+    ("quotient-height", {"matrix": [[2]], "arch_tol": 1e-9}, "arch_tol"),
+])
+def test_a_stdin_key_the_command_does_not_take_exits_two(capsys, monkeypatch, command, payload, key):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main([command]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("weights, named", [("1.5,1", "1.5"), ("-1,x", "x"), ("-1,,1", "")])
+def test_a_weight_that_is_no_integer_is_named(capsys, weights, named):
+    assert cli.main(["quotient-height", f"--weights={weights}", "--point", "1:1"]) == 2
+    assert capsys.readouterr() == ("", f"error: weight {named!r} is not an integer\n")
 
 
 def _run_python(script):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import mul, scaled, transpose
 
 from githeight import conjugation, lower_bound_conj
 from githeight.conjugation import (
@@ -181,8 +182,9 @@ def test_conjugation_heights_are_projective_invariants():
                                    for j in range(n)] for i in range(n)])
         want = [quotient_height_conj(phi).to_float(), instability_conj(phi, ARCHIMEDEAN).to_float()]
         for c in (Fraction(1, 10**12), Fraction(1, 10**7), 10**7, 10**30):
-            scaled = phi.scaled(c)
-            got = [quotient_height_conj(scaled).to_float(), instability_conj(scaled, ARCHIMEDEAN).to_float()]
+            scaled_phi = scaled(phi, c)
+            got = [quotient_height_conj(scaled_phi).to_float(),
+                   instability_conj(scaled_phi, ARCHIMEDEAN).to_float()]
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (phi.rows, c)
 
 
@@ -285,8 +287,8 @@ def test_minimality_at_oo_is_invariant_under_rational_rotations():
         m = MatrixQ.from_lists(rows)
         if m.is_zero:
             continue
-        assert r.mul(r.transpose()) == MatrixQ.identity(n)
-        before, after = is_minimal_arch(m), is_minimal_arch(r.mul(m).mul(r.transpose()))
+        assert mul(r, transpose(r)) == MatrixQ.identity(n)
+        before, after = is_minimal_arch(m), is_minimal_arch(mul(mul(r, m), transpose(r)))
         assert before.minimal == after.minimal
         assert math.isclose(before.defect, after.defect, rel_tol=1e-12)
 
@@ -313,8 +315,8 @@ def _minimal_nonarch_by_reduction(phi, p):
     """(flag, witness) of minimality at p the direct way: scale phi so its
     smallest entry valuation is 0, reduce mod p and run Berkowitz on the reduction."""
     vmin = min(valuation(x, p) for x in phi.entries if x)
-    scaled = phi.scaled(Fraction(p) ** -vmin)
-    cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled.rows])
+    scaled_phi = scaled(phi, Fraction(p) ** -vmin)
+    cp = charpoly([[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in scaled_phi.rows])
     mod_coeffs = [int(c) % p for c in cp.coeffs]
     return any(mod_coeffs[:-1]), "charpoly of reduction mod {}: [{}]".format(p, ", ".join(map(str, mod_coeffs)))
 
@@ -350,8 +352,8 @@ def test_minimality_at_p_matches_the_reduction_mod_p():
 
 def _minimal_arch_by_products(phi):
     """(flag, |[phi, phi^T]|_F / |phi|_F^2) from the commutator built as Fraction matrix products."""
-    t = phi.transpose()
-    entries = [a - b for r1, r2 in zip(phi.mul(t).rows, t.mul(phi).rows) for a, b in zip(r1, r2)]
+    t = transpose(phi)
+    entries = [a - b for r1, r2 in zip(mul(phi, t).rows, mul(t, phi).rows) for a, b in zip(r1, r2)]
     if not any(entries):
         return True, 0.0
     return False, math.exp(0.5 * _log_sum_squares(entries) - _log_sum_squares(phi.entries))
@@ -370,7 +372,7 @@ def test_minimality_at_oo_matches_the_fraction_commutator():
             rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         m = MatrixQ.from_lists(rows)
         if not m.is_zero:
-            matrices += [m, m.scaled(Fraction(10) ** rng.choice((-400, 400)))]
+            matrices += [m, scaled(m, Fraction(10) ** rng.choice((-400, 400)))]
     normal = 0
     for m in matrices:
         report = is_minimal_arch(m)
@@ -432,7 +434,7 @@ def test_quotient_height_is_conjugation_invariant():
             continue
         done += 1
         g = random_sl(rng, n)
-        conj = g.mul(m).mul(_inverse(g))
+        conj = mul(mul(g, m), _inverse(g))
         a = quotient_height_conj(m)
         b = quotient_height_conj(conj)
         assert a.finite == b.finite
@@ -565,7 +567,7 @@ def _memo_matrices(rng):
         if not any(any(row) for row in rows):
             rows[0][-1] = Fraction(1)
         phi = MatrixQ.from_lists(rows)
-        out += [phi, MatrixQ.from_lists(rows), phi.scaled(rng.choice([2, Fraction(1, 3)]))]
+        out += [phi, MatrixQ.from_lists(rows), scaled(phi, rng.choice([2, Fraction(1, 3)]))]
     return out
 
 

@@ -29,7 +29,7 @@ _REMOVED = (
 _CLI_REMOVED = ("_VARIANTS", "_cmd_ell", "_cmd_epsilon", "_cmd_convex_lemma")
 _POLYQ_REMOVED = ("from_coeffs", "from_roots", "evaluate", "leading", "__mul__", "to_json", "from_json")
 _ATTRIBUTES_REMOVED = {
-    "MatrixQ": ("from_json", "to_json"),
+    "MatrixQ": ("from_json", "to_json", "mul", "transpose", "scaled"),
     "TorusAction": ("ambient_dim", "to_json"),
     "LogValue": ("scaled", "from_json_dict", "finite_coefficient", "close_to"),
     "ProjectivePointQ": ("dim",),

@@ -393,6 +393,20 @@ def test_record_memo_is_bounded():
     assert torus._POINTS.key == (1, ((-1,), (200,)), x.coords)
 
 
+def test_a_kept_unstable_error_keeps_no_record_alive():
+    action, x = act((-1,), (1,)), pt("1:0")
+    torus._POINTS.cache_clear()
+    record = weakref.ref(torus.point_record(action, x))
+    kept = []
+    for call in (quotient_height, lower_bound):
+        with pytest.raises(UnstableError) as info:
+            call(action, x)
+        kept.append(info.value)  # with its traceback and every frame on it
+    torus._POINTS.cache_clear()
+    assert record() is None
+    assert all(error.__traceback__ is not None for error in kept)
+
+
 @pytest.mark.parametrize("coords", [
     (2, 2, 1),
     (0, 3, 4),
@@ -404,7 +418,7 @@ def test_record_norm_reads_the_sum_of_squares_bit_for_bit(coords):
     # the norm and the per-coordinate logs come off the record's squares, and
     # are the floats the Fraction route gives, so the naive height is unchanged
     x = ProjectivePointQ(tuple(Fraction(c) for c in coords))
-    record = torus._record(W214, x)
+    record = torus.point_record(W214, x)
     assert record.norm == 0.5 * places._log_sum_squares(x.coords)
     assert record.norm == naive_height(x).arch
     ints2, scale2 = record.squares
